@@ -296,11 +296,10 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                    ls_tol, ls_max_iter):
     """One outer pass on f(x) = sum_i log(1 + exp(-y_i a_i' x)); z caches A x."""
 
-    def dphi(alpha, ym, yw):
-        # derivative of f along the segment at step alpha
-        m = ym + alpha * yw
-        sig = 1.0 / (1.0 + np.exp(np.minimum(m, 700.0)))
-        return -np.dot(sig, yw)
+    def seg(alpha, ym, yw, yw2):
+        # first and second derivatives of f along the segment at step alpha
+        sig = 1.0 / (1.0 + np.exp(np.minimum(ym + alpha * yw, 700.0)))
+        return -np.dot(sig, yw), np.dot(sig * (1.0 - sig), yw2)
 
     for idx in range(order.shape[0]):
         i = order[idx]
@@ -330,27 +329,39 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                 lo = -gma
 
         if grad_rule:
-            bval = dphi(0.0, ym, yw)
-            alpha = -bval / (L * c)
+            sig = 1.0 / (1.0 + np.exp(np.minimum(ym, 700.0)))
+            alpha = np.dot(sig, yw) / (L * c)
             if alpha < lo:
                 alpha = lo
             if alpha > 1.0:
                 alpha = 1.0
         else:
-            if dphi(lo, ym, yw) >= 0.0:
+            # safeguarded Newton, as objectives.bisect_line_min
+            yw2 = yw * yw
+            d, h = seg(lo, ym, yw, yw2)
+            if d >= 0.0:
                 alpha = lo
-            elif dphi(1.0, ym, yw) <= 0.0:
+            elif seg(1.0, ym, yw, yw2)[0] <= 0.0:
                 alpha = 1.0
             else:
                 a = lo
                 b = 1.0
+                alpha = lo
                 it = 0
                 while b - a > ls_tol and it < ls_max_iter:
-                    mid = 0.5 * (a + b)
-                    if dphi(mid, ym, yw) >= 0.0:
-                        b = mid
+                    step = d / h if h > 0.0 else np.inf
+                    if abs(step) <= 0.25 * ls_tol:
+                        a = b = alpha - step  # converged: collapse the bracket
+                        break
+                    if a < alpha - step < b:
+                        alpha -= step
                     else:
-                        a = mid
+                        alpha = 0.5 * (a + b)
+                    d, h = seg(alpha, ym, yw, yw2)
+                    if d >= 0.0:
+                        b = alpha
+                    else:
+                        a = alpha
                     it += 1
                 alpha = 0.5 * (a + b)
 
@@ -359,20 +370,21 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             alpha = lo
             dropped = True
 
-        if alpha != 0.0:
-            if alpha == 1.0:
-                z[:] = s * col
-                x[:] = 0.0
-                x[j] = s
-                xi = 1.0
-                sq_x = s * s
-            else:
-                z += alpha * w
-                x *= 1.0 - alpha
-                x[j] += alpha * s
-                sq_x = ((1.0 - alpha) ** 2 * sq_x
-                        + 2.0 * alpha * (1.0 - alpha) * s * xj
-                        + alpha * alpha * s * s)
+        # alpha = 0 leaves z, x and lam as they are (see ls_cycle)
+        if alpha == 0.0:
+            continue
+        if alpha == 1.0:
+            z[:] = s * col
+            x[:] = 0.0
+            x[j] = s
+            sq_x = s * s
+        else:
+            z += alpha * w
+            x *= 1.0 - alpha
+            x[j] += alpha * s
+            sq_x = ((1.0 - alpha) ** 2 * sq_x
+                    + 2.0 * alpha * (1.0 - alpha) * s * xj
+                    + alpha * alpha * s * s)
         if away:
             lam *= 1.0 - alpha
             if dropped:
@@ -393,17 +405,18 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     norms in xsq), so K itself is never materialized.  Returns (q, sq_w).
     """
 
-    def dphi(alpha, q, uj, u, dvec, kappa0, mu_h):
-        qa = ((1.0 - alpha) ** 2 * q
-              + 2.0 * alpha * (1.0 - alpha) * uj
-              + alpha * alpha * kappa0)
-        qp = (-2.0 * (1.0 - alpha) * q
-              + (2.0 - 4.0 * alpha) * uj
-              + 2.0 * alpha * kappa0)
-        ua = u + alpha * dvec
-        t = np.sqrt(np.maximum(qa - 2.0 * ua + kappa0, 0.0))
-        ratio = np.minimum(1.0, mu_h / np.maximum(t, 1e-300))
-        return 0.5 * qp * ratio.sum() - np.dot(ratio, dvec)
+    def seg(alpha, P, R, C, mu_h):
+        # first and second derivatives of f along the segment at step alpha;
+        # t_i^2 there is T_i = P_i + alpha R_i + alpha^2 C
+        T = P + alpha * (R + alpha * C)
+        Tp = R + (2.0 * alpha) * C
+        t = np.sqrt(np.maximum(T, 0.0))
+        ratio = mu_h / np.maximum(t, mu_h)  # huber'(t) / t
+        rTp = ratio * Tp
+        far = rTp * (t > mu_h)
+        return (0.5 * rTp.sum(),
+                C * ratio.sum()
+                - 0.25 * np.dot(far, Tp / np.maximum(T, mu_h * mu_h)))
 
     for idx in range(order.shape[0]):
         j = order[idx]
@@ -439,20 +452,34 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             if alpha > 1.0:
                 alpha = 1.0
         else:
-            if dphi(lo, q, uj, u, dvec, kappa0, mu_h) >= 0.0:
+            # safeguarded Newton, as objectives.bisect_line_min
+            P = (q + kappa0) - 2.0 * u
+            R = 2.0 * (uj - q) - 2.0 * dvec
+            C = q - 2.0 * uj + kappa0
+            d, h = seg(lo, P, R, C, mu_h)
+            if d >= 0.0:
                 alpha = lo
-            elif dphi(1.0, q, uj, u, dvec, kappa0, mu_h) <= 0.0:
+            elif seg(1.0, P, R, C, mu_h)[0] <= 0.0:
                 alpha = 1.0
             else:
                 a = lo
                 b = 1.0
+                alpha = lo
                 it = 0
                 while b - a > ls_tol and it < ls_max_iter:
-                    mid = 0.5 * (a + b)
-                    if dphi(mid, q, uj, u, dvec, kappa0, mu_h) >= 0.0:
-                        b = mid
+                    step = d / h if h > 0.0 else np.inf
+                    if abs(step) <= 0.25 * ls_tol:
+                        a = b = alpha - step  # converged: collapse the bracket
+                        break
+                    if a < alpha - step < b:
+                        alpha -= step
                     else:
-                        a = mid
+                        alpha = 0.5 * (a + b)
+                    d, h = seg(alpha, P, R, C, mu_h)
+                    if d >= 0.0:
+                        b = alpha
+                    else:
+                        a = alpha
                     it += 1
                 alpha = 0.5 * (a + b)
 
@@ -461,23 +488,25 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             alpha = lo
             dropped = True
 
-        if alpha != 0.0:
-            if alpha == 1.0:
-                u[:] = kcol
-                q = kappa0
-                wv[:] = 0.0
-                wv[j] = 1.0
-                sq_w = 1.0
-            else:
-                u += alpha * dvec
-                q = ((1.0 - alpha) ** 2 * q
-                     + 2.0 * alpha * (1.0 - alpha) * uj
-                     + alpha * alpha * kappa0)
-                wv *= 1.0 - alpha
-                wv[j] += alpha
-                sq_w = ((1.0 - alpha) ** 2 * sq_w
-                        + 2.0 * alpha * (1.0 - alpha) * wj
-                        + alpha * alpha)
+        # alpha = 0 leaves u, q, wv and lam as they are (see ls_cycle)
+        if alpha == 0.0:
+            continue
+        if alpha == 1.0:
+            u[:] = kcol
+            q = kappa0
+            wv[:] = 0.0
+            wv[j] = 1.0
+            sq_w = 1.0
+        else:
+            u += alpha * dvec
+            q = ((1.0 - alpha) ** 2 * q
+                 + 2.0 * alpha * (1.0 - alpha) * uj
+                 + alpha * alpha * kappa0)
+            wv *= 1.0 - alpha
+            wv[j] += alpha
+            sq_w = ((1.0 - alpha) ** 2 * sq_w
+                    + 2.0 * alpha * (1.0 - alpha) * wj
+                    + alpha * alpha)
         if away:
             lam *= 1.0 - alpha
             if dropped:

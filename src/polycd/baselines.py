@@ -223,7 +223,8 @@ def twocd_solve(obj, poly=None, cfg=None, nnz_fn=None):
     """Randomized two-coordinate descent on a simplex domain: per iteration
     draw a distinct coordinate pair (i, j) uniformly and minimize along
     x + theta (e_i - e_j) for theta in [-x_i, x_j] (exact line search,
-    closed form for quadratics and derivative bisection otherwise).
+    closed form for quadratics and safeguarded Newton otherwise).  On a
+    one-coordinate simplex no pair exists and the start vertex is returned.
 
     The customary budget for this method is max_iter = 100 * dimension; no
     stagnation window is applied unless cfg.window is set explicitly.
@@ -238,6 +239,9 @@ def twocd_solve(obj, poly=None, cfg=None, nnz_fn=None):
     nnz = nnz_fn if nnz_fn is not None else (lambda x: _count_nnz(x, cfg.nnz_tol))
     t0 = time.perf_counter()
     trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, nnz(obj.x))]
+    if d < 2:
+        # no coordinate pair exists; the start vertex is the only point
+        return obj.x.copy(), trace
     for k, (i, j) in zip(range(1, cfg.max_iter + 1), pair_stream(rng, d)):
         if _over_budget(cfg, t0):
             break

@@ -130,8 +130,10 @@ class _Bundle:
             A, b, x_star, C = gen_lasso(spec)
             if c_override is not None:
                 C = float(c_override)
-            self.poly = L1Ball(spec.d, C)
-            self._make = lambda L=None: LeastSquares(A, b, self.poly, L=L)
+            # the factories close over locals, never self: a bundle in a
+            # reference cycle would keep its arrays until a full gc pass
+            poly = self.poly = L1Ball(spec.d, C)
+            self._make = lambda L=None: LeastSquares(A, b, poly, L=L)
             B = np.hstack([A, -A]) * C
             lifted_poly = StandardSimplex(2 * spec.d)
             self._make_lifted = lambda L=None: LeastSquares(B, b, lifted_poly, L=L)
@@ -145,8 +147,8 @@ class _Bundle:
             A, labels, x_star, C = gen_logistic(spec)
             if c_override is not None:
                 C = float(c_override)
-            self.poly = L1Ball(spec.d, C)
-            self._make = lambda L=None: Logistic(A, labels, self.poly, L=L)
+            poly = self.poly = L1Ball(spec.d, C)
+            self._make = lambda L=None: Logistic(A, labels, poly, L=L)
             B = np.hstack([A, -A]) * C
             lifted_poly = StandardSimplex(2 * spec.d)
             self._make_lifted = lambda L=None: Logistic(B, labels, lifted_poly, L=L)
@@ -157,9 +159,9 @@ class _Bundle:
         elif preset == "kde":
             spec = KdeSpec(seed=seed, **prob)
             X, _ = gen_kde(spec)
-            self.poly = StandardSimplex(spec.n)
+            poly = self.poly = StandardSimplex(spec.n)
             self._make = lambda L=None: KdeHuber(X, spec.sigma_kernel,
-                                                 spec.mu_huber, self.poly, L=L)
+                                                 spec.mu_huber, poly, L=L)
             self._make_lifted = self._make
             self.lifted_poly = self.poly
             self.dim = spec.n
@@ -171,8 +173,8 @@ class _Bundle:
             B = rng.standard_normal((2 * d, d))
             Q = B.T @ B / d + mu * np.eye(d)
             qlin = rng.standard_normal(d)
-            self.poly = StandardSimplex(d)
-            self._make = lambda L=None: Quadratic(Q, qlin, poly=self.poly)
+            poly = self.poly = StandardSimplex(d)
+            self._make = lambda L=None: Quadratic(Q, qlin, poly=poly)
             self._make_lifted = self._make
             self.lifted_poly = self.poly
             self.dim = d

@@ -43,23 +43,47 @@ def grad_step_alpha(b, c, L, lo, hi):
     return min(max(-b / (L * c), lo), hi)
 
 
-def bisect_line_min(dphi, lo, hi, tol=1e-12, max_iter=200):
-    """Minimize a convex 1D function on [lo, hi] by bisecting the sign of
-    its derivative.  Flat stretches resolve to the smallest minimizer."""
+def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
+    """Minimize a convex 1D function phi on [lo, hi]; fn(alpha) returns
+    (phi'(alpha), phi''(alpha)).
+
+    Safeguarded Newton on phi' ("rtsafe", Numerical Recipes 9.4): the
+    bracket [a, b] with phi'(a) < 0 <= phi'(b) is updated by the sign of
+    every evaluation, a Newton step is taken only when it lands strictly
+    inside the bracket and the bracket is bisected otherwise.  It stops
+    when the bracket is at most tol wide or a Newton step at most tol / 4
+    long, after at most max_iter evaluations besides the two endpoint
+    tests.  Flat stretches of phi' resolve to the smallest minimizer.
+
+    The name is kept from the derivative-bisection version: it is public,
+    and profiling wrappers hook this module attribute by name to count
+    the evaluations of each line search.
+    """
     if hi < lo:
         raise ValueError(f"empty step interval [{lo}, {hi}]")
-    if dphi(lo) >= 0.0:
+    d, h = fn(lo)
+    if d >= 0.0:
         return lo
-    if dphi(hi) <= 0.0:
+    if fn(hi)[0] <= 0.0:
         return hi
-    a, b = lo, hi
+    # x, the last point evaluated, is always an end of the bracket
+    a, b, x = lo, hi, lo
     it = 0
     while b - a > tol and it < max_iter:
-        mid = 0.5 * (a + b)
-        if dphi(mid) >= 0.0:
-            b = mid
+        step = d / h if h > 0.0 else np.inf
+        # tested before the bracket: a Newton step from a root found
+        # exactly lands on the bracket end it became
+        if abs(step) <= 0.25 * tol:
+            return x - step
+        if a < x - step < b:
+            x -= step
         else:
-            a = mid
+            x = 0.5 * (a + b)
+        d, h = fn(x)
+        if d >= 0.0:
+            b = x
+        else:
+            a = x
         it += 1
     return 0.5 * (a + b)
 
@@ -366,22 +390,26 @@ class Logistic(_CompositeObjective):
     def _dir_deriv(self, w):
         return float(self._resid_grad() @ w)
 
-    def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
-        col, s = self._col_scale(i)
-        w = s * col - self.z
+    def _seg_derivs(self, w):
+        # (phi', phi'') of phi(a) = f(z + a w)
         yw = self.labels * w
         ym = self.labels * self.z
-        return bisect_line_min(
-            lambda a: -float(_sigmoid_neg(ym + a * yw) @ yw), lo, hi,
-            tol=tol, max_iter=max_iter)
+        yw2 = yw * yw
+
+        def fn(a):
+            sig = _sigmoid_neg(ym + a * yw)
+            return -float(sig @ yw), float((sig * (1.0 - sig)) @ yw2)
+
+        return fn
+
+    def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
+        col, s = self._col_scale(i)
+        return bisect_line_min(self._seg_derivs(s * col - self.z), lo, hi,
+                               tol=tol, max_iter=max_iter)
 
     def pair_line_search(self, i, j, lo, hi):
         ci, cj = self._pair_cols(i, j)
-        w = ci - cj
-        yw = self.labels * w
-        ym = self.labels * self.z
-        return bisect_line_min(
-            lambda a: -float(_sigmoid_neg(ym + a * yw) @ yw), lo, hi)
+        return bisect_line_min(self._seg_derivs(ci - cj), lo, hi)
 
     def estimate_smoothness(self):
         sig = _power_sigma_sq(lambda v: self.A @ v, lambda w: self.A.T @ w, self.d)
@@ -504,23 +532,27 @@ class KdeHuber(BoundObjective):
         c = max(self.sq_x - 2.0 * self.x[i] + 1.0, 0.0)
         return SegmentQuery(b=b, c=c)
 
-    def _seg_dphi(self, i, kcol):
-        uj = self.u[i]
-        dvec = kcol - self.u
-        q, u, kappa0, mu_h = self.q, self.u, self.kappa0, self.mu_h
+    def _seg_derivs(self, R, C):
+        """(phi', phi'') along a move on which t_i^2 is the quadratic
+        T_i(a) = P_i + a R_i + a^2 C, P = q - 2u + kappa0.  With
+        r_i = huber'(t_i) / t_i = min(1, mu / t_i):
+        phi' = 1/2 sum r_i T_i' and
+        phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i."""
+        P = (self.q + self.kappa0) - 2.0 * self.u
+        mu = self.mu_h
 
-        def dphi(alpha):
-            qa = ((1.0 - alpha) ** 2 * q
-                  + 2.0 * alpha * (1.0 - alpha) * uj
-                  + alpha * alpha * kappa0)
-            qp = (-2.0 * (1.0 - alpha) * q
-                  + (2.0 - 4.0 * alpha) * uj
-                  + 2.0 * alpha * kappa0)
-            t = np.sqrt(np.maximum(qa - 2.0 * (u + alpha * dvec) + kappa0, 0.0))
-            ratio = np.minimum(1.0, mu_h / np.maximum(t, 1e-300))
-            return 0.5 * qp * float(ratio.sum()) - float(ratio @ dvec)
+        def fn(a):
+            T = P + a * (R + a * C)
+            Tp = R + (2.0 * a) * C
+            t = np.sqrt(np.maximum(T, 0.0))
+            ratio = mu / np.maximum(t, mu)
+            rTp = ratio * Tp
+            far = rTp * (t > mu)
+            return (0.5 * float(rTp.sum()),
+                    C * float(ratio.sum())
+                    - 0.25 * float(far @ (Tp / np.maximum(T, mu * mu))))
 
-        return dphi
+        return fn
 
     def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
         if hi < lo:
@@ -528,7 +560,10 @@ class KdeHuber(BoundObjective):
         c = self.sq_x - 2.0 * self.x[i] + 1.0
         if c <= 0.0:
             return lo
-        return bisect_line_min(self._seg_dphi(i, self.kernel_column(i)), lo, hi,
+        ui = self.u[i]
+        R = 2.0 * (ui - self.q) - 2.0 * (self.kernel_column(i) - self.u)
+        C = self.q - 2.0 * ui + self.kappa0
+        return bisect_line_min(self._seg_derivs(R, C), lo, hi,
                                tol=tol, max_iter=max_iter)
 
     def apply_step(self, i, alpha):
@@ -559,20 +594,9 @@ class KdeHuber(BoundObjective):
     def pair_line_search(self, i, j, lo, hi):
         ki = self.kernel_column(i)
         kj = self.kernel_column(j)
-        dvec = ki - kj
-        kii, kij, kjj = ki[i], ki[j], kj[j]
-        curv = kii - 2.0 * kij + kjj
-        ui, uj = self.u[i], self.u[j]
-        q, u, kappa0, mu_h = self.q, self.u, self.kappa0, self.mu_h
-
-        def dphi(theta):
-            qa = q + 2.0 * theta * (ui - uj) + theta * theta * curv
-            qp = 2.0 * (ui - uj) + 2.0 * theta * curv
-            t = np.sqrt(np.maximum(qa - 2.0 * (u + theta * dvec) + kappa0, 0.0))
-            ratio = np.minimum(1.0, mu_h / np.maximum(t, 1e-300))
-            return 0.5 * qp * float(ratio.sum()) - float(ratio @ dvec)
-
-        return bisect_line_min(dphi, lo, hi)
+        curv = ki[i] - 2.0 * ki[j] + kj[j]
+        R = 2.0 * (self.u[i] - self.u[j]) - 2.0 * (ki - kj)
+        return bisect_line_min(self._seg_derivs(R, curv), lo, hi)
 
     def apply_pair_step(self, i, j, theta):
         if theta == 0.0:

@@ -32,7 +32,7 @@ def finite_diff_gradient(obj, x, h=1e-5):
 
 def golden_section_min(g, lo, hi, tol=1e-8, max_iter=500):
     """Golden-section search on a unimodal function; test oracle for the
-    derivative-bisection line searches."""
+    derivative-based (safeguarded Newton) line searches."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -516,7 +516,7 @@ def run_verification(verbose=True, seed=0):
     record("kde gradient vs finite differences",
            np.linalg.norm(g - fd) <= 1e-3 * max(1.0, np.linalg.norm(g)))
 
-    # bisection line search against the golden-section oracle
+    # Newton line search against the golden-section oracle
     lg.reset(lg.poly.vertex(2))
     ok = True
     for i in (0, 3, 7):
@@ -526,7 +526,7 @@ def run_verification(verbose=True, seed=0):
         a_gold = golden_section_min(lambda a: lg.eval_at(x0 + a * (v - x0)),
                                     0.0, 1.0, tol=1e-10)
         ok &= abs(a_bis - a_gold) <= 1e-7
-    record("derivative bisection vs golden section", ok)
+    record("safeguarded Newton line search vs golden section", ok)
 
     # 1D gradient rule against a grid oracle on its own model
     ok = True

@@ -315,7 +315,7 @@ def test_criterion_6_step_rules_vs_grid_oracles():
         worst_gr = max(worst_gr, abs(a_rule - a_grid))
     assert worst_gr <= 1e-6
 
-    # derivative bisection vs golden section for the non-quadratic losses
+    # Newton line search vs golden section for the non-quadratic losses
     labs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     lg = Logistic(A, labs, ball)
     X, _ = gen_kde(KdeSpec(n=120, d=2, seed=2))
@@ -338,7 +338,7 @@ def test_criterion_6_step_rules_vs_grid_oracles():
             obj2.apply_step(i, a_impl)
     assert worst_bis <= 1e-7
     report(6, f"line-search dev {worst_ls:.1e}, rule dev {worst_gr:.1e}, "
-              f"bisection dev {worst_bis:.1e}")
+              f"Newton line search dev {worst_bis:.1e}")
 
 
 # -- criterion 7: gradient checks ------------------------------------------------

@@ -171,6 +171,16 @@ def test_twocd_requires_simplex():
         twocd_solve(obj, None, BaselineConfig(max_iter=10))
 
 
+def test_twocd_one_coordinate_simplex_returns_start():
+    # no coordinate pair exists, and e_1 is the only feasible point
+    simp = StandardSimplex(1)
+    obj = LeastSquares(np.array([[2.0]]), np.array([1.0]), simp)
+    x, trace = twocd_solve(obj, simp, BaselineConfig(max_iter=10))
+    assert np.array_equal(x, [1.0])
+    assert len(trace) == 1
+    assert trace[0].t == 0 and trace[0].f_value == pytest.approx(1.0)
+
+
 def test_twocd_descends_and_stays_feasible():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((30, 12))

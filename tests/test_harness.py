@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +149,26 @@ def test_twocd_lifting_preserves_objective(tmp_path):
     obj_orig = bundle.objective()
     assert obj_lift.eval_at(u) == pytest.approx(obj_orig.eval_at(x), rel=1e-12)
     assert np.abs(x).sum() <= bundle.radius + 1e-12
+
+
+@pytest.mark.parametrize("preset, problem", [
+    ("lasso", {"n": 20, "d": 6, "r": 2}),
+    ("logistic", {"n": 20, "d": 6, "r": 2}),
+    ("kde", {"n": 100, "d": 2}),
+    ("custom-simplex-quadratic", {"d": 5}),
+])
+def test_bundle_freed_without_cycle_collector(preset, problem):
+    # a bundle holds the instance's arrays; it must go with its last
+    # reference, not wait for a full gc pass
+    bundle = _Bundle(preset, problem, seed=0)
+    bundle.objective(lifted=True)
+    ref = weakref.ref(bundle)
+    gc.disable()
+    try:
+        del bundle
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_twocd_cell_runs_and_reports_original_nnz(tmp_path):

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
-                    StandardSimplex, grad_step_alpha)
+                    StandardSimplex, bisect_line_min, grad_step_alpha)
 from polycd.verify import DenseKdeHuber, finite_diff_gradient, golden_section_min
 
 
@@ -164,6 +166,101 @@ def test_bisection_matches_golden_section(seed):
             a_gold = golden_section_min(
                 lambda a: obj.eval_at(x0 + a * (v - x0)), 0.0, 1.0, tol=1e-8)
             assert abs(a_bis - a_gold) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_line_search_matches_golden_section(seed):
+    rng = np.random.default_rng(seed + 20)
+    d = 12
+    logistic = Logistic(rng.standard_normal((40, d)),
+                        np.where(rng.random(40) < 0.5, 1.0, -1.0),
+                        StandardSimplex(d))
+    for obj in (logistic, random_kde(seed=seed)):
+        obj.reset(obj.poly.project(rng.random(obj.poly.d)))
+        for _ in range(8):
+            i, j = (int(k) for k in rng.choice(obj.poly.d, 2, replace=False))
+            lo, hi = -obj.x[i], obj.x[j]
+            theta = obj.pair_line_search(i, j, lo, hi)
+            x0 = obj.x.copy()
+            e = np.zeros(obj.poly.d)
+            e[i], e[j] = 1.0, -1.0
+            t_gold = golden_section_min(
+                lambda t: obj.eval_at(x0 + t * e), lo, hi, tol=1e-8)
+            assert abs(theta - t_gold) <= 1e-7
+
+
+def _counted(fn):
+    calls = []
+
+    def wrapped(a):
+        calls.append(a)
+        return fn(a)
+
+    return wrapped, calls
+
+
+def test_newton_line_min_flat_stretch_gives_smallest_minimizer():
+    # phi' < 0 below 0.3, = 0 on [0.3, 0.7], > 0 above
+    def fn(a):
+        return min(a - 0.3, 0.0) + max(a - 0.7, 0.0), float(not 0.3 < a < 0.7)
+
+    for lo, hi in ((0.0, 1.0), (-2.0, 0.9), (0.1, 5.0)):
+        assert abs(bisect_line_min(fn, lo, hi) - 0.3) <= 1e-12
+    # zero curvature everywhere: the iteration bisects
+    assert abs(bisect_line_min(lambda a: (fn(a)[0], 0.0), 0.0, 1.0) - 0.3) <= 1e-12
+
+
+def test_newton_line_min_stays_in_interval():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        root = rng.uniform(-3.0, 3.0)
+        k = rng.uniform(0.1, 10.0)
+        lo = rng.uniform(-2.0, 1.0)
+        hi = lo + 10.0 ** rng.uniform(-14.0, 0.3)
+        # phi' = expm1(k (a - root)) is convex: every Newton step from
+        # the left overshoots the root
+        a = bisect_line_min(
+            lambda x: (np.expm1(k * (x - root)), k * np.exp(k * (x - root))),
+            lo, hi)
+        assert lo <= a <= hi
+        assert abs(a - min(max(root, lo), hi)) <= 1e-9
+    # an interval narrower than tol whose phi' jumps inside it: the Newton
+    # step from lo (1e-14, short enough to pass as converged) leaves it
+    a = bisect_line_min(lambda x: (x - 1e-14 + float(x > 5e-16), 1.0),
+                        0.0, 1e-15)
+    assert 0.0 <= a <= 1e-15
+
+
+def test_newton_line_min_converges_across_huber_kink():
+    # sum of Huber terms whose kinks surround the minimizer: phi'' jumps
+    mu = 0.2
+    c = np.array([0.1, 0.35, 0.5, 0.62, 0.8])
+
+    def fn(a):
+        t = a - c
+        return (float(np.clip(t, -mu, mu).sum()) + 0.01 * (a - 0.9),
+                float(np.sum(np.abs(t) <= mu)) + 0.01)
+
+    counted, calls = _counted(fn)
+    a = bisect_line_min(counted, 0.0, 1.0)
+    # near 0.49 terms 2-4 are in their quadratic zone and the saturated
+    # terms 1 and 5 cancel: phi' = 3.01 a - (0.35 + 0.5 + 0.62 + 0.009)
+    root = (0.35 + 0.5 + 0.62 + 0.01 * 0.9) / 3.01
+    assert abs(a - root) <= 1e-12
+    assert len(calls) <= 10  # bisection alone needs about 40
+
+
+def test_newton_line_min_evaluation_budget():
+    # zero curvature forces bisection; from far off, Newton steps on
+    # arctan leave the bracket and alternate with bisection
+    fns = (lambda a: (a - 1.0 / 3.0, 0.0),
+           lambda a: (np.arctan(10.0 * (a - 0.7)),
+                      10.0 / (1.0 + 100.0 * (a - 0.7) ** 2)))
+    for fn, max_iter in itertools.product(fns, (0, 1, 5, 30)):
+        counted, calls = _counted(fn)
+        a = bisect_line_min(counted, -5.0, 1.0, tol=1e-15, max_iter=max_iter)
+        assert len(calls) <= max_iter + 2
+        assert -5.0 <= a <= 1.0
 
 
 def test_line_search_first_order_optimality():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -369,13 +370,18 @@ def test_kernel_path_matches_generic_path():
     rng = np.random.default_rng(17)
     A = rng.standard_normal((50, 15))
     b = rng.standard_normal(50)
+    labels = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+    points = rng.standard_normal((40, 2)) * 2.0
     ball = L1Ball(15, 2.0)
-    for solve in (polycdwa_solve, polycd_solve):
+    makers = (lambda: LeastSquares(A, b, ball),
+              lambda: Logistic(A, labels, ball),
+              lambda: KdeHuber(points, 1.0, 0.4))
+    for make, solve in itertools.product(makers, (polycdwa_solve, polycd_solve)):
         for rule in (LINE_SEARCH, GRAD_1D):
             fv = {}
             for use_k in (True, False):
-                obj = LeastSquares(A, b, ball)
-                tr = solve(obj, ball,
+                obj = make()
+                tr = solve(obj, obj.poly,
                            SolveConfig(step_rule=rule, max_outer=20,
                                        rel_improve_tol=0.0,
                                        use_kernels=use_k))[-1]
