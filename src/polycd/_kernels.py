@@ -141,17 +141,20 @@ def warmup(names=None):
 _DEGENERATE_REL = 1e-13
 
 
-# Length of the scan-ahead blocks of ls_cycle.  One gathered (block, n)
-# slice of A_cols and one small matvec give col.z for every step of the
-# block; the block is rescanned (no new gather) after each step that may
-# move the iterate, so a pass costs at most M / block gathers plus one
-# block-sized matvec per such step: O(M (n + d)) for a fixed block.
+# Length of the scan-ahead blocks of ls_cycle and logistic_cycle.  One
+# gathered (block, n) slice of A_cols and one small matvec give col.z (or
+# col.(sig y)) for every step of the block; the block is rescanned (no new
+# gather) after each step that may move the iterate, so a pass costs at
+# most M / block gathers plus one block-sized matvec per such step:
+# O(M (n + d)) for a fixed block.
 LS_BLOCK = 32
 
 # A closed-form denominator w.w = s^2 ||col||^2 - 2 s col.z + ||z||^2 below
 # this fraction of its terms has lost its digits to cancellation; the step
 # then recomputes w = s col - z and its dot products explicitly.
 _LS_CANCEL = 1e-10
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @_register
@@ -294,103 +297,196 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
 def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                    grad_rule, away, L, sq_x, gamma_cap, drop_tol,
                    ls_tol, ls_max_iter):
-    """One outer pass on f(x) = sum_i log(1 + exp(-y_i a_i' x)); z caches A x."""
+    """One outer pass on f(x) = sum_i log(1 + exp(-y_i a_i' x)); z caches A x.
 
-    def seg(alpha, ym, yw, yw2):
-        # first and second derivatives of f along the segment at step alpha
+    Along the step toward vertex s e_j, phi'(0) = z.(sig y) - s col.(sig y)
+    with sig = 1 / (1 + exp(y z)).  A step can move the iterate only where
+    phi'(0) < 0 or, in away mode, where lam_i != 0, so the pass screens a
+    block of LS_BLOCK visit positions with one gathered slice and one small
+    matvec and takes the exact step only at the candidates: phi'(0) below
+    a margin that bounds the rounding difference between the screen's and
+    the step's phi'(0), or lam_i != 0.  Every other position is an exact
+    alpha = 0 step, so the iterates are bit for bit those of a visit to
+    every vertex.  The screen is recomputed after each step that moves.
+
+    sig at the current z is computed once per move and serves every step
+    that reads it at alpha = 0, so a visit that does not move costs a few
+    array operations, a fraction of a rescan.  A block is therefore
+    screened only when at most a third of the previous block's positions
+    were candidates (a nonzero weight or a positive step): in a denser
+    block the rescans, one per move, cost more than the visits they save.
+    """
+
+    def seg(alpha, ym, yw, yw2, curv):
+        # phi' and, if curv, phi'' along the segment at step alpha
         sig = 1.0 / (1.0 + np.exp(np.minimum(ym + alpha * yw, 700.0)))
+        if not curv:
+            return -np.dot(sig, yw), 0.0
         return -np.dot(sig, yw), np.dot(sig * (1.0 - sig), yw2)
 
-    for idx in range(order.shape[0]):
-        i = order[idx]
-        j = vcoord[i]
-        s = vscale[i]
-        col = A_cols[j]
-        xj = x[j]
-        c = sq_x - 2.0 * s * xj + s * s
-        if c <= _DEGENERATE_REL * (sq_x + s * s):
-            continue
-        w = s * col - z
-        yw = ylab * w
-        ym = ylab * z
+    M = order.shape[0]
+    J = vcoord[order]
+    S = vscale[order]
+    # 4 (n + 2) rounding units: twice the bound on either phi'(0)'s error
+    tie = 4.0 * (z.shape[0] + 2)
+    ym = ylab * z
+    # sig and the screen's sy and zs hold for the current z while *_ok;
+    # every variable is bound before the loop for numba's type inference
+    sig = ym
+    sig_ok = False
+    sy = ym
+    zs = 0.0
+    scr_ok = False
+    Ab = A_cols[J[:0]]
+    cm = S[:0]
+    held = S[:0] < 0.0
+    cand = held
+    base = 0
+    ncand = 0  # candidates of the previous block
+    nprev = 0
+    p = 0
+    while p < M:
+        q = min(p + LS_BLOCK, M)
+        screen = 3 * ncand <= nprev
+        nprev = q - p
+        ncand = 0
+        if screen:
+            Ab = A_cols[J[p:q]]
+            # the |s| ||col||_1 part of each position's margin
+            cm = (tie * _EPS) * np.abs(S[p:q]) * np.abs(Ab).sum(axis=1)
+            if away:
+                # the block's steps only rescale the weights ahead of them,
+                # so this holds every weight that is nonzero at its visit
+                held = lam[order[p:q]] != 0.0
+        rescan = screen
+        pos = p
+        while pos < q:
+            if screen:
+                if rescan:
+                    if not sig_ok:
+                        sig = 1.0 / (1.0 + np.exp(np.minimum(ym, 700.0)))
+                        sig_ok = True
+                    if not scr_ok:
+                        sy = sig * ylab
+                        # phi'(0) less the ||z||_1 part of the margin; the
+                        # 5e-324 covers products that underflow
+                        zs = np.dot(z, sy) - tie * (_EPS * np.abs(z).sum()
+                                                    + 5e-324)
+                        scr_ok = True
+                    phi = zs - S[pos:q] * np.dot(Ab[pos - p:], sy)
+                    # not >=: a NaN stays a candidate
+                    cand = ~(phi >= cm[pos - p:])
+                    if away:
+                        cand = cand | held[pos - p:]
+                    base = pos
+                    rescan = False
+                m = cand[pos - base:].argmax()
+                if not cand[pos - base + m]:
+                    break
+                pos += m
+            i = order[pos]
+            j = J[pos]
+            s = S[pos]
+            pos += 1
+            col = A_cols[j]
+            xj = x[j]
+            c = sq_x - 2.0 * s * xj + s * s
+            if c <= _DEGENERATE_REL * (sq_x + s * s):
+                continue
+            w = s * col - z
+            yw = ylab * w
 
-        lo = 0.0
-        capped = False
-        if away:
-            li = lam[i]
-            if li >= 1.0:
-                lo = -gamma_cap
-                capped = True
-            else:
-                gma = li / (1.0 - li)
-                if gma > gamma_cap:
-                    gma = gamma_cap
+            lo = 0.0
+            capped = False
+            if away:
+                li = lam[i]
+                if li >= 1.0:
+                    lo = -gamma_cap
                     capped = True
-                lo = -gma
+                else:
+                    gma = li / (1.0 - li)
+                    if gma > gamma_cap:
+                        gma = gamma_cap
+                        capped = True
+                    lo = -gma
 
-        if grad_rule:
-            sig = 1.0 / (1.0 + np.exp(np.minimum(ym, 700.0)))
-            alpha = np.dot(sig, yw) / (L * c)
-            if alpha < lo:
-                alpha = lo
-            if alpha > 1.0:
-                alpha = 1.0
-        else:
-            # safeguarded Newton, as objectives.bisect_line_min
-            yw2 = yw * yw
-            d, h = seg(lo, ym, yw, yw2)
-            if d >= 0.0:
-                alpha = lo
-            elif seg(1.0, ym, yw, yw2)[0] <= 0.0:
-                alpha = 1.0
+            if (grad_rule or lo == 0.0) and not sig_ok:
+                sig = 1.0 / (1.0 + np.exp(np.minimum(ym, 700.0)))
+                sig_ok = True
+            if grad_rule:
+                alpha = np.dot(sig, yw) / (L * c)
+                if alpha < lo:
+                    alpha = lo
+                if alpha > 1.0:
+                    alpha = 1.0
             else:
-                a = lo
-                b = 1.0
+                # safeguarded Newton, as objectives.bisect_line_min
+                yw2 = yw * yw
+                if lo == 0.0:
+                    # seg(0) at this z: ym + 0 * yw is ym, so it is this sig
+                    d = -np.dot(sig, yw)
+                    h = np.dot(sig * (1.0 - sig), yw2)
+                else:
+                    d, h = seg(lo, ym, yw, yw2, True)
+                if d >= 0.0:
+                    alpha = lo
+                elif seg(1.0, ym, yw, yw2, False)[0] <= 0.0:
+                    alpha = 1.0
+                else:
+                    a = lo
+                    b = 1.0
+                    alpha = lo
+                    it = 0
+                    while b - a > ls_tol and it < ls_max_iter:
+                        step = d / h if h > 0.0 else np.inf
+                        if abs(step) <= 0.25 * ls_tol:
+                            a = b = alpha - step  # converged: collapse the bracket
+                            break
+                        if a < alpha - step < b:
+                            alpha -= step
+                        else:
+                            alpha = 0.5 * (a + b)
+                        d, h = seg(alpha, ym, yw, yw2, True)
+                        if d >= 0.0:
+                            b = alpha
+                        else:
+                            a = alpha
+                        it += 1
+                    alpha = 0.5 * (a + b)
+            if lo != 0.0 or alpha > 0.0:
+                ncand += 1
+
+            dropped = False
+            if away and not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
                 alpha = lo
-                it = 0
-                while b - a > ls_tol and it < ls_max_iter:
-                    step = d / h if h > 0.0 else np.inf
-                    if abs(step) <= 0.25 * ls_tol:
-                        a = b = alpha - step  # converged: collapse the bracket
-                        break
-                    if a < alpha - step < b:
-                        alpha -= step
-                    else:
-                        alpha = 0.5 * (a + b)
-                    d, h = seg(alpha, ym, yw, yw2)
-                    if d >= 0.0:
-                        b = alpha
-                    else:
-                        a = alpha
-                    it += 1
-                alpha = 0.5 * (a + b)
+                dropped = True
 
-        dropped = False
-        if away and not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
-            alpha = lo
-            dropped = True
-
-        # alpha = 0 leaves z, x and lam as they are (see ls_cycle)
-        if alpha == 0.0:
-            continue
-        if alpha == 1.0:
-            z[:] = s * col
-            x[:] = 0.0
-            x[j] = s
-            sq_x = s * s
-        else:
-            z += alpha * w
-            x *= 1.0 - alpha
-            x[j] += alpha * s
-            sq_x = ((1.0 - alpha) ** 2 * sq_x
-                    + 2.0 * alpha * (1.0 - alpha) * s * xj
-                    + alpha * alpha * s * s)
-        if away:
-            lam *= 1.0 - alpha
-            if dropped:
-                lam[i] = 0.0
+            # alpha = 0 leaves z, x and lam as they are (see ls_cycle)
+            if alpha == 0.0:
+                continue
+            if alpha == 1.0:
+                z[:] = s * col
+                x[:] = 0.0
+                x[j] = s
+                sq_x = s * s
             else:
-                lam[i] += alpha
+                z += alpha * w
+                x *= 1.0 - alpha
+                x[j] += alpha * s
+                sq_x = ((1.0 - alpha) ** 2 * sq_x
+                        + 2.0 * alpha * (1.0 - alpha) * s * xj
+                        + alpha * alpha * s * s)
+            if away:
+                lam *= 1.0 - alpha
+                if dropped:
+                    lam[i] = 0.0
+                else:
+                    lam[i] += alpha
+            ym = ylab * z
+            sig_ok = False
+            scr_ok = False
+            rescan = screen
+        p = q
     return sq_x
 
 
@@ -405,14 +501,16 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     norms in xsq), so K itself is never materialized.  Returns (q, sq_w).
     """
 
-    def seg(alpha, P, R, C, mu_h):
-        # first and second derivatives of f along the segment at step alpha;
+    def seg(alpha, P, R, C, mu_h, curv):
+        # phi' and, if curv, phi'' along the segment at step alpha;
         # t_i^2 there is T_i = P_i + alpha R_i + alpha^2 C
         T = P + alpha * (R + alpha * C)
         Tp = R + (2.0 * alpha) * C
         t = np.sqrt(np.maximum(T, 0.0))
         ratio = mu_h / np.maximum(t, mu_h)  # huber'(t) / t
         rTp = ratio * Tp
+        if not curv:
+            return 0.5 * rTp.sum(), 0.0
         far = rTp * (t > mu_h)
         return (0.5 * rTp.sum(),
                 C * ratio.sum()
@@ -456,10 +554,10 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             P = (q + kappa0) - 2.0 * u
             R = 2.0 * (uj - q) - 2.0 * dvec
             C = q - 2.0 * uj + kappa0
-            d, h = seg(lo, P, R, C, mu_h)
+            d, h = seg(lo, P, R, C, mu_h, True)
             if d >= 0.0:
                 alpha = lo
-            elif seg(1.0, P, R, C, mu_h)[0] <= 0.0:
+            elif seg(1.0, P, R, C, mu_h, False)[0] <= 0.0:
                 alpha = 1.0
             else:
                 a = lo
@@ -475,7 +573,7 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                         alpha -= step
                     else:
                         alpha = 0.5 * (a + b)
-                    d, h = seg(alpha, P, R, C, mu_h)
+                    d, h = seg(alpha, P, R, C, mu_h, True)
                     if d >= 0.0:
                         b = alpha
                     else:

@@ -463,6 +463,7 @@ class KdeHuber(BoundObjective):
         if not (isinstance(poly, StandardSimplex) and poly.d == self.n):
             raise ValueError("weight vector must live on the simplex of the samples")
         self._L_cached = float(L) if L is not None else None
+        self._cols = {}
         self._init_state(poly, x0)
 
     @property
@@ -474,6 +475,18 @@ class KdeHuber(BoundObjective):
     def kernel_column(self, j):
         sq = self.xsq - 2.0 * (self.X @ self.X[j]) + self.xsq[j]
         return self.kappa0 * np.exp(-sq * self.inv2s2)
+
+    def _column(self, j):
+        # the last two columns built, by index and read-only: a line search
+        # and the step it chooses (one column, or a pair move's two) share
+        # them
+        kcol = self._cols.get(j)
+        if kcol is None:
+            if len(self._cols) == 2:
+                del self._cols[next(iter(self._cols))]
+            kcol = self._cols[j] = self.kernel_column(j)
+            kcol.flags.writeable = False
+        return kcol
 
     def matvec(self, v, block=512):
         """K @ v in row blocks, never holding the full n x n matrix."""
@@ -525,7 +538,7 @@ class KdeHuber(BoundObjective):
         return c <= rel * (self.sq_x + 1.0)
 
     def segment_query(self, i):
-        kcol = self.kernel_column(i)
+        kcol = self._column(i)
         ratio = self._ratio(np.sqrt(self._tsq()))
         b = ((self.u[i] - self.q) * float(ratio.sum())
              - float(ratio @ (kcol - self.u)))
@@ -561,7 +574,7 @@ class KdeHuber(BoundObjective):
         if c <= 0.0:
             return lo
         ui = self.u[i]
-        R = 2.0 * (ui - self.q) - 2.0 * (self.kernel_column(i) - self.u)
+        R = 2.0 * (ui - self.q) - 2.0 * (self._column(i) - self.u)
         C = self.q - 2.0 * ui + self.kappa0
         return bisect_line_min(self._seg_derivs(R, C), lo, hi,
                                tol=tol, max_iter=max_iter)
@@ -570,9 +583,9 @@ class KdeHuber(BoundObjective):
         if alpha == 0.0:
             self._bump()
             return
-        kcol = self.kernel_column(i)
+        kcol = self._column(i)
         if alpha == 1.0:
-            self.u = kcol
+            self.u = kcol.copy()
             self.q = self.kappa0
             self.x[:] = 0.0
             self.x[i] = 1.0
@@ -592,8 +605,8 @@ class KdeHuber(BoundObjective):
         self._bump()
 
     def pair_line_search(self, i, j, lo, hi):
-        ki = self.kernel_column(i)
-        kj = self.kernel_column(j)
+        ki = self._column(i)
+        kj = self._column(j)
         curv = ki[i] - 2.0 * ki[j] + kj[j]
         R = 2.0 * (self.u[i] - self.u[j]) - 2.0 * (ki - kj)
         return bisect_line_min(self._seg_derivs(R, curv), lo, hi)
@@ -602,8 +615,8 @@ class KdeHuber(BoundObjective):
         if theta == 0.0:
             self._bump()
             return
-        ki = self.kernel_column(i)
-        kj = self.kernel_column(j)
+        ki = self._column(i)
+        kj = self._column(j)
         curv = ki[i] - 2.0 * ki[j] + kj[j]
         self.q += 2.0 * theta * (self.u[i] - self.u[j]) + theta * theta * curv
         self.u += theta * (ki - kj)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polycd import (L1Ball, LeastSquares, Logistic, Quadratic,
+from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
                     StandardSimplex)
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, pair_stream, twocd_solve)
@@ -194,6 +194,29 @@ def test_twocd_descends_and_stays_feasible():
     f = [r.f_value for r in trace]
     assert all(f[k + 1] <= f[k] + 1e-12 * max(1, abs(f[k]))
                for k in range(len(f) - 1))
+
+
+def test_kde_baselines_build_each_column_once(monkeypatch):
+    # a line search and the step it chooses share their kernel columns:
+    # one column per FW or AFW iteration, at most two per 2cd pair search
+    pts = np.random.default_rng(9).standard_normal((30, 2)) * 2.0
+    built, searches = [], []
+    column, pair_search = KdeHuber.kernel_column, KdeHuber.pair_line_search
+    monkeypatch.setattr(KdeHuber, "kernel_column",
+                        lambda self, j: built.append(j) or column(self, j))
+    monkeypatch.setattr(KdeHuber, "pair_line_search",
+                        lambda self, *a: searches.append(a)
+                        or pair_search(self, *a))
+    for solve in (fw_solve, afw_solve, twocd_solve):
+        built.clear()
+        searches.clear()
+        obj = KdeHuber(pts, 1.0, 0.4, L=1.0)
+        trace = solve(obj, obj.poly, BaselineConfig(max_iter=40,
+                                                    window=None))[-1]
+        if solve is twocd_solve:
+            assert 0 < len(built) <= 2 * len(searches)
+        else:
+            assert len(built) == trace[-1].t == 40, solve.__name__
 
 
 def test_logistic_baselines_smoke():

@@ -386,6 +386,9 @@ def test_kernel_path_matches_generic_path():
                                        rel_improve_tol=0.0,
                                        use_kernels=use_k))[-1]
                 fv[use_k] = np.array([r.f_value for r in tr])
+            case = (f"{type(obj).__name__}, {solve.__name__}, {rule}: "
+                    f"kernel {len(fv[True])} vs generic {len(fv[False])} records")
+            assert len(fv[True]) == len(fv[False]), case
             scale = np.maximum(np.abs(fv[True]), 1.0)
             assert np.max(np.abs(fv[True] - fv[False]) / scale) <= 1e-9
 
@@ -415,6 +418,51 @@ def test_ls_scan_ahead_independent_of_block_length(monkeypatch, rule, away):
     for block in (7, 32, 100):
         scale = np.maximum(np.abs(fv[1]), 1.0)
         assert np.max(np.abs(fv[block] - fv[1]) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("away", [False, True])
+@pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
+def test_logistic_screen_is_bitwise_neutral(monkeypatch, rule, away):
+    # the screen skips only exact no-op steps, so x, the weights and the
+    # f-trace are bitwise those of a pass that visits every vertex; with a
+    # rounding unit of 1 the screen's margin exceeds every |phi'(0)|, which
+    # makes every position a candidate.  The second instance has a zero and
+    # a duplicate column and runs to stationarity, where the support's
+    # phi'(0) meets the screen at rounding-level ties.
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((60, 40))
+    labels = np.where(rng.random(60) < 0.5, 1.0, -1.0)
+    rng = np.random.default_rng(5)
+    A_tie = rng.standard_normal((40, 12))
+    A_tie[:, 3] = 0.0
+    A_tie[:, 7] = A_tie[:, 1]
+    labels_tie = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    solve = polycdwa_solve if away else polycd_solve
+    prev = _kernels.active_backend()
+    try:
+        _kernels.use_backend("numpy")
+        for data, labs, ball, passes in ((A, labels, L1Ball(40, 3.0), 25),
+                                         (A_tie, labels_tie, L1Ball(12, 0.5),
+                                          200)):
+            runs = {}
+            for block, eps in ((32, 1.0), (1, None), (7, None), (32, None),
+                               (100, None)):
+                monkeypatch.setattr(_kernels, "LS_BLOCK", block)
+                if eps is not None:
+                    monkeypatch.setattr(_kernels, "_EPS", eps)
+                out = solve(Logistic(data, labs, ball), ball,
+                            SolveConfig(step_rule=rule, max_outer=passes,
+                                        rel_improve_tol=0.0))
+                monkeypatch.undo()
+                lam = out[1].lam if away else np.zeros(0)
+                runs[block, eps] = (out[0], lam,
+                                    np.array([r.f_value for r in out[-1]]))
+            ref = runs.pop((32, 1.0))
+            for key, got in runs.items():
+                for name, u, v in zip(("x", "lam", "f-trace"), ref, got):
+                    assert np.array_equal(u, v), (key, name)
+    finally:
+        _kernels.use_backend(prev)
 
 
 def test_skip_zero_weight_flag_matches_full_cycle():
