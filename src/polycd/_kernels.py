@@ -6,6 +6,19 @@ and its cached quantities in place.  The same source serves both backends:
 the bodies are written in the numpy subset that numba's ``njit`` compiles,
 so the fallback is simply the uncompiled function.
 
+The step math that every vertex step shares is written once, as the
+helpers below the backend machinery: the away interval, the drop snap and
+the weight update, the 1D gradient rule, one step of the safeguarded Newton
+line search, the segment derivatives of the logistic and kernel-density
+losses, and the move of the iterate toward a coordinate vertex.  The
+kernels, the per-step path of the solvers, the away-step Frank-Wolfe
+baseline and the objective methods all call them.  Each helper carries the
+``_jitable`` decorator: numba's ``register_jitable`` when numba imports, so
+that compiled kernels call it, and the identity otherwise.  No helper takes
+a function argument, which nopython mode could not type for a plain Python
+callable: a line search is a short loop in its caller that evaluates the
+segment derivatives itself and hands each evaluation to ``newton_step``.
+
 Backend selection: the environment variable ``POLYCD_NUMBA`` ("0"/"off" to
 force the numpy path, "1"/"on" to require numba) sets the default at import
 time; :func:`use_backend` switches it at runtime, which the kernel
@@ -18,6 +31,7 @@ import numpy as np
 
 try:
     import numba
+    from numba.extending import register_jitable
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba
@@ -126,19 +140,203 @@ def warmup(names=None):
 #
 # Every kernel visits vertices in the given order.  For vertex index i the
 # admissible step interval is [0, 1], or [-gamma_i, 1] in away mode with
-# gamma_i = lam_i / (1 - lam_i) capped at gamma_cap.  A step landing within
-# drop_tol of -gamma_i is snapped to it and the weight is written as an
-# exact zero.
+# gamma_i = lam_i / (1 - lam_i) capped at gamma_cap (away_interval).  A step
+# landing within drop_tol of an uncapped -gamma_i is snapped to it and the
+# weight is written as an exact zero (snap_drop, reweight).
 #
 # Degenerate segments (v_i == x up to float cancellation, detected by
-# ||v - x||^2 falling below a relative floor) are skipped with alpha = 0:
-# every step size leaves x unchanged there, and any other choice would only
-# rescale the weights and amplify last-bit cache noise -- with lam_i = 1 the
-# admissible interval is formally unbounded below, so this is also the only
-# numerically safe reading of that convention.
+# ||v - x||^2 falling below a relative floor: is_degenerate) are skipped
+# with alpha = 0: every step size leaves x unchanged there, and any other
+# choice would only rescale the weights and amplify last-bit cache noise --
+# with lam_i = 1 the admissible interval is formally unbounded below, so
+# this is also the only numerically safe reading of that convention.
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_REL = 1e-13
+
+# snap-to-drop tolerance around alpha = -gamma_i
+DROP_TOL = 1e-14
+
+_HELPERS = {}
+
+
+def _jitable(fn):
+    """Register fn as a shared step helper, callable from compiled kernels
+    under numba and a plain Python function otherwise."""
+    _HELPERS[fn.__name__] = fn
+    return register_jitable(fn) if HAVE_NUMBA else fn
+
+
+@_jitable
+def is_degenerate(c, scale):
+    """Whether a segment with c = ||v - x||^2 counts as degenerate, where
+    scale = ||x||^2 + ||v||^2."""
+    return c <= _DEGENERATE_REL * scale
+
+
+@_jitable
+def away_interval(lam_i, gamma_cap):
+    """(lo, capped): the low end -min(gamma_i, gamma_cap) of the away-step
+    interval toward a vertex of weight lam_i, and whether the cap binds."""
+    if lam_i >= 1.0:
+        return -gamma_cap, True
+    gma = lam_i / (1.0 - lam_i)
+    if gma > gamma_cap:
+        return -gamma_cap, True
+    return -gma, False
+
+
+@_jitable
+def snap_drop(alpha, lo, capped, drop_tol):
+    """(alpha, dropped): an away step within drop_tol of lo = -gamma_i is
+    the drop step alpha = lo, after which the weight is an exact zero.  A
+    capped step stops short of -gamma_i and is never a drop."""
+    if not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
+        return lo, True
+    return alpha, False
+
+
+@_jitable
+def reweight(lam, i, alpha, dropped):
+    """Update the weights in place for the step alpha toward vertex i."""
+    lam *= 1.0 - alpha
+    if dropped:
+        lam[i] = 0.0
+    else:
+        lam[i] += alpha
+
+
+@_jitable
+def grad_step(b, c, L, lo, hi):
+    """The 1D gradient rule: the minimizer over [lo, hi] of
+    alpha b + (L/2) alpha^2 c, for c > 0."""
+    alpha = -b / (L * c)
+    if alpha < lo:
+        alpha = lo
+    if alpha > hi:
+        alpha = hi
+    return alpha
+
+
+@_jitable
+def newton_step(a, b, x, d, h, tol, more):
+    """One step of the safeguarded Newton line search ("rtsafe", Numerical
+    Recipes 9.4) on phi' of a convex phi.
+
+    x is the point evaluated last, with phi'(x) = d and phi''(x) = h; it
+    becomes the end of the bracket [a, b], phi'(a) < 0 <= phi'(b), that the
+    sign of d picks.  Returns (a, b, x, done).  With done, x is the
+    minimizer: the bracket is at most tol wide or more is False (the
+    evaluation budget is spent), giving its midpoint, or the Newton step is
+    at most tol / 4 long, giving its end.  Otherwise x is the next point to
+    evaluate: the Newton step if it lands strictly inside the bracket, the
+    midpoint if not.  The caller tests the ends first (phi'(lo) >= 0 gives
+    lo, phi'(hi) <= 0 gives hi), so flat stretches of phi' resolve to the
+    smallest minimizer, and starts from x = a = lo.
+    """
+    if d >= 0.0:
+        b = x
+    else:
+        a = x
+    if not (b - a > tol and more):
+        return a, b, 0.5 * (a + b), True
+    step = d / h if h > 0.0 else np.inf
+    # tested before the bracket: a Newton step from a root found exactly
+    # lands on the bracket end it became
+    if abs(step) <= 0.25 * tol:
+        return a, b, x - step, True
+    if a < x - step < b:
+        return a, b, x - step, False
+    return a, b, 0.5 * (a + b), False
+
+
+@_jitable
+def sigmoid_neg(m):
+    """1 / (1 + exp(m)), saturating instead of overflowing."""
+    return 1.0 / (1.0 + np.exp(np.minimum(m, 700.0)))
+
+
+@_jitable
+def logistic_seg(sig, yw, yw2, curv):
+    """phi' and, if curv, phi'' of phi(alpha) = f(z + alpha w) for the
+    logistic loss, at the alpha where sig = sigmoid_neg(y (z + alpha w));
+    yw = y w and yw2 = yw^2."""
+    if not curv:
+        return -np.dot(sig, yw), 0.0
+    return -np.dot(sig, yw), np.dot(sig * (1.0 - sig), yw2)
+
+
+@_jitable
+def huber_ratio(t, mu_h):
+    """huber'(t) / t for t >= 0: 1 on [0, mu_h], mu_h / t beyond."""
+    return mu_h / np.maximum(t, mu_h)
+
+
+@_jitable
+def kde_column(X, xsq, j, kappa0, inv2s2):
+    """Column j of the Gaussian kernel matrix of the points X, whose row
+    square norms are xsq."""
+    return kappa0 * np.exp(-(xsq - 2.0 * np.dot(X, X[j]) + xsq[j]) * inv2s2)
+
+
+@_jitable
+def kde_slope(u, dvec, q, uj, kappa0, mu_h):
+    """b = <grad f(w), e_j - w> of the kernel-weight objective, where
+    u = K w, q = w'Kw, uj = u_j and dvec = K e_j - u."""
+    ratio = huber_ratio(np.sqrt(np.maximum(q - 2.0 * u + kappa0, 0.0)), mu_h)
+    return (uj - q) * ratio.sum() - np.dot(ratio, dvec)
+
+
+@_jitable
+def kde_seg(alpha, P, R, C, mu_h, curv):
+    """phi' and, if curv, phi'' of the kernel-weight objective along a move
+    on which t_i^2 is the quadratic T_i(alpha) = P_i + alpha R_i
+    + alpha^2 C.  With r_i = huber_ratio(t_i): phi' = 1/2 sum r_i T_i' and
+    phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i."""
+    T = P + alpha * (R + alpha * C)
+    Tp = R + (2.0 * alpha) * C
+    t = np.sqrt(np.maximum(T, 0.0))
+    ratio = huber_ratio(t, mu_h)
+    rTp = ratio * Tp
+    if not curv:
+        return 0.5 * rTp.sum(), 0.0
+    far = rTp * (t > mu_h)
+    return (0.5 * rTp.sum(),
+            C * ratio.sum()
+            - 0.25 * np.dot(far, Tp / np.maximum(T, mu_h * mu_h)))
+
+
+@_jitable
+def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
+    """Move x by the step alpha toward the coordinate vertex s e_j, in
+    place, and with it its cache z toward zv, the cache at the vertex,
+    along w = zv - z.  Returns the new ||x||^2."""
+    if alpha == 1.0:
+        z[:] = zv
+        x[:] = 0.0
+        x[j] = s
+        return s * s
+    z += alpha * w
+    xj = x[j]
+    x *= 1.0 - alpha
+    x[j] += alpha * s
+    return ((1.0 - alpha) ** 2 * sq_x
+            + 2.0 * alpha * (1.0 - alpha) * s * xj
+            + alpha * alpha * s * s)
+
+
+@_jitable
+def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
+    """vertex_move for the kernel-weight objective, toward e_j: the caches
+    are u = K w (kcol = K e_j, dvec = kcol - u) and q = w'Kw.  Returns
+    (q, ||w||^2)."""
+    if alpha == 1.0:
+        q = kappa0
+    else:
+        q = ((1.0 - alpha) ** 2 * q
+             + 2.0 * alpha * (1.0 - alpha) * u[j]
+             + alpha * alpha * kappa0)
+    return q, vertex_move(wv, j, 1.0, alpha, sq_w, u, kcol, dvec)
 
 
 # Length of the scan-ahead blocks of ls_cycle and logistic_cycle.  One
@@ -210,30 +408,20 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
             s = float(S[pos])
             xj = xi * float(x[j])
             c = sq_x - 2.0 * s * xj + s * s
-            if c <= _DEGENERATE_REL * (sq_x + s * s):
+            if is_degenerate(c, sq_x + s * s):
                 continue
             col = Ab[pos - p]
             g = float(gb[m])
             num = float(t[m]) - zr
-
             lo = 0.0
             capped = False
             if away:
-                li = float(lam[i])
-                if li >= 1.0:
-                    lo = -gamma_cap
-                    capped = True
-                else:
-                    gma = li / (1.0 - li)
-                    if gma > gamma_cap:
-                        gma = gamma_cap
-                        capped = True
-                    lo = -gma
+                lo, capped = away_interval(float(lam[i]), gamma_cap)
 
             cs = float(col_sq[j])
             sb = float(SB[pos])
             if grad_rule:
-                alpha = -2.0 * num / (L * c)
+                alpha = grad_step(2.0 * num, c, L, lo, 1.0)
             else:
                 ss = s * s * cs
                 den = ss - 2.0 * s * g + zz
@@ -241,19 +429,13 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
                     w = s * col - z
                     den = float(np.dot(w, w))
                     num = float(np.dot(w, z)) - float(np.dot(w, bvec))
-                if den <= 0.0:
-                    alpha = lo
-                else:
-                    alpha = -num / den
-            if alpha < lo:
-                alpha = lo
-            if alpha > 1.0:
-                alpha = 1.0
-
+                # exact: phi(alpha) = f(z + alpha w) is the quadratic with
+                # phi'(0) = 2 num and phi'' = 2 den
+                alpha = lo if den <= 0.0 else grad_step(2.0 * num, den, 2.0,
+                                                        lo, 1.0)
             dropped = False
-            if away and not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
-                alpha = lo
-                dropped = True
+            if away:
+                alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
 
             # alpha = 0 leaves z, x and lam as they are: a drop to alpha = 0
             # means lo = 0, so lam_i is zero already
@@ -282,11 +464,7 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
                       + alpha * alpha * s * s * cs)
                 zb = beta * zb + alpha * sb
             if away:
-                lam *= 1.0 - alpha
-                if dropped:
-                    lam[i] = 0.0
-                else:
-                    lam[i] += alpha
+                reweight(lam, i, alpha, dropped)
         p = q
     if xi != 1.0:
         x *= xi
@@ -316,14 +494,6 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     were candidates (a nonzero weight or a positive step): in a denser
     block the rescans, one per move, cost more than the visits they save.
     """
-
-    def seg(alpha, ym, yw, yw2, curv):
-        # phi' and, if curv, phi'' along the segment at step alpha
-        sig = 1.0 / (1.0 + np.exp(np.minimum(ym + alpha * yw, 700.0)))
-        if not curv:
-            return -np.dot(sig, yw), 0.0
-        return -np.dot(sig, yw), np.dot(sig * (1.0 - sig), yw2)
-
     M = order.shape[0]
     J = vcoord[order]
     S = vscale[order]
@@ -364,7 +534,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             if screen:
                 if rescan:
                     if not sig_ok:
-                        sig = 1.0 / (1.0 + np.exp(np.minimum(ym, 700.0)))
+                        sig = sigmoid_neg(ym)
                         sig_ok = True
                     if not scr_ok:
                         sy = sig * ylab
@@ -388,100 +558,55 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             j = J[pos]
             s = S[pos]
             pos += 1
-            col = A_cols[j]
             xj = x[j]
             c = sq_x - 2.0 * s * xj + s * s
-            if c <= _DEGENERATE_REL * (sq_x + s * s):
+            if is_degenerate(c, sq_x + s * s):
                 continue
-            w = s * col - z
+            sc = s * A_cols[j]
+            w = sc - z
             yw = ylab * w
-
             lo = 0.0
             capped = False
             if away:
-                li = lam[i]
-                if li >= 1.0:
-                    lo = -gamma_cap
-                    capped = True
-                else:
-                    gma = li / (1.0 - li)
-                    if gma > gamma_cap:
-                        gma = gamma_cap
-                        capped = True
-                    lo = -gma
+                lo, capped = away_interval(lam[i], gamma_cap)
 
             if (grad_rule or lo == 0.0) and not sig_ok:
-                sig = 1.0 / (1.0 + np.exp(np.minimum(ym, 700.0)))
+                sig = sigmoid_neg(ym)
                 sig_ok = True
             if grad_rule:
-                alpha = np.dot(sig, yw) / (L * c)
-                if alpha < lo:
-                    alpha = lo
-                if alpha > 1.0:
-                    alpha = 1.0
+                alpha = grad_step(-np.dot(sig, yw), c, L, lo, 1.0)
             else:
-                # safeguarded Newton, as objectives.bisect_line_min
                 yw2 = yw * yw
-                if lo == 0.0:
-                    # seg(0) at this z: ym + 0 * yw is ym, so it is this sig
-                    d = -np.dot(sig, yw)
-                    h = np.dot(sig * (1.0 - sig), yw2)
-                else:
-                    d, h = seg(lo, ym, yw, yw2, True)
+                # at lo = 0, ym + lo * yw is ym: the segment's sig is this sig
+                slo = sig if lo == 0.0 else sigmoid_neg(ym + lo * yw)
+                d, h = logistic_seg(slo, yw, yw2, True)
                 if d >= 0.0:
                     alpha = lo
-                elif seg(1.0, ym, yw, yw2, False)[0] <= 0.0:
+                elif logistic_seg(sigmoid_neg(ym + yw), yw, yw2,
+                                  False)[0] <= 0.0:
                     alpha = 1.0
                 else:
-                    a = lo
-                    b = 1.0
-                    alpha = lo
                     it = 0
-                    while b - a > ls_tol and it < ls_max_iter:
-                        step = d / h if h > 0.0 else np.inf
-                        if abs(step) <= 0.25 * ls_tol:
-                            a = b = alpha - step  # converged: collapse the bracket
-                            break
-                        if a < alpha - step < b:
-                            alpha -= step
-                        else:
-                            alpha = 0.5 * (a + b)
-                        d, h = seg(alpha, ym, yw, yw2, True)
-                        if d >= 0.0:
-                            b = alpha
-                        else:
-                            a = alpha
+                    a, b, alpha, done = newton_step(lo, 1.0, lo, d, h, ls_tol,
+                                                    ls_max_iter > 0)
+                    while not done:
+                        d, h = logistic_seg(sigmoid_neg(ym + alpha * yw),
+                                            yw, yw2, True)
                         it += 1
-                    alpha = 0.5 * (a + b)
+                        a, b, alpha, done = newton_step(
+                            a, b, alpha, d, h, ls_tol, it < ls_max_iter)
             if lo != 0.0 or alpha > 0.0:
                 ncand += 1
-
             dropped = False
-            if away and not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
-                alpha = lo
-                dropped = True
+            if away:
+                alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
 
             # alpha = 0 leaves z, x and lam as they are (see ls_cycle)
             if alpha == 0.0:
                 continue
-            if alpha == 1.0:
-                z[:] = s * col
-                x[:] = 0.0
-                x[j] = s
-                sq_x = s * s
-            else:
-                z += alpha * w
-                x *= 1.0 - alpha
-                x[j] += alpha * s
-                sq_x = ((1.0 - alpha) ** 2 * sq_x
-                        + 2.0 * alpha * (1.0 - alpha) * s * xj
-                        + alpha * alpha * s * s)
+            sq_x = vertex_move(x, j, s, alpha, sq_x, z, sc, w)
             if away:
-                lam *= 1.0 - alpha
-                if dropped:
-                    lam[i] = 0.0
-                else:
-                    lam[i] += alpha
+                reweight(lam, i, alpha, dropped)
             ym = ylab * z
             sig_ok = False
             scr_ok = False
@@ -500,115 +625,48 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     columns are recomputed on demand from the sample points X (row square
     norms in xsq), so K itself is never materialized.  Returns (q, sq_w).
     """
-
-    def seg(alpha, P, R, C, mu_h, curv):
-        # phi' and, if curv, phi'' along the segment at step alpha;
-        # t_i^2 there is T_i = P_i + alpha R_i + alpha^2 C
-        T = P + alpha * (R + alpha * C)
-        Tp = R + (2.0 * alpha) * C
-        t = np.sqrt(np.maximum(T, 0.0))
-        ratio = mu_h / np.maximum(t, mu_h)  # huber'(t) / t
-        rTp = ratio * Tp
-        if not curv:
-            return 0.5 * rTp.sum(), 0.0
-        far = rTp * (t > mu_h)
-        return (0.5 * rTp.sum(),
-                C * ratio.sum()
-                - 0.25 * np.dot(far, Tp / np.maximum(T, mu_h * mu_h)))
-
     for idx in range(order.shape[0]):
         j = order[idx]
         uj = u[j]
-        wj = wv[j]
-        c = sq_w - 2.0 * wj + 1.0
-        if c <= _DEGENERATE_REL * (sq_w + 1.0):
+        c = sq_w - 2.0 * wv[j] + 1.0
+        if is_degenerate(c, sq_w + 1.0):
             continue
-        kcol = kappa0 * np.exp(-(xsq - 2.0 * np.dot(X, X[j]) + xsq[j]) * inv2s2)
+        kcol = kde_column(X, xsq, j, kappa0, inv2s2)
         dvec = kcol - u
-
         lo = 0.0
         capped = False
         if away:
-            li = lam[j]
-            if li >= 1.0:
-                lo = -gamma_cap
-                capped = True
-            else:
-                gma = li / (1.0 - li)
-                if gma > gamma_cap:
-                    gma = gamma_cap
-                    capped = True
-                lo = -gma
+            lo, capped = away_interval(lam[j], gamma_cap)
 
         if grad_rule:
-            t = np.sqrt(np.maximum(q - 2.0 * u + kappa0, 0.0))
-            ratio = np.minimum(1.0, mu_h / np.maximum(t, 1e-300))
-            bval = (uj - q) * ratio.sum() - np.dot(ratio, dvec)
-            alpha = -bval / (L * c)
-            if alpha < lo:
-                alpha = lo
-            if alpha > 1.0:
-                alpha = 1.0
+            alpha = grad_step(kde_slope(u, dvec, q, uj, kappa0, mu_h), c, L,
+                              lo, 1.0)
         else:
-            # safeguarded Newton, as objectives.bisect_line_min
             P = (q + kappa0) - 2.0 * u
             R = 2.0 * (uj - q) - 2.0 * dvec
             C = q - 2.0 * uj + kappa0
-            d, h = seg(lo, P, R, C, mu_h, True)
+            d, h = kde_seg(lo, P, R, C, mu_h, True)
             if d >= 0.0:
                 alpha = lo
-            elif seg(1.0, P, R, C, mu_h, False)[0] <= 0.0:
+            elif kde_seg(1.0, P, R, C, mu_h, False)[0] <= 0.0:
                 alpha = 1.0
             else:
-                a = lo
-                b = 1.0
-                alpha = lo
                 it = 0
-                while b - a > ls_tol and it < ls_max_iter:
-                    step = d / h if h > 0.0 else np.inf
-                    if abs(step) <= 0.25 * ls_tol:
-                        a = b = alpha - step  # converged: collapse the bracket
-                        break
-                    if a < alpha - step < b:
-                        alpha -= step
-                    else:
-                        alpha = 0.5 * (a + b)
-                    d, h = seg(alpha, P, R, C, mu_h, True)
-                    if d >= 0.0:
-                        b = alpha
-                    else:
-                        a = alpha
+                a, b, alpha, done = newton_step(lo, 1.0, lo, d, h, ls_tol,
+                                                ls_max_iter > 0)
+                while not done:
+                    d, h = kde_seg(alpha, P, R, C, mu_h, True)
                     it += 1
-                alpha = 0.5 * (a + b)
-
+                    a, b, alpha, done = newton_step(a, b, alpha, d, h, ls_tol,
+                                                    it < ls_max_iter)
         dropped = False
-        if away and not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
-            alpha = lo
-            dropped = True
+        if away:
+            alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
 
         # alpha = 0 leaves u, q, wv and lam as they are (see ls_cycle)
         if alpha == 0.0:
             continue
-        if alpha == 1.0:
-            u[:] = kcol
-            q = kappa0
-            wv[:] = 0.0
-            wv[j] = 1.0
-            sq_w = 1.0
-        else:
-            u += alpha * dvec
-            q = ((1.0 - alpha) ** 2 * q
-                 + 2.0 * alpha * (1.0 - alpha) * uj
-                 + alpha * alpha * kappa0)
-            wv *= 1.0 - alpha
-            wv[j] += alpha
-            sq_w = ((1.0 - alpha) ** 2 * sq_w
-                    + 2.0 * alpha * (1.0 - alpha) * wj
-                    + alpha * alpha)
+        q, sq_w = kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0)
         if away:
-            lam *= 1.0 - alpha
-            if dropped:
-                lam[j] = 0.0
-            else:
-                lam[j] += alpha
+            reweight(lam, j, alpha, dropped)
     return q, sq_w

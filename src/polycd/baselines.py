@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from . import _kernels
 from .polytope import StandardSimplex
 from .solvers import AwayState, TraceRecord, _count_nnz, weight_refresh
 
@@ -110,7 +111,8 @@ def afw_solve(obj, poly=None, cfg=None, nnz_fn=None, gamma_cap=1e12):
 
     Per iteration the steeper of the toward-vertex and away-from-vertex
     directions is taken; away steps reuse the segment machinery with steps
-    in [-gamma, 0] so the weight update is shared with the cyclic solver.
+    in [-gamma, 0], gamma capped at gamma_cap, and share the cyclic
+    solver's drop snap and weight update (a capped step is never a drop).
     """
     poly, cfg = _start(obj, poly, cfg)
     obj.reset(poly.vertex(0))
@@ -138,22 +140,16 @@ def afw_solve(obj, poly=None, cfg=None, nnz_fn=None, gamma_cap=1e12):
         aw_slope = gx - float(scores[v_aw])      # <g, x - v_aw> <= 0
         li = lam[v_aw]
         if fw_slope <= aw_slope or li >= 1.0:
+            v = v_fw
             alpha = obj.line_search(v_fw, 0.0, 1.0)
-            obj.apply_step(v_fw, alpha)
-            lam *= 1.0 - alpha
-            lam[v_fw] += alpha
+            dropped = False
         else:
-            gma = min(li / (1.0 - li), gamma_cap)
-            alpha = obj.line_search(v_aw, -gma, 0.0)
-            dropped = abs(alpha + gma) <= 1e-14 * max(1.0, gma)
-            if dropped:
-                alpha = -gma
-            obj.apply_step(v_aw, alpha)
-            lam *= 1.0 - alpha
-            if dropped:
-                lam[v_aw] = 0.0
-            else:
-                lam[v_aw] += alpha
+            v = v_aw
+            lo, capped = _kernels.away_interval(li, gamma_cap)
+            alpha, dropped = _kernels.snap_drop(
+                obj.line_search(v_aw, lo, 0.0), lo, capped, _kernels.DROP_TOL)
+        obj.apply_step(v, alpha)
+        _kernels.reweight(lam, v, alpha, dropped)
         weight_refresh(state, obj.x, poly, tol=1e-8)
         f_now = obj.eval()
         if k % cfg.record_every == 0 or k == cfg.max_iter:

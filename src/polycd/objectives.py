@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .polytope import StandardSimplex
 
 
@@ -40,20 +41,21 @@ def grad_step_alpha(b, c, L, lo, hi):
         raise ValueError(f"empty step interval [{lo}, {hi}]")
     if c <= 0.0:
         return lo if b >= 0.0 else hi
-    return min(max(-b / (L * c), lo), hi)
+    return _kernels.grad_step(b, c, L, lo, hi)
 
 
 def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     """Minimize a convex 1D function phi on [lo, hi]; fn(alpha) returns
     (phi'(alpha), phi''(alpha)).
 
-    Safeguarded Newton on phi' ("rtsafe", Numerical Recipes 9.4): the
-    bracket [a, b] with phi'(a) < 0 <= phi'(b) is updated by the sign of
-    every evaluation, a Newton step is taken only when it lands strictly
-    inside the bracket and the bracket is bisected otherwise.  It stops
-    when the bracket is at most tol wide or a Newton step at most tol / 4
-    long, after at most max_iter evaluations besides the two endpoint
-    tests.  Flat stretches of phi' resolve to the smallest minimizer.
+    Safeguarded Newton on phi' (``_kernels.newton_step``, which the
+    kernels' line searches share): the bracket [a, b] with
+    phi'(a) < 0 <= phi'(b) is updated by the sign of every evaluation, a
+    Newton step is taken only when it lands strictly inside the bracket and
+    the bracket is bisected otherwise.  It stops when the bracket is at most
+    tol wide or a Newton step at most tol / 4 long, after at most max_iter
+    evaluations besides the two endpoint tests.  Flat stretches of phi'
+    resolve to the smallest minimizer.
 
     The name is kept from the derivative-bisection version: it is public,
     and profiling wrappers hook this module attribute by name to count
@@ -66,26 +68,13 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
         return lo
     if fn(hi)[0] <= 0.0:
         return hi
-    # x, the last point evaluated, is always an end of the bracket
-    a, b, x = lo, hi, lo
     it = 0
-    while b - a > tol and it < max_iter:
-        step = d / h if h > 0.0 else np.inf
-        # tested before the bracket: a Newton step from a root found
-        # exactly lands on the bracket end it became
-        if abs(step) <= 0.25 * tol:
-            return x - step
-        if a < x - step < b:
-            x -= step
-        else:
-            x = 0.5 * (a + b)
+    a, b, x, done = _kernels.newton_step(lo, hi, lo, d, h, tol, max_iter > 0)
+    while not done:
         d, h = fn(x)
-        if d >= 0.0:
-            b = x
-        else:
-            a = x
         it += 1
-    return 0.5 * (a + b)
+        a, b, x, done = _kernels.newton_step(a, b, x, d, h, tol, it < max_iter)
+    return x
 
 
 def _power_sigma_sq(matvec, rmatvec, dim, iters=100, seed=0):
@@ -102,6 +91,16 @@ def _power_sigma_sq(matvec, rmatvec, dim, iters=100, seed=0):
         v = w / nw
         est = nw
     return float(est)
+
+
+def _require_finite(name, arr):
+    """ValueError unless every entry of the contiguous array arr is finite;
+    checked block by block, so no full-size temporary is made."""
+    flat = arr.reshape(-1)
+    block = 1 << 16
+    for lo in range(0, flat.size, block):
+        if not np.isfinite(flat[lo:lo + block]).all():
+            raise ValueError(f"{name} has non-finite entries")
 
 
 class BoundObjective:
@@ -138,13 +137,6 @@ class BoundObjective:
     def steps_applied(self):
         return self._steps
 
-    def segment_query_directional(self, i):
-        """(b, curvature, L) for the directional-curvature step variant;
-        falls back to the global-L model where the loss has no composite
-        structure to exploit."""
-        q = self.segment_query(i)
-        return q.b, q.c, self.L
-
     # kernel hooks; overridden where a compiled cycle kernel exists
     def kernel_name(self):
         return None
@@ -161,6 +153,7 @@ class _CompositeObjective(BoundObjective):
         A = np.ascontiguousarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("A must be 2-dimensional")
+        _require_finite("A", A)
         if A.shape[1] != poly.d:
             raise ValueError(
                 f"objective/polytope dimension mismatch: A has {A.shape[1]} "
@@ -195,59 +188,42 @@ class _CompositeObjective(BoundObjective):
             c = float(dv @ dv)
         return max(c, 0.0)
 
-    def segment_is_degenerate(self, i, rel=1e-13):
+    def segment_is_degenerate(self, i):
         # v_i coincides with x up to float cancellation; the solvers skip
         # such steps (any step size leaves x unchanged)
         if self._pv_cols is None:
             j = self.poly.vertex_coords[i]
             s = self.poly.vertex_scales[i]
             c = self.sq_x - 2.0 * s * self.x[j] + s * s
-            return c <= rel * (self.sq_x + s * s)
+            return _kernels.is_degenerate(c, self.sq_x + s * s)
         v = self.poly.vertex(i)
         dv = v - self.x
-        return float(dv @ dv) <= rel * (self.sq_x + float(v @ v))
+        return _kernels.is_degenerate(float(dv @ dv), self.sq_x + float(v @ v))
 
     def segment_query(self, i):
         col, s = self._col_scale(i)
         w = s * col - self.z
         return SegmentQuery(b=self._dir_deriv(w), c=self._c_val(i))
 
-    def segment_query_directional(self, i):
-        # curvature measured through the data map: ||A(v - x)||^2 paired
-        # with the smoothness of the scalar link g
-        col, s = self._col_scale(i)
-        w = s * col - self.z
-        return self._dir_deriv(w), float(w @ w), self._link_smoothness()
-
     def apply_step(self, i, alpha):
         if alpha == 0.0:
             self._bump()
             return
         col, s = self._col_scale(i)
-        if alpha == 1.0:
-            self.z = (s * col) if s != 1.0 else col.copy()
-            if self._pv_cols is None:
-                j = self.poly.vertex_coords[i]
-                self.x[:] = 0.0
-                self.x[j] = s
-                self.sq_x = s * s
-            else:
-                self.x = self.poly.vertex(i)
-                self.sq_x = float(self.x @ self.x)
+        zv = s * col
+        if self._pv_cols is None:
+            self.sq_x = _kernels.vertex_move(
+                self.x, self.poly.vertex_coords[i], s, alpha, self.sq_x,
+                self.z, zv, zv - self.z)
         else:
-            self.z += alpha * (s * col - self.z)
-            if self._pv_cols is None:
-                j = self.poly.vertex_coords[i]
-                xj = float(self.x[j])
-                self.x *= 1.0 - alpha
-                self.x[j] += alpha * s
-                self.sq_x = ((1.0 - alpha) ** 2 * self.sq_x
-                             + 2.0 * alpha * (1.0 - alpha) * s * xj
-                             + alpha * alpha * s * s)
+            v = self.poly.vertex(i)
+            if alpha == 1.0:
+                self.z = zv
+                self.x = v
             else:
-                v = self.poly.vertex(i)
+                self.z += alpha * (zv - self.z)
                 self.x += alpha * (v - self.x)
-                self.sq_x = float(self.x @ self.x)
+            self.sq_x = float(self.x @ self.x)
         self._bump()
 
     def full_gradient(self):
@@ -287,6 +263,7 @@ class LeastSquares(_CompositeObjective):
 
     def __init__(self, A, b, poly, x0=None, L=None):
         self.bvec = np.ascontiguousarray(b, dtype=np.float64)
+        _require_finite("b", self.bvec)
         super().__init__(A, poly, x0)
         if self.bvec.shape != (self.n,):
             raise ValueError("b must have one entry per row of A")
@@ -320,7 +297,8 @@ class LeastSquares(_CompositeObjective):
         if den <= 0.0:
             return lo
         num = float(w @ self.z) - float(w @ self.bvec)
-        return min(max(-num / den, lo), hi)
+        # phi(alpha) = f(z + alpha w): phi'(0) = 2 num, phi'' = 2 den
+        return _kernels.grad_step(2.0 * num, den, 2.0, lo, hi)
 
     def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
         """argmin over [lo, hi] of f along the segment toward vertex i;
@@ -336,9 +314,6 @@ class LeastSquares(_CompositeObjective):
         sig = _power_sigma_sq(lambda v: self.A @ v, lambda w: self.A.T @ w, self.d)
         return max(2.0 * sig * 1.01, 1e-12)
 
-    def _link_smoothness(self):
-        return 2.0  # g(z) = ||z - b||^2
-
     def kernel_name(self):
         return "ls_cycle" if self._pv_cols is None else None
 
@@ -353,11 +328,6 @@ class LeastSquares(_CompositeObjective):
                        grad_rule, away, L, self.sq_x, gamma_cap, drop_tol,
                        *self._col_terms)
         self._bump(len(order))
-
-
-def _sigmoid_neg(m):
-    # 1 / (1 + exp(m)), saturating instead of overflowing
-    return 1.0 / (1.0 + np.exp(np.minimum(m, 700.0)))
 
 
 class Logistic(_CompositeObjective):
@@ -385,7 +355,7 @@ class Logistic(_CompositeObjective):
         return self._resid_grad_at(self.z)
 
     def _resid_grad_at(self, z):
-        return -self.labels * _sigmoid_neg(self.labels * z)
+        return -self.labels * _kernels.sigmoid_neg(self.labels * z)
 
     def _dir_deriv(self, w):
         return float(self._resid_grad() @ w)
@@ -395,12 +365,8 @@ class Logistic(_CompositeObjective):
         yw = self.labels * w
         ym = self.labels * self.z
         yw2 = yw * yw
-
-        def fn(a):
-            sig = _sigmoid_neg(ym + a * yw)
-            return -float(sig @ yw), float((sig * (1.0 - sig)) @ yw2)
-
-        return fn
+        return lambda a: _kernels.logistic_seg(
+            _kernels.sigmoid_neg(ym + a * yw), yw, yw2, True)
 
     def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
         col, s = self._col_scale(i)
@@ -414,9 +380,6 @@ class Logistic(_CompositeObjective):
     def estimate_smoothness(self):
         sig = _power_sigma_sq(lambda v: self.A @ v, lambda w: self.A.T @ w, self.d)
         return max(0.25 * sig * 1.01, 1e-12)
-
-    def _link_smoothness(self):
-        return 0.25  # scalar logistic loss curvature bound
 
     def kernel_name(self):
         return "logistic_cycle" if self._pv_cols is None else None
@@ -447,6 +410,7 @@ class KdeHuber(BoundObjective):
 
     def __init__(self, points, bandwidth, huber_mu, poly=None, x0=None, L=None):
         X = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+        _require_finite("points", X)
         self.X = X
         self.n, self.dim_pts = X.shape
         if not bandwidth > 0:
@@ -473,8 +437,8 @@ class KdeHuber(BoundObjective):
         return self._L_cached
 
     def kernel_column(self, j):
-        sq = self.xsq - 2.0 * (self.X @ self.X[j]) + self.xsq[j]
-        return self.kappa0 * np.exp(-sq * self.inv2s2)
+        return _kernels.kde_column(self.X, self.xsq, j, self.kappa0,
+                                   self.inv2s2)
 
     def _column(self, j):
         # the last two columns built, by index and read-only: a line search
@@ -507,10 +471,6 @@ class KdeHuber(BoundObjective):
     def _tsq(self):
         return np.maximum(self.q - 2.0 * self.u + self.kappa0, 0.0)
 
-    def _ratio(self, t):
-        # huber'(t)/t: 1 on [0, mu], mu/t beyond
-        return np.minimum(1.0, self.mu_h / np.maximum(t, 1e-300))
-
     def eval(self):
         return float(huber(np.sqrt(self._tsq()), self.mu_h).sum())
 
@@ -526,46 +486,28 @@ class KdeHuber(BoundObjective):
         uy = self.matvec(y)
         qy = float(y @ uy)
         t = np.sqrt(np.maximum(qy - 2.0 * uy + self.kappa0, 0.0))
-        ratio = self._ratio(t)
+        ratio = _kernels.huber_ratio(t, self.mu_h)
         return float(ratio.sum()) * uy - self.matvec(ratio)
 
     def full_gradient(self):
-        ratio = self._ratio(np.sqrt(self._tsq()))
+        ratio = _kernels.huber_ratio(np.sqrt(self._tsq()), self.mu_h)
         return float(ratio.sum()) * self.u - self.matvec(ratio)
 
-    def segment_is_degenerate(self, i, rel=1e-13):
+    def segment_is_degenerate(self, i):
         c = self.sq_x - 2.0 * self.x[i] + 1.0
-        return c <= rel * (self.sq_x + 1.0)
+        return _kernels.is_degenerate(c, self.sq_x + 1.0)
 
     def segment_query(self, i):
-        kcol = self._column(i)
-        ratio = self._ratio(np.sqrt(self._tsq()))
-        b = ((self.u[i] - self.q) * float(ratio.sum())
-             - float(ratio @ (kcol - self.u)))
+        b = _kernels.kde_slope(self.u, self._column(i) - self.u, self.q,
+                               self.u[i], self.kappa0, self.mu_h)
         c = max(self.sq_x - 2.0 * self.x[i] + 1.0, 0.0)
         return SegmentQuery(b=b, c=c)
 
     def _seg_derivs(self, R, C):
-        """(phi', phi'') along a move on which t_i^2 is the quadratic
-        T_i(a) = P_i + a R_i + a^2 C, P = q - 2u + kappa0.  With
-        r_i = huber'(t_i) / t_i = min(1, mu / t_i):
-        phi' = 1/2 sum r_i T_i' and
-        phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i."""
+        # (phi', phi'') along a move on which t_i^2 is the quadratic
+        # T_i(a) = P_i + a R_i + a^2 C, P = q - 2u + kappa0
         P = (self.q + self.kappa0) - 2.0 * self.u
-        mu = self.mu_h
-
-        def fn(a):
-            T = P + a * (R + a * C)
-            Tp = R + (2.0 * a) * C
-            t = np.sqrt(np.maximum(T, 0.0))
-            ratio = mu / np.maximum(t, mu)
-            rTp = ratio * Tp
-            far = rTp * (t > mu)
-            return (0.5 * float(rTp.sum()),
-                    C * float(ratio.sum())
-                    - 0.25 * float(far @ (Tp / np.maximum(T, mu * mu))))
-
-        return fn
+        return lambda a: _kernels.kde_seg(a, P, R, C, self.mu_h, True)
 
     def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
         if hi < lo:
@@ -580,28 +522,11 @@ class KdeHuber(BoundObjective):
                                tol=tol, max_iter=max_iter)
 
     def apply_step(self, i, alpha):
-        if alpha == 0.0:
-            self._bump()
-            return
-        kcol = self._column(i)
-        if alpha == 1.0:
-            self.u = kcol.copy()
-            self.q = self.kappa0
-            self.x[:] = 0.0
-            self.x[i] = 1.0
-            self.sq_x = 1.0
-        else:
-            uj = self.u[i]
-            wj = self.x[i]
-            self.u += alpha * (kcol - self.u)
-            self.q = ((1.0 - alpha) ** 2 * self.q
-                      + 2.0 * alpha * (1.0 - alpha) * uj
-                      + alpha * alpha * self.kappa0)
-            self.x *= 1.0 - alpha
-            self.x[i] += alpha
-            self.sq_x = ((1.0 - alpha) ** 2 * self.sq_x
-                         + 2.0 * alpha * (1.0 - alpha) * wj
-                         + alpha * alpha)
+        if alpha != 0.0:
+            kcol = self._column(i)
+            self.q, self.sq_x = _kernels.kde_move(
+                self.u, kcol, kcol - self.u, self.x, i, alpha, self.q,
+                self.sq_x, self.kappa0)
         self._bump()
 
     def pair_line_search(self, i, j, lo, hi):
@@ -690,10 +615,11 @@ class Quadratic(BoundObjective):
     def estimate_smoothness(self):
         return self.L
 
-    def segment_is_degenerate(self, i, rel=1e-13):
+    def segment_is_degenerate(self, i):
         v = self.poly.vertex(i)
         dv = v - self.x
-        return float(dv @ dv) <= rel * (float(self.x @ self.x) + float(v @ v))
+        return _kernels.is_degenerate(float(dv @ dv),
+                                      float(self.x @ self.x) + float(v @ v))
 
     def segment_query(self, i):
         dv = self.poly.vertex(i) - self.x
@@ -701,14 +627,11 @@ class Quadratic(BoundObjective):
         return SegmentQuery(b=b, c=float(dv @ dv))
 
     def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
-        if hi < lo:
-            raise ValueError(f"empty step interval [{lo}, {hi}]")
+        # exact: the gradient rule with the segment's curvature and L = 1
         dv = self.poly.vertex(i) - self.x
         b = float((self.g + self.qlin) @ dv)
         curv = float((self._QV[i] - self.g) @ dv)
-        if curv <= 0.0:
-            return lo if b >= 0.0 else hi
-        return min(max(-b / curv, lo), hi)
+        return grad_step_alpha(b, curv, 1.0, lo, hi)
 
     def apply_step(self, i, alpha):
         if alpha == 0.0:
@@ -726,9 +649,7 @@ class Quadratic(BoundObjective):
     def pair_line_search(self, i, j, lo, hi):
         b = float(self.g[i] - self.g[j] + self.qlin[i] - self.qlin[j])
         curv = float(self.Q[i, i] - 2.0 * self.Q[i, j] + self.Q[j, j])
-        if curv <= 0.0:
-            return lo if b >= 0.0 else hi
-        return min(max(-b / curv, lo), hi)
+        return grad_step_alpha(b, curv, 1.0, lo, hi)
 
     def apply_pair_step(self, i, j, theta):
         if theta == 0.0:

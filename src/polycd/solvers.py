@@ -43,17 +43,11 @@ class SolveConfig:
     x0: np.ndarray | None = None  # explicit start (plain solver only)
     lam0: np.ndarray | None = None  # explicit start weights (away solver)
     gamma_cap: float = 1e12
-    drop_tol: float = 1e-14  # snap-to-drop tolerance around alpha = -gamma
+    drop_tol: float = _kernels.DROP_TOL  # snap-to-drop tolerance around -gamma
     ls_tol: float = 1e-12
     ls_max_iter: int = 200
     use_kernels: bool | None = None  # None = auto-detect
     nnz_tol: float = 1e-10
-    # away-variant speedup: skip zero-weight vertices with no descent
-    # (per-step path only; off by default to keep the full cycle)
-    skip_zero_weight: bool = False
-    # 1D gradient rule with the directional curvature ||A(v-x)||^2 of the
-    # composite losses instead of the global L ||v-x||^2 (per-step path)
-    directional_curvature: bool = False
 
     def __post_init__(self):
         if self.step_rule not in _RULES:
@@ -128,9 +122,6 @@ def _resolve_order(M, visit_order):
 def _inner_step(obj, i, lo, cfg):
     """Choose the step toward vertex i on [lo, 1] and return it (not applied)."""
     if cfg.step_rule == GRAD_1D:
-        if cfg.directional_curvature:
-            b, c_dir, L_dir = obj.segment_query_directional(i)
-            return grad_step_alpha(b, c_dir, L_dir, lo, 1.0)
         q = obj.segment_query(i)
         return grad_step_alpha(q.b, q.c, obj.L, lo, 1.0)
     return obj.line_search(i, lo, 1.0, tol=cfg.ls_tol, max_iter=cfg.ls_max_iter)
@@ -159,8 +150,7 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
         state = None
         obj.reset(cfg.x0 if cfg.x0 is not None else poly.vertex(cfg.start_vertex))
 
-    needs_per_step = (inner_callback is not None or cfg.skip_zero_weight
-                      or cfg.directional_curvature)
+    needs_per_step = inner_callback is not None
     kname = obj.kernel_name()
     use_kernels = cfg.use_kernels
     if use_kernels is None:
@@ -188,36 +178,17 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
                     if inner_callback is not None:
                         inner_callback(t, int(i), 0.0)
                     continue
-                if (away and cfg.skip_zero_weight and lam[i] == 0.0
-                        and obj.segment_query(i).b >= 0.0):
-                    if inner_callback is not None:
-                        inner_callback(t, int(i), 0.0)
-                    continue
                 lo = 0.0
                 capped = False
                 if away:
-                    li = lam[i]
-                    if li >= 1.0:
-                        lo = -cfg.gamma_cap
-                        capped = True
-                    else:
-                        gma = li / (1.0 - li)
-                        if gma > cfg.gamma_cap:
-                            gma = cfg.gamma_cap
-                            capped = True
-                        lo = -gma
+                    lo, capped = _kernels.away_interval(lam[i], cfg.gamma_cap)
                 alpha = _inner_step(obj, i, lo, cfg)
-                dropped = False
-                if away and not capped and abs(alpha - lo) <= cfg.drop_tol * max(1.0, -lo):
-                    alpha = lo
-                    dropped = True
+                if away:
+                    alpha, dropped = _kernels.snap_drop(alpha, lo, capped,
+                                                        cfg.drop_tol)
                 obj.apply_step(i, alpha)
                 if away:
-                    lam *= 1.0 - alpha
-                    if dropped:
-                        lam[i] = 0.0
-                    else:
-                        lam[i] += alpha
+                    _kernels.reweight(lam, i, alpha, dropped)
                 if inner_callback is not None:
                     inner_callback(t, int(i), float(alpha))
         inner_total += M

@@ -93,6 +93,22 @@ def test_afw_feasible_and_monotone():
     assert all(f[k + 1] <= f[k] + 1e-12 * max(1, abs(f[k])) for k in range(len(f) - 1))
 
 
+def test_afw_capped_away_step_is_not_a_drop():
+    # with gamma_cap = 0.05 the cap binds on away steps: such a step leaves
+    # lam_i (1 + cap) - cap > 0, and writing it as a drop (lam_i = 0) would
+    # break the weights' reconstruction of x, which weight_refresh rejects
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 4))
+    q = rng.standard_normal(4)
+    obj = Quadratic(B.T @ B, 3 * q, poly=StandardSimplex(4))
+    x, trace = afw_solve(obj, None, BaselineConfig(max_iter=200, window=None),
+                         gamma_cap=0.05)
+    assert obj.poly.contains(x, tol=1e-10)
+    f = [r.f_value for r in trace]
+    assert all(f[k + 1] <= f[k] + 1e-12 * max(1, abs(f[k]))
+               for k in range(len(f) - 1))
+
+
 def test_fista_reaches_reference_on_small_lasso():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((40, 15))

@@ -1,6 +1,8 @@
+import dis
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -76,3 +78,40 @@ def test_ls_cycle_single_pass_matches_manual_update():
     x2 += alpha * (np.array([0.0, 1.0]) - x2)
     assert np.allclose(x, x2, atol=1e-15)
     assert sq_out == pytest.approx(float(x2 @ x2), rel=1e-12)
+
+
+# builtins that numba's nopython mode supports and the kernels call
+_NUMBA_BUILTINS = {"min", "max", "abs", "range", "float"}
+
+
+def _loaded_globals(code):
+    """Names of every LOAD_GLOBAL and every import in code and its nested
+    code objects; an import is reported as "import <module>"."""
+    for ins in dis.get_instructions(code):
+        if ins.opname == "LOAD_GLOBAL":
+            yield ins.argval
+        elif ins.opname == "IMPORT_NAME":
+            yield f"import {ins.argval}"
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _loaded_globals(const)
+
+
+@pytest.mark.parametrize("name", sorted(_kernels._PY_FUNCS)
+                         + sorted(_kernels._HELPERS))
+def test_kernel_globals_are_numba_ready(name):
+    # a compiled kernel can reach only numpy, numeric constants, the
+    # builtins numba supports and the helpers registered with numba; this
+    # catches, without numba, a kernel or helper calling plain Python code
+    fn = _kernels._PY_FUNCS.get(name) or _kernels._HELPERS[name]
+    helpers = list(_kernels._HELPERS.values())
+    scope = vars(_kernels)
+    for g in _loaded_globals(fn.__code__):
+        if g in scope:
+            val = scope[g]
+            ok = (val is np or any(val is h for h in helpers)
+                  or (isinstance(val, (int, float))
+                      and not isinstance(val, bool)))
+        else:
+            ok = g in _NUMBA_BUILTINS
+        assert ok, f"{name} uses {g}, which numba cannot compile"

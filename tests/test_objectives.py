@@ -51,6 +51,26 @@ def test_eval_kde_single_point_is_zero():
 # -- segment_query ---------------------------------------------------------
 
 
+def _with_nonfinite(shape, index, value):
+    a = np.random.default_rng(0).standard_normal(shape)
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LeastSquares(_with_nonfinite((6, 3), (2, 1), np.nan),
+                         np.ones(6), L1Ball(3, 1.0)),
+    lambda: LeastSquares(np.ones((6, 3)), _with_nonfinite(6, 4, np.inf),
+                         L1Ball(3, 1.0)),
+    lambda: Logistic(_with_nonfinite((6, 3), (0, 0), np.nan),
+                     np.ones(6), L1Ball(3, 1.0)),
+    lambda: KdeHuber(_with_nonfinite((5, 2), (3, 1), np.nan), 1.0, 0.4),
+], ids=["ls-A-nan", "ls-b-inf", "logistic-A-nan", "kde-points-nan"])
+def test_nonfinite_data_is_rejected(make):
+    with pytest.raises(ValueError, match="non-finite"):
+        make()
+
+
 def test_segment_query_hand_gradient():
     ball, obj = motivating_setup()
     q = obj.segment_query(0)  # vertex +e1
