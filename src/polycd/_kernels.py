@@ -21,8 +21,8 @@ segment derivatives itself and hands each evaluation to ``newton_step``.
 
 Backend selection: the environment variable ``POLYCD_NUMBA`` ("0"/"off" to
 force the numpy path, "1"/"on" to require numba) sets the default at import
-time; :func:`use_backend` switches it at runtime, which the kernel
-benchmark and the backend-equivalence tests rely on.
+time; :func:`use_backend` switches it at runtime, which the
+backend-equivalence tests rely on.
 """
 
 import os
@@ -230,9 +230,9 @@ def newton_step(a, b, x, d, h, tol, more):
     evaluation budget is spent), giving its midpoint, or the Newton step is
     at most tol / 4 long, giving its end.  Otherwise x is the next point to
     evaluate: the Newton step if it lands strictly inside the bracket, the
-    midpoint if not.  The caller tests the ends first (phi'(lo) >= 0 gives
-    lo, phi'(hi) <= 0 gives hi), so flat stretches of phi' resolve to the
-    smallest minimizer, and starts from x = a = lo.
+    midpoint if not.  The caller tests lo first (phi'(lo) >= 0 gives lo),
+    so flat stretches of phi' resolve to the smallest minimizer, starts
+    from x = a = lo with b = hi, and tests hi where hi_test_due says.
     """
     if d >= 0.0:
         b = x
@@ -248,6 +248,28 @@ def newton_step(a, b, x, d, h, tol, more):
     if a < x - step < b:
         return a, b, x - step, False
     return a, b, 0.5 * (a + b), False
+
+
+# a line search that defers its test of the hi end makes it at the latest
+# after this many evaluations inside the interval have left b at hi
+HI_TEST_AFTER = 3
+
+
+@_jitable
+def hi_test_due(a, b, x, done, hi, it):
+    """Whether a line search that started newton_step on [lo, hi] without
+    testing hi must test it now, before it evaluates or returns x; it
+    counts the evaluations inside the interval so far.
+
+    The search takes phi'(hi) > 0 on trust and first relies on it where it
+    ends or bisects with b still at hi; there phi'(hi) <= 0 makes hi the
+    minimizer.  Until then it evaluates only points that a search testing
+    hi first evaluates too, so the result is the same, except where phi'
+    is exactly 0 on a stretch that ends at hi.  HI_TEST_AFTER caps what a
+    search whose minimizer is hi pays over testing hi first.  The caller
+    tests hi at most once.
+    """
+    return b == hi and (done or x == 0.5 * (a + b) or it >= HI_TEST_AFTER)
 
 
 @_jitable
@@ -273,10 +295,21 @@ def huber_ratio(t, mu_h):
 
 
 @_jitable
-def kde_column(X, xsq, j, kappa0, inv2s2):
-    """Column j of the Gaussian kernel matrix of the points X, whose row
-    square norms are xsq."""
-    return kappa0 * np.exp(-(xsq - 2.0 * np.dot(X, X[j]) + xsq[j]) * inv2s2)
+def kde_columns(X, xsq, J, kappa0, inv2s2):
+    """Rows J of the Gaussian kernel matrix K of the points X, whose row
+    square norms are xsq, as a (len(J), n) block; K is symmetric, so row j
+    is column j.  One gemm, then the squared distances
+    (|x_j|^2 - 2 x_j.x_i) + |x_i|^2, floored at 0, and the kernel, all in
+    place."""
+    B = np.dot(X[J], X.T)
+    B *= -2.0
+    B += xsq[J].reshape(-1, 1)
+    B += xsq
+    np.fmax(B, 0.0, B)
+    B *= -inv2s2
+    np.exp(B, B)
+    B *= kappa0
+    return B
 
 
 @_jitable
@@ -292,18 +325,21 @@ def kde_seg(alpha, P, R, C, mu_h, curv):
     """phi' and, if curv, phi'' of the kernel-weight objective along a move
     on which t_i^2 is the quadratic T_i(alpha) = P_i + alpha R_i
     + alpha^2 C.  With r_i = huber_ratio(t_i): phi' = 1/2 sum r_i T_i' and
-    phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i."""
+    phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i.
+
+    Written with m_i = max(T_i, mu^2): the square root of a rounded mu^2
+    is mu, so sqrt(m_i) = max(t_i, mu) bit for bit, r_i = mu / sqrt(m_i),
+    and t_i > mu exactly where sqrt(m_i) > mu."""
     T = P + alpha * (R + alpha * C)
     Tp = R + (2.0 * alpha) * C
-    t = np.sqrt(np.maximum(T, 0.0))
-    ratio = huber_ratio(t, mu_h)
+    m = np.maximum(T, mu_h * mu_h)
+    st = np.sqrt(m)
+    ratio = mu_h / st
     rTp = ratio * Tp
     if not curv:
         return 0.5 * rTp.sum(), 0.0
-    far = rTp * (t > mu_h)
     return (0.5 * rTp.sum(),
-            C * ratio.sum()
-            - 0.25 * np.dot(far, Tp / np.maximum(T, mu_h * mu_h)))
+            C * ratio.sum() - 0.25 * np.dot(rTp * (st > mu_h), Tp / m))
 
 
 @_jitable
@@ -344,7 +380,8 @@ def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
 # col.(sig y)) for every step of the block; the block is rescanned (no new
 # gather) after each step that may move the iterate, so a pass costs at
 # most M / block gathers plus one block-sized matvec per such step:
-# O(M (n + d)) for a fixed block.
+# O(M (n + d)) for a fixed block.  kde_cycle builds its kernel columns a
+# block at a time.
 LS_BLOCK = 32
 
 # A closed-form denominator w.w = s^2 ||col||^2 - 2 s col.z + ||z||^2 below
@@ -580,16 +617,21 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                 # at lo = 0, ym + lo * yw is ym: the segment's sig is this sig
                 slo = sig if lo == 0.0 else sigmoid_neg(ym + lo * yw)
                 d, h = logistic_seg(slo, yw, yw2, True)
-                if d >= 0.0:
-                    alpha = lo
-                elif logistic_seg(sigmoid_neg(ym + yw), yw, yw2,
-                                  False)[0] <= 0.0:
-                    alpha = 1.0
-                else:
+                alpha = lo
+                if d < 0.0:
                     it = 0
+                    hi_open = True
                     a, b, alpha, done = newton_step(lo, 1.0, lo, d, h, ls_tol,
                                                     ls_max_iter > 0)
-                    while not done:
+                    while True:
+                        if hi_open and hi_test_due(a, b, alpha, done, 1.0, it):
+                            hi_open = False
+                            if logistic_seg(sigmoid_neg(ym + yw), yw, yw2,
+                                            False)[0] <= 0.0:
+                                alpha = 1.0
+                                break
+                        if done:
+                            break
                         d, h = logistic_seg(sigmoid_neg(ym + alpha * yw),
                                             yw, yw2, True)
                         it += 1
@@ -622,51 +664,60 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     """One outer pass on the kernel-weight objective over the simplex.
 
     wv holds the weights, u caches K wv and q caches wv' K wv; kernel-matrix
-    columns are recomputed on demand from the sample points X (row square
-    norms in xsq), so K itself is never materialized.  Returns (q, sq_w).
+    columns are recomputed from the sample points X (row square norms in
+    xsq), LS_BLOCK visit positions at a time with one kde_columns call, so
+    K itself is never materialized.  Returns (q, sq_w).
     """
-    for idx in range(order.shape[0]):
-        j = order[idx]
-        uj = u[j]
-        c = sq_w - 2.0 * wv[j] + 1.0
-        if is_degenerate(c, sq_w + 1.0):
-            continue
-        kcol = kde_column(X, xsq, j, kappa0, inv2s2)
-        dvec = kcol - u
-        lo = 0.0
-        capped = False
-        if away:
-            lo, capped = away_interval(lam[j], gamma_cap)
+    M = order.shape[0]
+    for p in range(0, M, LS_BLOCK):
+        Kb = kde_columns(X, xsq, order[p:p + LS_BLOCK], kappa0, inv2s2)
+        for idx in range(p, min(p + LS_BLOCK, M)):
+            j = order[idx]
+            uj = u[j]
+            c = sq_w - 2.0 * wv[j] + 1.0
+            if is_degenerate(c, sq_w + 1.0):
+                continue
+            kcol = Kb[idx - p]
+            dvec = kcol - u
+            lo = 0.0
+            capped = False
+            if away:
+                lo, capped = away_interval(lam[j], gamma_cap)
 
-        if grad_rule:
-            alpha = grad_step(kde_slope(u, dvec, q, uj, kappa0, mu_h), c, L,
-                              lo, 1.0)
-        else:
-            P = (q + kappa0) - 2.0 * u
-            R = 2.0 * (uj - q) - 2.0 * dvec
-            C = q - 2.0 * uj + kappa0
-            d, h = kde_seg(lo, P, R, C, mu_h, True)
-            if d >= 0.0:
-                alpha = lo
-            elif kde_seg(1.0, P, R, C, mu_h, False)[0] <= 0.0:
-                alpha = 1.0
+            if grad_rule:
+                alpha = grad_step(kde_slope(u, dvec, q, uj, kappa0, mu_h), c,
+                                  L, lo, 1.0)
             else:
-                it = 0
-                a, b, alpha, done = newton_step(lo, 1.0, lo, d, h, ls_tol,
-                                                ls_max_iter > 0)
-                while not done:
-                    d, h = kde_seg(alpha, P, R, C, mu_h, True)
-                    it += 1
-                    a, b, alpha, done = newton_step(a, b, alpha, d, h, ls_tol,
-                                                    it < ls_max_iter)
-        dropped = False
-        if away:
-            alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
+                P = (q + kappa0) - 2.0 * u
+                R = 2.0 * (uj - q) - 2.0 * dvec
+                C = q - 2.0 * uj + kappa0
+                d, h = kde_seg(lo, P, R, C, mu_h, True)
+                alpha = lo
+                if d < 0.0:
+                    it = 0
+                    hi_open = True
+                    a, b, alpha, done = newton_step(lo, 1.0, lo, d, h, ls_tol,
+                                                    ls_max_iter > 0)
+                    while True:
+                        if hi_open and hi_test_due(a, b, alpha, done, 1.0, it):
+                            hi_open = False
+                            if kde_seg(1.0, P, R, C, mu_h, False)[0] <= 0.0:
+                                alpha = 1.0
+                                break
+                        if done:
+                            break
+                        d, h = kde_seg(alpha, P, R, C, mu_h, True)
+                        it += 1
+                        a, b, alpha, done = newton_step(
+                            a, b, alpha, d, h, ls_tol, it < ls_max_iter)
+            dropped = False
+            if away:
+                alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
 
-        # alpha = 0 leaves u, q, wv and lam as they are (see ls_cycle)
-        if alpha == 0.0:
-            continue
-        q, sq_w = kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0)
-        if away:
-            reweight(lam, j, alpha, dropped)
+            # alpha = 0 leaves u, q, wv and lam as they are (see ls_cycle)
+            if alpha == 0.0:
+                continue
+            q, sq_w = kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0)
+            if away:
+                reweight(lam, j, alpha, dropped)
     return q, sq_w

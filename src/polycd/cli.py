@@ -5,19 +5,13 @@ Subcommands:
   bench          full multi-solver comparison driven by a JSON config
   verify         run the condensed property suite (pass/fail per property)
   gen            generate and dump a synthetic dataset
-  bench-kernels  time one solver pass per objective family on the numba
-                 and numpy kernel backends
 """
 
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
-from . import _kernels
 from .harness import (PRESETS, SOLVER_NAMES, ExperimentConfig, SolverCell,
                       run_experiment)
 from .problems import (KdeSpec, LassoSpec, LogisticSpec, dump_tsv, gen_kde,
@@ -143,56 +137,6 @@ def _cmd_gen(args):
     return 0
 
 
-def _cmd_bench_kernels(args):
-    from .objectives import KdeHuber, LeastSquares, Logistic
-    from .polytope import L1Ball
-    from .solvers import SolveConfig, polycdwa_solve
-
-    n, d = args.n, args.d
-    rng = np.random.default_rng(0)
-    cases = []
-    A = rng.standard_normal((n, d))
-    b = A @ (rng.random(d) < 0.05) + rng.standard_normal(n)
-    cases.append(("least-squares / l1 ball",
-                  lambda: LeastSquares(A, b, L1Ball(d, 5.0))))
-    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    cases.append(("logistic / l1 ball",
-                  lambda: Logistic(A, labels, L1Ball(d, 5.0))))
-    pts = rng.standard_normal((min(n, 1000), 2)) * 3
-    cases.append(("kernel density / simplex",
-                  lambda: KdeHuber(pts, 1.0, 0.4)))
-
-    backends = ["numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
-    cfg = SolveConfig(max_outer=args.passes, rel_improve_tol=0.0)
-    prev = _kernels.active_backend()
-    print(f"{'case':<28s} " + " ".join(f"{bk:>12s}" for bk in backends)
-          + ("      speedup" if len(backends) == 2 else ""))
-    try:
-        for name, make in cases:
-            times = {}
-            for bk in backends:
-                _kernels.use_backend(bk)
-                if bk == "numba":
-                    # compile outside the timed region
-                    obj = make()
-                    polycdwa_solve(obj, None, SolveConfig(max_outer=1,
-                                                          rel_improve_tol=0.0))
-                obj = make()
-                t0 = time.perf_counter()
-                polycdwa_solve(obj, None, cfg)
-                times[bk] = (time.perf_counter() - t0) / args.passes
-            row = f"{name:<28s} " + " ".join(
-                f"{times[bk]:>10.4f} s" for bk in backends)
-            if len(backends) == 2:
-                row += f"   {times['numpy'] / times['numba']:>8.1f}x"
-            print(row)
-    finally:
-        _kernels.use_backend(prev)
-    if len(backends) == 1:
-        print("(numba not installed; numpy fallback only)")
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="polycd",
@@ -228,13 +172,6 @@ def main(argv=None):
     _add_problem_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench-kernels",
-                       help="compare the numba and numpy kernel backends")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--d", type=int, default=500)
-    p.add_argument("--passes", type=int, default=3)
-    p.set_defaults(func=_cmd_bench_kernels)
 
     args = parser.parse_args(argv)
     return args.func(args)

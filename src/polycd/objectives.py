@@ -55,7 +55,9 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     the bracket is bisected otherwise.  It stops when the bracket is at most
     tol wide or a Newton step at most tol / 4 long, after at most max_iter
     evaluations besides the two endpoint tests.  Flat stretches of phi'
-    resolve to the smallest minimizer.
+    resolve to the smallest minimizer.  The test of hi comes last, where
+    ``_kernels.hi_test_due`` says, and only if the search has not moved
+    the bracket off hi by then.
 
     The name is kept from the derivative-bisection version: it is public,
     and profiling wrappers hook this module attribute by name to count
@@ -66,15 +68,19 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     d, h = fn(lo)
     if d >= 0.0:
         return lo
-    if fn(hi)[0] <= 0.0:
-        return hi
     it = 0
+    hi_open = True
     a, b, x, done = _kernels.newton_step(lo, hi, lo, d, h, tol, max_iter > 0)
-    while not done:
+    while True:
+        if hi_open and _kernels.hi_test_due(a, b, x, done, hi, it):
+            hi_open = False
+            if fn(hi)[0] <= 0.0:
+                return hi
+        if done:
+            return x
         d, h = fn(x)
         it += 1
         a, b, x, done = _kernels.newton_step(a, b, x, d, h, tol, it < max_iter)
-    return x
 
 
 def _power_sigma_sq(matvec, rmatvec, dim, iters=100, seed=0):
@@ -134,8 +140,11 @@ class BoundObjective:
             self._last_refresh = self._steps
 
     @property
-    def steps_applied(self):
-        return self._steps
+    def L(self):
+        """The smoothness bound, estimated on first use unless given."""
+        if self._L_cached is None:
+            self._L_cached = self.estimate_smoothness()
+        return self._L_cached
 
     # kernel hooks; overridden where a compiled cycle kernel exists
     def kernel_name(self):
@@ -270,12 +279,6 @@ class LeastSquares(_CompositeObjective):
         self._col_terms = None  # (A'b, squared column norms), for ls_cycle
         self._L_cached = float(L) if L is not None else None
 
-    @property
-    def L(self):
-        if self._L_cached is None:
-            self._L_cached = self.estimate_smoothness()
-        return self._L_cached
-
     def _g_of(self, z):
         r = z - self.bvec
         return float(r @ r)
@@ -341,12 +344,6 @@ class Logistic(_CompositeObjective):
         if self.labels.shape != (self.n,):
             raise ValueError("labels must have one entry per row of A")
         self._L_cached = float(L) if L is not None else None
-
-    @property
-    def L(self):
-        if self._L_cached is None:
-            self._L_cached = self.estimate_smoothness()
-        return self._L_cached
 
     def _g_of(self, z):
         return float(np.logaddexp(0.0, -self.labels * z).sum())
@@ -430,15 +427,12 @@ class KdeHuber(BoundObjective):
         self._cols = {}
         self._init_state(poly, x0)
 
-    @property
-    def L(self):
-        if self._L_cached is None:
-            self._L_cached = self.estimate_smoothness()
-        return self._L_cached
-
     def kernel_column(self, j):
-        return _kernels.kde_column(self.X, self.xsq, j, self.kappa0,
-                                   self.inv2s2)
+        return self._columns(np.array([j]))[0]
+
+    def _columns(self, J):
+        return _kernels.kde_columns(self.X, self.xsq, J, self.kappa0,
+                                    self.inv2s2)
 
     def _column(self, j):
         # the last two columns built, by index and read-only: a line search
@@ -452,15 +446,14 @@ class KdeHuber(BoundObjective):
             kcol.flags.writeable = False
         return kcol
 
-    def matvec(self, v, block=512):
-        """K @ v in row blocks, never holding the full n x n matrix."""
+    def matvec(self, v, block=128):
+        """K @ v in row blocks (rows of K are its columns), never holding
+        more than block rows of K."""
         v = np.asarray(v, dtype=np.float64)
         out = np.empty(self.n)
         for lo in range(0, self.n, block):
             hi = min(lo + block, self.n)
-            sq = (self.xsq[lo:hi, None] - 2.0 * (self.X[lo:hi] @ self.X.T)
-                  + self.xsq[None, :])
-            out[lo:hi] = (self.kappa0 * np.exp(-sq * self.inv2s2)) @ v
+            out[lo:hi] = self._columns(np.arange(lo, hi)) @ v
         return out
 
     def refresh_cache(self):
@@ -579,19 +572,21 @@ class Quadratic(BoundObjective):
     """
 
     def __init__(self, Q, qlin=None, c0=0.0, poly=None, x0=None):
-        Q = np.asarray(Q, dtype=np.float64)
+        Q = np.ascontiguousarray(Q, dtype=np.float64)
+        _require_finite("Q", Q)
         Q = 0.5 * (Q + Q.T)
         self.Q = Q
         self.d = Q.shape[0]
         self.qlin = (np.zeros(self.d) if qlin is None
-                     else np.asarray(qlin, dtype=np.float64))
+                     else np.ascontiguousarray(qlin, dtype=np.float64))
+        _require_finite("q", self.qlin)
         self.c0 = float(c0)
         if poly is None:
             raise ValueError("Quadratic needs an explicit polytope")
         if poly.d != self.d:
             raise ValueError("objective/polytope dimension mismatch")
         evals = np.linalg.eigvalsh(Q)
-        self.L = max(float(np.abs(evals).max()), 1e-12)
+        self._L_cached = max(float(np.abs(evals).max()), 1e-12)
         self.mu = float(evals.min())
         self._QV = poly.vertex_matrix() @ Q  # row i = (Q v_i)'
         self._init_state(poly, x0)

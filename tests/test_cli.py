@@ -90,10 +90,3 @@ def test_verify_subcommand_wiring(monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "failed: stub" in out
-
-
-def test_bench_kernels_subcommand(capsys):
-    rc = main(["bench-kernels", "--n", "100", "--d", "20", "--passes", "1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "least-squares" in out and "kernel density" in out

@@ -80,6 +80,26 @@ def test_ls_cycle_single_pass_matches_manual_update():
     assert sq_out == pytest.approx(float(x2 @ x2), rel=1e-12)
 
 
+def test_kde_columns_match_dense_kernel_rows():
+    from polycd.verify import DenseKdeHuber
+
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((90, 2)) * 2.0
+    X[10] = X[3]
+    X[60] = X[3]
+    xsq = np.sum(X * X, axis=1)
+    for bw in (1.0, 0.6):
+        dense = DenseKdeHuber(X, bw, 0.4)
+        k0 = dense.kappa0
+        for J in ([3], [10, 3, 60], list(range(0, 90, 7)), [89, 89]):
+            J = np.array(J)
+            B = _kernels.kde_columns(X, xsq, J, k0, dense.inv2s2)
+            assert B.shape == (len(J), 90)
+            assert np.max(np.abs(B - dense._K[J])) <= 1e-15 * k0
+    # registered as a step helper, so the numba-readiness check walks it
+    assert "kde_columns" in _kernels._HELPERS
+
+
 # builtins that numba's nopython mode supports and the kernels call
 _NUMBA_BUILTINS = {"min", "max", "abs", "range", "float"}
 

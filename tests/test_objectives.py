@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
-                    StandardSimplex, bisect_line_min, grad_step_alpha)
+                    StandardSimplex, _kernels, bisect_line_min,
+                    grad_step_alpha)
 from polycd.verify import DenseKdeHuber, finite_diff_gradient, golden_section_min
 
 
@@ -65,7 +66,12 @@ def _with_nonfinite(shape, index, value):
     lambda: Logistic(_with_nonfinite((6, 3), (0, 0), np.nan),
                      np.ones(6), L1Ball(3, 1.0)),
     lambda: KdeHuber(_with_nonfinite((5, 2), (3, 1), np.nan), 1.0, 0.4),
-], ids=["ls-A-nan", "ls-b-inf", "logistic-A-nan", "kde-points-nan"])
+    lambda: Quadratic(_with_nonfinite((3, 3), (1, 2), np.nan), np.zeros(3),
+                      poly=StandardSimplex(3)),
+    lambda: Quadratic(np.eye(3), _with_nonfinite(3, 0, np.inf),
+                      poly=StandardSimplex(3)),
+], ids=["ls-A-nan", "ls-b-inf", "logistic-A-nan", "kde-points-nan",
+        "quad-Q-nan", "quad-q-inf"])
 def test_nonfinite_data_is_rejected(make):
     with pytest.raises(ValueError, match="non-finite"):
         make()
@@ -283,6 +289,82 @@ def test_newton_line_min_evaluation_budget():
         assert -5.0 <= a <= 1.0
 
 
+def _eager_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
+    """The same safeguarded Newton search with phi'(hi) tested right after
+    phi'(lo), before any Newton step."""
+    d, h = fn(lo)
+    if d >= 0.0:
+        return lo
+    if fn(hi)[0] <= 0.0:
+        return hi
+    it = 0
+    a, b, x, done = _kernels.newton_step(lo, hi, lo, d, h, tol, max_iter > 0)
+    while not done:
+        d, h = fn(x)
+        it += 1
+        a, b, x, done = _kernels.newton_step(a, b, x, d, h, tol, it < max_iter)
+    return x
+
+
+def _convex_phi(family, rng):
+    """A seeded convex phi as alpha -> (phi'(alpha), phi''(alpha))."""
+    if family == "huber-sum":
+        c = rng.uniform(-1.5, 2.5, 6)
+        w = rng.uniform(0.1, 2.0, 6)
+        mu = rng.uniform(0.05, 1.0)
+        return lambda a: (float(w @ np.clip(a - c, -mu, mu)),
+                          float(w @ (np.abs(a - c) < mu)))
+    if family == "logistic":
+        y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+        ym = y * rng.standard_normal(20)
+        yw = y * rng.standard_normal(20) * rng.uniform(0.1, 5.0)
+        return lambda a: _kernels.logistic_seg(
+            _kernels.sigmoid_neg(ym + a * yw), yw, yw * yw, True)
+    if family == "arctan":
+        c = rng.uniform(-1.5, 2.5)
+        k = 10.0 ** rng.uniform(-1.0, 2.0)
+        return lambda a: (float(np.arctan(k * (a - c))),
+                          k / (1.0 + (k * (a - c)) ** 2))
+    # phi' < 0 on the whole interval, concave: Newton steps fall short
+    s = rng.uniform(0.1, 3.0)
+    k = 10.0 ** rng.uniform(-1.0, 1.5)
+    return lambda a: (-s * np.exp(-k * a), s * k * np.exp(-k * a))
+
+
+@pytest.mark.parametrize("family",
+                         ["huber-sum", "logistic", "arctan", "negative"])
+def test_deferred_hi_test_matches_eager(family):
+    rng = np.random.default_rng(31)
+    at_hi = 0
+    evals = np.zeros(2, dtype=int)  # deferred, eager, where alpha < hi
+    for _ in range(200):
+        phi = _convex_phi(family, rng)
+        lo = -float(rng.uniform(0.0, 1.0)) if rng.random() < 0.5 else 0.0
+        hi = 1.0
+        eager, seen_e = _counted(phi)
+        deferred, seen_d = _counted(phi)
+        alpha = bisect_line_min(deferred, lo, hi)
+        assert alpha == _eager_line_min(eager, lo, hi)
+        assert seen_d.count(hi) <= 1
+        if phi(hi)[0] <= 0.0:
+            at_hi += 1
+            assert alpha == hi
+            # the Newton steps taken before the test are capped
+            assert len(seen_d) <= len(seen_e) + _kernels.HI_TEST_AFTER
+        else:
+            # the eager loop's evaluations in its order, less the one at
+            # hi where the bracket moved off hi first
+            assert ([a for a in seen_d if a != hi]
+                    == [a for a in seen_e if a != hi])
+            assert len(seen_d) <= len(seen_e)
+            evals += len(seen_d), len(seen_e)
+    if family == "negative":
+        assert at_hi == 200
+    else:
+        assert 0 < at_hi < 200
+        assert evals[0] < evals[1]
+
+
 def test_line_search_first_order_optimality():
     rng = np.random.default_rng(7)
     obj = random_logistic(seed=8)
@@ -460,6 +542,19 @@ def test_kde_cache_matches_dense_direct_evaluation():
     assert f_cached == pytest.approx(f_direct, rel=1e-9)
     # never materializes K: the production object has no dense attribute
     assert not hasattr(obj, "_K")
+
+
+def test_kde_matvec_matches_dense_product():
+    rng = np.random.default_rng(27)
+    # 300 points: two full row blocks and a partial one
+    pts = rng.standard_normal((300, 2)) * 2.0
+    pts[7] = pts[250]
+    obj = KdeHuber(pts, 0.8, 0.4)
+    dense = DenseKdeHuber(pts, 0.8, 0.4)
+    for v in (rng.random(300), rng.standard_normal(300), np.eye(300)[250]):
+        # relative to the product without cancellation, |K| |v|
+        scale = np.max(dense._K @ np.abs(v))
+        assert np.max(np.abs(obj.matvec(v) - dense._K @ v)) <= 1e-14 * scale
 
 
 def test_kde_tsq_nonnegative_invariant():
