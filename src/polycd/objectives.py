@@ -16,6 +16,9 @@ import numpy as np
 from . import _kernels
 from .polytope import StandardSimplex
 
+# rows of the kernel matrix that KdeHuber.matvec builds at a time
+KDE_MATVEC_BLOCK = 128
+
 
 class CacheConsistencyError(RuntimeError):
     pass
@@ -446,13 +449,13 @@ class KdeHuber(BoundObjective):
             kcol.flags.writeable = False
         return kcol
 
-    def matvec(self, v, block=128):
+    def matvec(self, v):
         """K @ v in row blocks (rows of K are its columns), never holding
-        more than block rows of K."""
+        more than KDE_MATVEC_BLOCK rows of K."""
         v = np.asarray(v, dtype=np.float64)
         out = np.empty(self.n)
-        for lo in range(0, self.n, block):
-            hi = min(lo + block, self.n)
+        for lo in range(0, self.n, KDE_MATVEC_BLOCK):
+            hi = min(lo + KDE_MATVEC_BLOCK, self.n)
             out[lo:hi] = self._columns(np.arange(lo, hi)) @ v
         return out
 

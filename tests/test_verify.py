@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from polycd import (L1Ball, LeastSquares, Quadratic, SolveConfig,
-                    StandardSimplex, polycd_solve)
+from polycd import (KdeHuber, L1Ball, LeastSquares, Quadratic, SolveConfig,
+                    StandardSimplex, polycd_solve, polycdwa_solve)
 from polycd.polytope import project_simplex
+from polycd.problems import KdeSpec, gen_kde
 from polycd.verify import (check_reduction_identity, check_sequence_lemma,
                            finite_diff_gradient, golden_section_min,
                            grid_line_min, grid_search_min,
                            reduction_sequences_from_steps, reference_solve,
-                           simplex_decompose)
+                           reference_solve_kde, simplex_decompose)
 
 
 def random_quadratic(M, seed, mu=0.0):
@@ -160,6 +163,46 @@ def test_reduction_identity_z_at_an_iterate():
     gs, xs = reduction_sequences_from_steps(quad, quad.poly, 4, rng)
     err = check_reduction_identity(gs, xs, xs[-1])
     assert np.isfinite(err) and err <= 1e-11
+
+
+# -- density reference ---------------------------------------------------------
+
+
+def test_reference_solve_kde_deterministic_and_certified():
+    X, _ = gen_kde(KdeSpec(n=100, seed=0))
+    ref = reference_solve_kde(X, 1.0, 0.4, afw_iters=100, rounds=10,
+                              cert_tol=1e-9)
+    again = reference_solve_kde(X, 1.0, 0.4, afw_iters=100, rounds=10,
+                                cert_tol=1e-9)
+    # bounded by iteration counts only: a rerun is bitwise the same
+    assert np.array_equal(ref.x, again.x)
+    assert ref.f == again.f and ref.fw_gap == again.fw_gap
+    assert ref.x.min() >= 0.0 and ref.x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert ref.converged
+    assert ref.fw_gap <= 1e-9 * max(abs(ref.f), 1.0)
+    # a long away-step run neither beats the certified interval nor ends
+    # below the reference value
+    obj = KdeHuber(X, 1.0, 0.4)
+    _, _, tr = polycdwa_solve(obj, None, SolveConfig(max_outer=200,
+                                                     rel_improve_tol=0.0))
+    f_best = min(r.f_value for r in tr)
+    assert ref.f <= f_best + 1e-12 * abs(f_best)
+    assert f_best >= ref.f - ref.fw_gap
+
+
+@pytest.mark.parametrize("case", ["one-point", "two-points", "triplicates"])
+def test_reference_solve_kde_degenerate_points_warning_free(case):
+    rng = np.random.default_rng(5)
+    points = {"one-point": np.zeros((1, 2)),
+              "two-points": rng.standard_normal((2, 2)),
+              "triplicates": np.repeat(rng.standard_normal((6, 2)), 3,
+                                       axis=0)}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = reference_solve_kde(points, 1.0, 0.4, afw_iters=50, rounds=5)
+    assert ref.x.shape == (len(points),)
+    assert ref.x.min() >= 0.0 and ref.x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(ref.f) and np.isfinite(ref.fw_gap)
 
 
 # -- 1D oracles -----------------------------------------------------------------
