@@ -321,25 +321,50 @@ def kde_slope(u, dvec, q, uj, kappa0, mu_h):
 
 
 @_jitable
-def kde_seg(alpha, P, R, C, mu_h, curv):
+def kde_work(n):
+    """The work rows that kde_seg writes into, for n sample points: T_i
+    (then m_i), T_i', r_i, the far-side curvature factor, and ones, so
+    that sum r_i is a dot product."""
+    W = np.empty((5, n))
+    W[4] = 1.0
+    return W
+
+
+@_jitable
+def kde_seg(alpha, P, R, C, mu_h, curv, W):
     """phi' and, if curv, phi'' of the kernel-weight objective along a move
     on which t_i^2 is the quadratic T_i(alpha) = P_i + alpha R_i
     + alpha^2 C.  With r_i = huber_ratio(t_i): phi' = 1/2 sum r_i T_i' and
-    phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i.
+    phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i.  Returns
+    Python floats.
 
-    Written with m_i = max(T_i, mu^2): the square root of a rounded mu^2
-    is mu, so sqrt(m_i) = max(t_i, mu) bit for bit, r_i = mu / sqrt(m_i),
-    and t_i > mu exactly where sqrt(m_i) > mu."""
-    T = P + alpha * (R + alpha * C)
-    Tp = R + (2.0 * alpha) * C
-    m = np.maximum(T, mu_h * mu_h)
-    st = np.sqrt(m)
-    ratio = mu_h / st
-    rTp = ratio * Tp
+    Every array operation writes into the rows of W (from kde_work) and
+    the sums are dot products, so an evaluation allocates nothing.  Written
+    with m_i = max(T_i, mu^2): the square root of a rounded mu^2 is mu
+    while mu^2 is a normal number (kde_scales checks it), so
+    sqrt(m_i) = max(t_i, mu) bit for bit, and r_i = mu / sqrt(m_i) is
+    exactly 1 where t_i <= mu and below 1 where t_i > mu (mu over a larger
+    number rounds to at most 1 - 2^-53).  So r_i - floor(r_i) is r_i on
+    the far side and 0 on the near side, with no mask."""
+    T = W[0]
+    Tp = W[1]
+    r = W[2]
+    F = W[3]
+    np.add(R, alpha * C, T)
+    np.multiply(T, alpha, T)
+    np.add(T, P, T)
+    np.add(R, (2.0 * alpha) * C, Tp)
+    np.fmax(T, mu_h * mu_h, T)
+    np.sqrt(T, r)
+    np.divide(mu_h, r, r)
+    d = 0.5 * float(np.dot(r, Tp))
     if not curv:
-        return 0.5 * rTp.sum(), 0.0
-    return (0.5 * rTp.sum(),
-            C * ratio.sum() - 0.25 * np.dot(rTp * (st > mu_h), Tp / m))
+        return d, 0.0
+    np.floor(r, F)
+    np.subtract(r, F, F)
+    np.multiply(F, Tp, F)
+    np.divide(F, T, F)
+    return (d, C * float(np.dot(r, W[4])) - 0.25 * float(np.dot(F, Tp)))
 
 
 @_jitable
@@ -353,7 +378,7 @@ def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
         x[j] = s
         return s * s
     z += alpha * w
-    xj = x[j]
+    xj = float(x[j])
     x *= 1.0 - alpha
     x[j] += alpha * s
     return ((1.0 - alpha) ** 2 * sq_x
@@ -370,7 +395,7 @@ def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
         q = kappa0
     else:
         q = ((1.0 - alpha) ** 2 * q
-             + 2.0 * alpha * (1.0 - alpha) * u[j]
+             + 2.0 * alpha * (1.0 - alpha) * float(u[j])
              + alpha * alpha * kappa0)
     return q, vertex_move(wv, j, 1.0, alpha, sq_w, u, kcol, dvec)
 
@@ -666,32 +691,45 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     wv holds the weights, u caches K wv and q caches wv' K wv; kernel-matrix
     columns are recomputed from the sample points X (row square norms in
     xsq), LS_BLOCK visit positions at a time with one kde_columns call, so
-    K itself is never materialized.  Returns (q, sq_w).
+    K itself is never materialized.  The line search's rows are allocated
+    once per pass (kde_work), and a step reads its scalars as Python
+    floats.  Returns (q, sq_w).
     """
     M = order.shape[0]
+    n = u.shape[0]
+    q = float(q)
+    sq_w = float(sq_w)
+    # rows for dvec = K e_j - u, P = q - 2u + kappa0 and R, built in place
+    rows = np.empty((3, n))
+    dvec = rows[0]
+    P = rows[1]
+    R = rows[2]
+    W = kde_work(n)
     for p in range(0, M, LS_BLOCK):
         Kb = kde_columns(X, xsq, order[p:p + LS_BLOCK], kappa0, inv2s2)
         for idx in range(p, min(p + LS_BLOCK, M)):
             j = order[idx]
-            uj = u[j]
-            c = sq_w - 2.0 * wv[j] + 1.0
+            uj = float(u[j])
+            c = sq_w - 2.0 * float(wv[j]) + 1.0
             if is_degenerate(c, sq_w + 1.0):
                 continue
             kcol = Kb[idx - p]
-            dvec = kcol - u
+            np.subtract(kcol, u, dvec)
             lo = 0.0
             capped = False
             if away:
-                lo, capped = away_interval(lam[j], gamma_cap)
+                lo, capped = away_interval(float(lam[j]), gamma_cap)
 
             if grad_rule:
                 alpha = grad_step(kde_slope(u, dvec, q, uj, kappa0, mu_h), c,
                                   L, lo, 1.0)
             else:
-                P = (q + kappa0) - 2.0 * u
-                R = 2.0 * (uj - q) - 2.0 * dvec
+                np.multiply(u, -2.0, P)
+                np.add(P, q + kappa0, P)
+                np.multiply(dvec, -2.0, R)
+                np.add(R, 2.0 * (uj - q), R)
                 C = q - 2.0 * uj + kappa0
-                d, h = kde_seg(lo, P, R, C, mu_h, True)
+                d, h = kde_seg(lo, P, R, C, mu_h, True, W)
                 alpha = lo
                 if d < 0.0:
                     it = 0
@@ -701,12 +739,12 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                     while True:
                         if hi_open and hi_test_due(a, b, alpha, done, 1.0, it):
                             hi_open = False
-                            if kde_seg(1.0, P, R, C, mu_h, False)[0] <= 0.0:
+                            if kde_seg(1.0, P, R, C, mu_h, False, W)[0] <= 0.0:
                                 alpha = 1.0
                                 break
                         if done:
                             break
-                        d, h = kde_seg(alpha, P, R, C, mu_h, True)
+                        d, h = kde_seg(alpha, P, R, C, mu_h, True, W)
                         it += 1
                         a, b, alpha, done = newton_step(
                             a, b, alpha, d, h, ls_tol, it < ls_max_iter)

@@ -399,6 +399,35 @@ def huber(t, mu):
     return np.where(t <= mu, 0.5 * t * t, mu * t - 0.5 * mu * mu)
 
 
+def kde_scales(bandwidth, huber_mu, dim):
+    """(kappa0, 1/(2 bandwidth^2)): the scale and the exponent factor of the
+    Gaussian kernel of the given bandwidth in dimension dim, for float
+    parameters.  ValueError, naming the parameter at fault, unless both
+    parameters are positive, kappa0 and 1/(2 bandwidth^2) are finite and
+    positive, and huber_mu^2 is a normal number."""
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
+    if not huber_mu > 0:
+        raise ValueError("huber_mu must be positive")
+    # kde_seg relies on sqrt(fl(mu^2)) == mu, which holds while mu^2 is a
+    # normal number
+    if not np.finfo(np.float64).tiny <= huber_mu * huber_mu < np.inf:
+        raise ValueError(f"huber_mu {huber_mu!r} is not finite or its square "
+                         "overflows or underflows")
+    try:
+        var = bandwidth ** 2
+        kappa0 = (2.0 * np.pi * var) ** (-dim / 2.0)
+        inv2s2 = 1.0 / (2.0 * var)
+    except (OverflowError, ZeroDivisionError):
+        kappa0 = inv2s2 = 0.0
+    if not (0.0 < kappa0 < np.inf and 0.0 < inv2s2 < np.inf):
+        raise ValueError(
+            f"bandwidth {bandwidth!r} gives a kernel scale kappa0 or exponent "
+            f"1/(2 bandwidth^2) that is not finite and positive for points "
+            f"in dimension {dim}")
+    return kappa0, inv2s2
+
+
 class KdeHuber(BoundObjective):
     """Robust kernel-weight objective over the simplex of sample weights.
 
@@ -413,14 +442,10 @@ class KdeHuber(BoundObjective):
         _require_finite("points", X)
         self.X = X
         self.n, self.dim_pts = X.shape
-        if not bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        if not huber_mu > 0:
-            raise ValueError("huber threshold must be positive")
         self.bandwidth = float(bandwidth)
         self.mu_h = float(huber_mu)
-        self.kappa0 = float((2.0 * np.pi * bandwidth ** 2) ** (-self.dim_pts / 2.0))
-        self.inv2s2 = 1.0 / (2.0 * bandwidth ** 2)
+        self.kappa0, self.inv2s2 = kde_scales(self.bandwidth, self.mu_h,
+                                              self.dim_pts)
         self.xsq = np.sum(X * X, axis=1)
         if poly is None:
             poly = StandardSimplex(self.n)
@@ -503,7 +528,8 @@ class KdeHuber(BoundObjective):
         # (phi', phi'') along a move on which t_i^2 is the quadratic
         # T_i(a) = P_i + a R_i + a^2 C, P = q - 2u + kappa0
         P = (self.q + self.kappa0) - 2.0 * self.u
-        return lambda a: _kernels.kde_seg(a, P, R, C, self.mu_h, True)
+        W = _kernels.kde_work(self.n)
+        return lambda a: _kernels.kde_seg(a, P, R, C, self.mu_h, True, W)
 
     def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
         if hi < lo:
@@ -511,7 +537,7 @@ class KdeHuber(BoundObjective):
         c = self.sq_x - 2.0 * self.x[i] + 1.0
         if c <= 0.0:
             return lo
-        ui = self.u[i]
+        ui = float(self.u[i])
         R = 2.0 * (ui - self.q) - 2.0 * (self._column(i) - self.u)
         C = self.q - 2.0 * ui + self.kappa0
         return bisect_line_min(self._seg_derivs(R, C), lo, hi,
@@ -528,7 +554,7 @@ class KdeHuber(BoundObjective):
     def pair_line_search(self, i, j, lo, hi):
         ki = self._column(i)
         kj = self._column(j)
-        curv = ki[i] - 2.0 * ki[j] + kj[j]
+        curv = float(ki[i] - 2.0 * ki[j] + kj[j])
         R = 2.0 * (self.u[i] - self.u[j]) - 2.0 * (ki - kj)
         return bisect_line_min(self._seg_derivs(R, curv), lo, hi)
 

@@ -279,8 +279,8 @@ class L1Ball(VertexPolytope):
     def __init__(self, d, radius):
         if d < 1:
             raise PolytopeError("l1 ball dimension must be >= 1")
-        if not radius > 0:
-            raise PolytopeError("l1 ball radius must be positive")
+        if not (np.isfinite(radius) and radius > 0):
+            raise PolytopeError("l1 ball radius must be positive and finite")
         self.d = int(d)
         self.radius = float(radius)
         self.M = 2 * int(d)

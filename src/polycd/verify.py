@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .baselines import BaselineConfig, afw_solve
-from .objectives import KdeHuber
+from .objectives import KdeHuber, kde_scales
 from .polytope import L1Ball, StandardSimplex, project_simplex
 
 
@@ -184,7 +184,7 @@ class DenseKdeHuber(KdeHuber):
         X = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
         xsq = np.sum(X * X, axis=1)
         dim = X.shape[1]
-        kappa0 = float((2.0 * np.pi * bandwidth ** 2) ** (-dim / 2.0))
+        kappa0, _ = kde_scales(float(bandwidth), float(huber_mu), dim)
         sq = np.maximum(xsq[:, None] - 2.0 * (X @ X.T) + xsq[None, :], 0.0)
         self._K = kappa0 * np.exp(-sq / (2.0 * bandwidth ** 2))
         super().__init__(points, bandwidth, huber_mu, poly=poly, x0=x0, L=L)

@@ -100,6 +100,71 @@ def test_kde_columns_match_dense_kernel_rows():
     assert "kde_columns" in _kernels._HELPERS
 
 
+def _kde_seg_reference(alpha, P, R, C, mu_h):
+    """phi' and phi'' of the kernel-weight objective along a move, written
+    out with temporaries: t_i = sqrt(T_i), r_i = mu / max(t_i, mu)."""
+    T = P + alpha * (R + alpha * C)
+    Tp = R + 2.0 * alpha * C
+    t = np.sqrt(np.maximum(T, 0.0))
+    r = mu_h / np.maximum(t, mu_h)
+    far = t > mu_h
+    d = 0.5 * np.sum(r * Tp)
+    h = C * np.sum(r) - 0.25 * np.sum(r[far] * Tp[far] ** 2 / T[far])
+    return d, h, T
+
+
+def test_kde_seg_matches_reference_formula():
+    import tracemalloc
+
+    from polycd import KdeHuber
+
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((80, 2)) * 1.5
+    j = 5
+    X[11] = X[j]  # duplicates of the target point: T cancels at alpha = 1
+    X[40] = X[j]
+    obj = KdeHuber(X, 1.0, 0.4)
+    w = rng.random(80) ** 4
+    w[j] = 0.3
+    obj.reset(w / w.sum())
+    mu = obj.mu_h
+    u, q, k0 = obj.u, obj.q, obj.kappa0
+    P = (q + k0) - 2.0 * u
+    R = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
+    C = float(q - 2.0 * u[j] + k0)
+    lo = -0.3
+    W = _kernels.kde_work(80)
+    for alpha in (lo, 0.37, 1.0):
+        Pa, Ra = P.copy(), R.copy()
+        # a point with T exactly mu^2: alpha (R_0 + alpha C) is exactly 0
+        Ra[0] = -(alpha * C)
+        Pa[0] = mu * mu
+        d_ref, h_ref, T = _kde_seg_reference(alpha, Pa, Ra, C, mu)
+        assert T[0] == mu * mu
+        assert np.any(T < mu * mu) and np.any(T > mu * mu)
+        if alpha == 1.0:
+            assert T[11] <= 0.0 or T[40] <= 0.0
+        d, h = _kernels.kde_seg(alpha, Pa, Ra, C, mu, True, W)
+        assert type(d) is float and type(h) is float
+        assert abs(d - d_ref) <= 1e-13 * abs(d_ref)
+        assert abs(h - h_ref) <= 1e-13 * abs(h_ref)
+        assert _kernels.kde_seg(alpha, Pa, Ra, C, mu, False, W) == (d, 0.0)
+    # an evaluation writes into W and allocates no n-length array
+    n = 4000
+    P4, R4 = np.tile(P, 50), np.tile(R, 50)
+    W4 = _kernels.kde_work(n)
+    _kernels.kde_seg(0.37, P4, R4, C, mu, True, W4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _kernels.kde_seg(0.37, P4, R4, C, mu, True, W4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+
+
 # builtins that numba's nopython mode supports and the kernels call
 _NUMBA_BUILTINS = {"min", "max", "abs", "range", "float"}
 

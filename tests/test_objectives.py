@@ -6,6 +6,7 @@ import pytest
 from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
                     StandardSimplex, _kernels, bisect_line_min,
                     grad_step_alpha)
+from polycd.problems import KdeSpec, gen_kde
 from polycd.verify import DenseKdeHuber, finite_diff_gradient, golden_section_min
 
 
@@ -75,6 +76,26 @@ def _with_nonfinite(shape, index, value):
 def test_nonfinite_data_is_rejected(make):
     with pytest.raises(ValueError, match="non-finite"):
         make()
+
+
+@pytest.mark.parametrize("bandwidth,huber_mu,dim,name", [
+    (np.inf, 0.4, 2, "bandwidth"),
+    (np.nan, 0.4, 2, "bandwidth"),
+    (1e-300, 0.4, 2, "bandwidth"),  # bandwidth^2 underflows to 0
+    (1e200, 0.4, 2, "bandwidth"),  # bandwidth^2 overflows
+    (1.0, 0.4, 1000, "bandwidth"),  # kappa0 underflows in dimension 1000
+    (1.0, np.inf, 2, "huber_mu"),
+    (1.0, np.nan, 2, "huber_mu"),
+    (1.0, 1e-160, 2, "huber_mu"),  # mu^2 underflows
+], ids=["bw-inf", "bw-nan", "bw-tiny", "bw-huge", "bw-high-dim", "mu-inf",
+        "mu-nan", "mu-tiny"])
+def test_kde_parameters_are_rejected(bandwidth, huber_mu, dim, name):
+    X, _ = gen_kde(KdeSpec(n=100, seed=0))
+    if dim != X.shape[1]:
+        X = np.random.default_rng(0).standard_normal((5, dim))
+    for cls in (KdeHuber, DenseKdeHuber):
+        with pytest.raises(ValueError, match=name):
+            cls(X, bandwidth, huber_mu)
 
 
 def test_segment_query_hand_gradient():

@@ -66,6 +66,12 @@ def test_l1ball_vertex_order_interleaved():
         assert p.contains(p.vertex(i))
 
 
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
+def test_l1ball_rejects_nonpositive_or_nonfinite_radius(radius):
+    with pytest.raises(PolytopeError, match="radius"):
+        L1Ball(3, radius)
+
+
 def test_explicit_vertices_passthrough():
     p = ExplicitVertices([(1.0, 1.0), (0.0, 2.0)])
     assert np.array_equal(p.vertex(0), [1.0, 1.0])
