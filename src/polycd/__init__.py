@@ -1,7 +1,7 @@
 """Solvers and benchmarks for smooth convex minimization over
 vertex-enumerated polytopes."""
 
-from ._kernels import active_backend, use_backend, HAVE_NUMBA
+from ._kernels import active_backend, HAVE_NUMBA
 from .polytope import (
     ExplicitVertices,
     L1Ball,
@@ -48,6 +48,5 @@ __all__ = [
     "TraceRecord", "UnsupportedSizeError", "VertexPolytope",
     "active_backend", "away_gamma", "bisect_line_min", "check_linear_bound",
     "check_sublinear_bound", "grad_step_alpha", "polycd_solve",
-    "polycdwa_solve", "project_l1_ball", "project_simplex", "use_backend",
-    "weight_refresh",
+    "polycdwa_solve", "project_l1_ball", "project_simplex", "weight_refresh",
 ]

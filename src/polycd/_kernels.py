@@ -1,138 +1,31 @@
-"""Hot inner-loop kernels with a numba backend and a pure-numpy fallback.
+"""Hot inner-loop kernels, one per objective family, in plain numpy.
 
 Each kernel runs one full outer pass (one sweep over the vertex visit
 order) of the cyclic solver for one objective family, mutating the iterate
-and its cached quantities in place.  The same source serves both backends:
-the bodies are written in the numpy subset that numba's ``njit`` compiles,
-so the fallback is simply the uncompiled function.
+and its cached quantities in place.
 
 The step math that every vertex step shares is written once, as the
-helpers below the backend machinery: the away interval, the drop snap and
-the weight update, the 1D gradient rule, one step of the safeguarded Newton
-line search, the segment derivatives of the logistic and kernel-density
-losses, and the move of the iterate toward a coordinate vertex.  The
-kernels, the per-step path of the solvers, the away-step Frank-Wolfe
-baseline and the objective methods all call them.  Each helper carries the
-``_jitable`` decorator: numba's ``register_jitable`` when numba imports, so
-that compiled kernels call it, and the identity otherwise.  No helper takes
-a function argument, which nopython mode could not type for a plain Python
-callable: a line search is a short loop in its caller that evaluates the
-segment derivatives itself and hands each evaluation to ``newton_step``.
-
-Backend selection: the environment variable ``POLYCD_NUMBA`` ("0"/"off" to
-force the numpy path, "1"/"on" to require numba) sets the default at import
-time; :func:`use_backend` switches it at runtime, which the
-backend-equivalence tests rely on.
+helpers below: the away interval, the drop snap and the weight update, the
+1D gradient rule, the safeguarded Newton line search (newton_step,
+hi_test_due and the loop line_min), the segment derivatives of the
+logistic and kernel-density losses, and the move of the iterate toward a
+coordinate vertex.  The kernels, the per-step path of the solvers, the
+away-step Frank-Wolfe baseline and the objective methods all call them.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-    from numba.extending import register_jitable
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-_TRUTHY = ("1", "true", "on", "yes")
-_FALSY = ("0", "false", "off", "no")
-
-
-def _default_backend():
-    env = os.environ.get("POLYCD_NUMBA", "").strip().lower()
-    if env in _FALSY:
-        return "numpy"
-    if env in _TRUTHY:
-        if not HAVE_NUMBA:
-            raise ImportError("POLYCD_NUMBA requests numba but numba is not installed")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _default_backend()
-_PY_FUNCS = {}
-_JIT_FUNCS = {}
-
-
-def use_backend(name):
-    """Select 'numba' or 'numpy' for all subsequent kernel lookups."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    _BACKEND = name
+# provenance that run records report: the kernels run as plain numpy
+HAVE_NUMBA = False
 
 
 def active_backend():
-    return _BACKEND
+    return "numpy"
 
 
-def _register(fn):
-    _PY_FUNCS[fn.__name__] = fn
-    return fn
-
-
-def kernel(name, backend=None):
-    """Return the kernel implementation for the active (or given) backend."""
-    backend = backend or _BACKEND
-    if backend == "numpy":
-        return _PY_FUNCS[name]
-    jit = _JIT_FUNCS.get(name)
-    if jit is None:
-        jit = numba.njit(cache=True)(_PY_FUNCS[name])
-        _JIT_FUNCS[name] = jit
-    return jit
-
-
-def warmup(names=None):
-    """Compile the named kernels (all by default) by running them on tiny
-    synthetic inputs with the production argument types, so that timed
-    sections never include JIT latency.  Compiled artifacts are disk-cached,
-    making this near-instant after the first session."""
-    if not HAVE_NUMBA:
-        return
-    n, d = 6, 3
-    rng = np.random.default_rng(0)
-    A_cols = rng.standard_normal((d, n))
-    bvec = rng.standard_normal(n)
-    ylab = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    X = rng.standard_normal((n, 2))
-    xsq = np.sum(X * X, axis=1)
-    coords = np.repeat(np.arange(d, dtype=np.int64), 2)
-    scales = np.tile(np.array([1.0, -1.0]), d)
-    order = np.arange(2 * d, dtype=np.int64)
-    korder = np.arange(n, dtype=np.int64)
-    for name in names or list(_PY_FUNCS):
-        fn = kernel(name, backend="numba")
-        for grad_rule in (False, True):
-            for away in (False, True):
-                lam = np.zeros(2 * d)
-                lam[0] = 1.0
-                x = np.zeros(d)
-                x[0] = 1.0
-                z = A_cols[0].copy()
-                if name == "ls_cycle":
-                    fn(A_cols, bvec, z, x, lam, order, coords, scales,
-                       grad_rule, away, 1.0, 1.0, 1e12, 1e-14,
-                       A_cols @ bvec, np.sum(A_cols * A_cols, axis=1))
-                elif name == "logistic_cycle":
-                    fn(A_cols, ylab, z, x, lam, order, coords, scales,
-                       grad_rule, away, 1.0, 1.0, 1e12, 1e-14, 1e-12, 200)
-                elif name == "kde_cycle":
-                    kappa0, inv2s2 = 0.15, 0.5
-                    u = kappa0 * np.exp(-(xsq - 2 * X @ X[0] + xsq[0]) * inv2s2)
-                    wv = np.zeros(n)
-                    wv[0] = 1.0
-                    klam = np.zeros(n)
-                    klam[0] = 1.0
-                    fn(X, xsq, u, wv, klam, korder, grad_rule, away,
-                       1.0, kappa0, inv2s2, 0.4, kappa0, 1.0,
-                       1e12, 1e-14, 1e-12, 200)
+def kernel(name):
+    """Return the cycle kernel called name."""
+    return _KERNELS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +50,12 @@ _DEGENERATE_REL = 1e-13
 # snap-to-drop tolerance around alpha = -gamma_i
 DROP_TOL = 1e-14
 
-_HELPERS = {}
-
-
-def _jitable(fn):
-    """Register fn as a shared step helper, callable from compiled kernels
-    under numba and a plain Python function otherwise."""
-    _HELPERS[fn.__name__] = fn
-    return register_jitable(fn) if HAVE_NUMBA else fn
-
-
-@_jitable
 def is_degenerate(c, scale):
     """Whether a segment with c = ||v - x||^2 counts as degenerate, where
     scale = ||x||^2 + ||v||^2."""
     return c <= _DEGENERATE_REL * scale
 
 
-@_jitable
 def away_interval(lam_i, gamma_cap):
     """(lo, capped): the low end -min(gamma_i, gamma_cap) of the away-step
     interval toward a vertex of weight lam_i, and whether the cap binds."""
@@ -186,7 +67,6 @@ def away_interval(lam_i, gamma_cap):
     return -gma, False
 
 
-@_jitable
 def snap_drop(alpha, lo, capped, drop_tol):
     """(alpha, dropped): an away step within drop_tol of lo = -gamma_i is
     the drop step alpha = lo, after which the weight is an exact zero.  A
@@ -196,7 +76,6 @@ def snap_drop(alpha, lo, capped, drop_tol):
     return alpha, False
 
 
-@_jitable
 def reweight(lam, i, alpha, dropped):
     """Update the weights in place for the step alpha toward vertex i."""
     lam *= 1.0 - alpha
@@ -206,7 +85,6 @@ def reweight(lam, i, alpha, dropped):
         lam[i] += alpha
 
 
-@_jitable
 def grad_step(b, c, L, lo, hi):
     """The 1D gradient rule: the minimizer over [lo, hi] of
     alpha b + (L/2) alpha^2 c, for c > 0."""
@@ -218,7 +96,6 @@ def grad_step(b, c, L, lo, hi):
     return alpha
 
 
-@_jitable
 def newton_step(a, b, x, d, h, tol, more):
     """One step of the safeguarded Newton line search ("rtsafe", Numerical
     Recipes 9.4) on phi' of a convex phi.
@@ -230,9 +107,9 @@ def newton_step(a, b, x, d, h, tol, more):
     evaluation budget is spent), giving its midpoint, or the Newton step is
     at most tol / 4 long, giving its end.  Otherwise x is the next point to
     evaluate: the Newton step if it lands strictly inside the bracket, the
-    midpoint if not.  The caller tests lo first (phi'(lo) >= 0 gives lo),
-    so flat stretches of phi' resolve to the smallest minimizer, starts
-    from x = a = lo with b = hi, and tests hi where hi_test_due says.
+    midpoint if not.  Its caller line_min tests lo first, so flat stretches
+    of phi' resolve to the smallest minimizer, starts from x = a = lo with
+    b = hi, and tests hi where hi_test_due says.
     """
     if d >= 0.0:
         b = x
@@ -255,7 +132,6 @@ def newton_step(a, b, x, d, h, tol, more):
 HI_TEST_AFTER = 3
 
 
-@_jitable
 def hi_test_due(a, b, x, done, hi, it):
     """Whether a line search that started newton_step on [lo, hi] without
     testing hi must test it now, before it evaluates or returns x; it
@@ -272,13 +148,39 @@ def hi_test_due(a, b, x, done, hi, it):
     return b == hi and (done or x == 0.5 * (a + b) or it >= HI_TEST_AFTER)
 
 
-@_jitable
+def line_min(seg, lo, hi, d, h, tol, max_iter):
+    """Minimize a convex phi on [lo, hi] by safeguarded Newton on phi',
+    given d = phi'(lo) and h = phi''(lo); seg(alpha, curv) returns phi'
+    and, if curv, phi'' at alpha (else 0).
+
+    Unless phi'(lo) < 0, which a NaN is not, the minimizer is lo.
+    Otherwise newton_step runs from lo on the bracket [lo, hi] for at most
+    max_iter evaluations inside it, and hi is tested at most once, with
+    curv False, where hi_test_due says: phi'(hi) <= 0 makes hi the
+    minimizer.
+    """
+    if not d < 0.0:
+        return lo
+    it = 0
+    hi_open = True
+    a, b, x, done = newton_step(lo, hi, lo, d, h, tol, max_iter > 0)
+    while True:
+        if hi_open and hi_test_due(a, b, x, done, hi, it):
+            hi_open = False
+            if seg(hi, False)[0] <= 0.0:
+                return hi
+        if done:
+            return x
+        d, h = seg(x, True)
+        it += 1
+        a, b, x, done = newton_step(a, b, x, d, h, tol, it < max_iter)
+
+
 def sigmoid_neg(m):
     """1 / (1 + exp(m)), saturating instead of overflowing."""
     return 1.0 / (1.0 + np.exp(np.minimum(m, 700.0)))
 
 
-@_jitable
 def logistic_seg(sig, yw, yw2, curv):
     """phi' and, if curv, phi'' of phi(alpha) = f(z + alpha w) for the
     logistic loss, at the alpha where sig = sigmoid_neg(y (z + alpha w));
@@ -288,13 +190,11 @@ def logistic_seg(sig, yw, yw2, curv):
     return -np.dot(sig, yw), np.dot(sig * (1.0 - sig), yw2)
 
 
-@_jitable
 def huber_ratio(t, mu_h):
     """huber'(t) / t for t >= 0: 1 on [0, mu_h], mu_h / t beyond."""
     return mu_h / np.maximum(t, mu_h)
 
 
-@_jitable
 def kde_columns(X, xsq, J, kappa0, inv2s2):
     """Rows J of the Gaussian kernel matrix K of the points X, whose row
     square norms are xsq, as a (len(J), n) block; K is symmetric, so row j
@@ -312,7 +212,6 @@ def kde_columns(X, xsq, J, kappa0, inv2s2):
     return B
 
 
-@_jitable
 def kde_slope(u, dvec, q, uj, kappa0, mu_h):
     """b = <grad f(w), e_j - w> of the kernel-weight objective, where
     u = K w, q = w'Kw, uj = u_j and dvec = K e_j - u."""
@@ -320,7 +219,6 @@ def kde_slope(u, dvec, q, uj, kappa0, mu_h):
     return (uj - q) * ratio.sum() - np.dot(ratio, dvec)
 
 
-@_jitable
 def kde_work(n):
     """The work rows that kde_seg writes into, for n sample points: T_i
     (then m_i), T_i', r_i, the far-side curvature factor, and ones, so
@@ -330,7 +228,6 @@ def kde_work(n):
     return W
 
 
-@_jitable
 def kde_seg(alpha, P, R, C, mu_h, curv, W):
     """phi' and, if curv, phi'' of the kernel-weight objective along a move
     on which t_i^2 is the quadratic T_i(alpha) = P_i + alpha R_i
@@ -367,7 +264,6 @@ def kde_seg(alpha, P, R, C, mu_h, curv, W):
     return (d, C * float(np.dot(r, W[4])) - 0.25 * float(np.dot(F, Tp)))
 
 
-@_jitable
 def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
     """Move x by the step alpha toward the coordinate vertex s e_j, in
     place, and with it its cache z toward zv, the cache at the vertex,
@@ -386,7 +282,6 @@ def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
             + alpha * alpha * s * s)
 
 
-@_jitable
 def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
     """vertex_move for the kernel-weight objective, toward e_j: the caches
     are u = K w (kcol = K e_j, dvec = kcol - u) and q = w'Kw.  Returns
@@ -417,7 +312,6 @@ _LS_CANCEL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@_register
 def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
              grad_rule, away, L, sq_x, gamma_cap, drop_tol, Atb, col_sq):
     """One outer pass on f(x) = ||A x - b||^2.
@@ -440,8 +334,8 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
     J = vcoord[order]
     S = vscale[order]
     SB = S * Atb[J]
-    # scalars as Python floats: the numpy backend's scalar arithmetic is
-    # several times faster on them (a no-op under numba)
+    # scalars as Python floats: arithmetic on them is several times faster
+    # than on numpy scalars
     sq_x = float(sq_x)
     zz = float(np.dot(z, z))
     zb = float(np.dot(z, bvec))
@@ -533,7 +427,6 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
     return sq_x
 
 
-@_register
 def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                    grad_rule, away, L, sq_x, gamma_cap, drop_tol,
                    ls_tol, ls_max_iter):
@@ -562,18 +455,9 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     # 4 (n + 2) rounding units: twice the bound on either phi'(0)'s error
     tie = 4.0 * (z.shape[0] + 2)
     ym = ylab * z
-    # sig and the screen's sy and zs hold for the current z while *_ok;
-    # every variable is bound before the loop for numba's type inference
-    sig = ym
+    # sig and the screen's sy and zs hold for the current z while *_ok
     sig_ok = False
-    sy = ym
-    zs = 0.0
     scr_ok = False
-    Ab = A_cols[J[:0]]
-    cm = S[:0]
-    held = S[:0] < 0.0
-    cand = held
-    base = 0
     ncand = 0  # candidates of the previous block
     nprev = 0
     p = 0
@@ -642,26 +526,10 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                 # at lo = 0, ym + lo * yw is ym: the segment's sig is this sig
                 slo = sig if lo == 0.0 else sigmoid_neg(ym + lo * yw)
                 d, h = logistic_seg(slo, yw, yw2, True)
-                alpha = lo
-                if d < 0.0:
-                    it = 0
-                    hi_open = True
-                    a, b, alpha, done = newton_step(lo, 1.0, lo, d, h, ls_tol,
-                                                    ls_max_iter > 0)
-                    while True:
-                        if hi_open and hi_test_due(a, b, alpha, done, 1.0, it):
-                            hi_open = False
-                            if logistic_seg(sigmoid_neg(ym + yw), yw, yw2,
-                                            False)[0] <= 0.0:
-                                alpha = 1.0
-                                break
-                        if done:
-                            break
-                        d, h = logistic_seg(sigmoid_neg(ym + alpha * yw),
-                                            yw, yw2, True)
-                        it += 1
-                        a, b, alpha, done = newton_step(
-                            a, b, alpha, d, h, ls_tol, it < ls_max_iter)
+                alpha = line_min(
+                    lambda a, curv: logistic_seg(sigmoid_neg(ym + a * yw),
+                                                 yw, yw2, curv),
+                    lo, 1.0, d, h, ls_tol, ls_max_iter)
             if lo != 0.0 or alpha > 0.0:
                 ncand += 1
             dropped = False
@@ -682,7 +550,6 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     return sq_x
 
 
-@_register
 def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
               L, kappa0, inv2s2, mu_h, q, sq_w, gamma_cap, drop_tol,
               ls_tol, ls_max_iter):
@@ -730,24 +597,9 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                 np.add(R, 2.0 * (uj - q), R)
                 C = q - 2.0 * uj + kappa0
                 d, h = kde_seg(lo, P, R, C, mu_h, True, W)
-                alpha = lo
-                if d < 0.0:
-                    it = 0
-                    hi_open = True
-                    a, b, alpha, done = newton_step(lo, 1.0, lo, d, h, ls_tol,
-                                                    ls_max_iter > 0)
-                    while True:
-                        if hi_open and hi_test_due(a, b, alpha, done, 1.0, it):
-                            hi_open = False
-                            if kde_seg(1.0, P, R, C, mu_h, False, W)[0] <= 0.0:
-                                alpha = 1.0
-                                break
-                        if done:
-                            break
-                        d, h = kde_seg(alpha, P, R, C, mu_h, True, W)
-                        it += 1
-                        a, b, alpha, done = newton_step(
-                            a, b, alpha, d, h, ls_tol, it < ls_max_iter)
+                alpha = line_min(
+                    lambda a, curv: kde_seg(a, P, R, C, mu_h, curv, W),
+                    lo, 1.0, d, h, ls_tol, ls_max_iter)
             dropped = False
             if away:
                 alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
@@ -759,3 +611,6 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             if away:
                 reweight(lam, j, alpha, dropped)
     return q, sq_w
+
+
+_KERNELS = {fn.__name__: fn for fn in (ls_cycle, logistic_cycle, kde_cycle)}

@@ -35,6 +35,10 @@ class BaselineConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
+        if self.window is not None and self.window < 1:
+            raise ValueError("window must be >= 1 or None")
 
 
 def _over_budget(cfg, t0):

@@ -51,16 +51,14 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     """Minimize a convex 1D function phi on [lo, hi]; fn(alpha) returns
     (phi'(alpha), phi''(alpha)).
 
-    Safeguarded Newton on phi' (``_kernels.newton_step``, which the
-    kernels' line searches share): the bracket [a, b] with
-    phi'(a) < 0 <= phi'(b) is updated by the sign of every evaluation, a
-    Newton step is taken only when it lands strictly inside the bracket and
-    the bracket is bisected otherwise.  It stops when the bracket is at most
-    tol wide or a Newton step at most tol / 4 long, after at most max_iter
-    evaluations besides the two endpoint tests.  Flat stretches of phi'
-    resolve to the smallest minimizer.  The test of hi comes last, where
-    ``_kernels.hi_test_due`` says, and only if the search has not moved
-    the bracket off hi by then.
+    ``_kernels.line_min``, the kernels' line search: safeguarded Newton on
+    phi', which takes a Newton step only when it lands strictly inside the
+    bracket [a, b] with phi'(a) < 0 <= phi'(b) and bisects otherwise.  It
+    stops when the bracket is at most tol wide or a Newton step at most
+    tol / 4 long, after at most max_iter evaluations besides the two
+    endpoint tests.  Flat stretches of phi' resolve to the smallest
+    minimizer.  The test of hi comes last, where ``_kernels.hi_test_due``
+    says, and only if the search has not moved the bracket off hi by then.
 
     The name is kept from the derivative-bisection version: it is public,
     and profiling wrappers hook this module attribute by name to count
@@ -69,21 +67,8 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     if hi < lo:
         raise ValueError(f"empty step interval [{lo}, {hi}]")
     d, h = fn(lo)
-    if d >= 0.0:
-        return lo
-    it = 0
-    hi_open = True
-    a, b, x, done = _kernels.newton_step(lo, hi, lo, d, h, tol, max_iter > 0)
-    while True:
-        if hi_open and _kernels.hi_test_due(a, b, x, done, hi, it):
-            hi_open = False
-            if fn(hi)[0] <= 0.0:
-                return hi
-        if done:
-            return x
-        d, h = fn(x)
-        it += 1
-        a, b, x, done = _kernels.newton_step(a, b, x, d, h, tol, it < max_iter)
+    return _kernels.line_min(lambda a, curv: fn(a), lo, hi, d, h, tol,
+                             max_iter)
 
 
 def _power_sigma_sq(matvec, rmatvec, dim, iters=100, seed=0):
@@ -149,7 +134,7 @@ class BoundObjective:
             self._L_cached = self.estimate_smoothness()
         return self._L_cached
 
-    # kernel hooks; overridden where a compiled cycle kernel exists
+    # kernel hooks; overridden where a cycle kernel exists
     def kernel_name(self):
         return None
 

@@ -9,9 +9,9 @@ gamma_i = lam_i / (1 - lam_i) is the largest feasible move away from
 vertex i.
 
 Structured problems (the composite and kernel-density objectives over the
-simplex / l1 ball) run whole outer passes inside compiled kernels; see
-``_kernels`` for the backend selection.  Everything else runs through the
-per-step objective API, which produces the same trajectories.
+simplex / l1 ball) run whole outer passes inside the cycle kernels of
+``_kernels``.  Everything else runs through the per-step objective API,
+which produces the same trajectories.
 """
 
 from dataclasses import dataclass
@@ -56,6 +56,9 @@ class SolveConfig:
             raise ValueError("max_outer must be >= 1")
         if self.rel_improve_tol < 0:
             raise ValueError("rel_improve_tol must be nonnegative")
+        # not <=: a NaN cap is rejected too
+        if not self.gamma_cap > 0:
+            raise ValueError("gamma_cap must be positive")
 
 
 @dataclass
@@ -137,17 +140,21 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
     if away:
         if cfg.lam0 is not None:
             lam = np.array(cfg.lam0, dtype=np.float64)
-            if lam.shape != (M,) or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-10:
+            if (lam.shape != (M,) or not np.isfinite(lam).all()
+                    or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-10):
                 raise ValueError("lam0 must be a point of the weight simplex")
             obj.reset(poly.combination(lam))
         else:
+            v = poly.vertex(cfg.start_vertex)
             lam = np.zeros(M)
             lam[cfg.start_vertex] = 1.0
-            obj.reset(poly.vertex(cfg.start_vertex))
+            obj.reset(v)
         state = AwayState(lam=lam)
     else:
         lam = np.empty(0)
         state = None
+        if cfg.x0 is not None and not np.isfinite(cfg.x0).all():
+            raise ValueError("x0 must be finite")
         obj.reset(cfg.x0 if cfg.x0 is not None else poly.vertex(cfg.start_vertex))
 
     needs_per_step = inner_callback is not None
@@ -156,7 +163,7 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
     if use_kernels is None:
         use_kernels = kname is not None and not needs_per_step
     if use_kernels and kname is None:
-        raise ValueError("no compiled cycle kernel for this objective/polytope")
+        raise ValueError("no cycle kernel for this objective/polytope")
     if use_kernels and needs_per_step:
         raise ValueError("this configuration needs the per-step path "
                          "(use_kernels=False)")

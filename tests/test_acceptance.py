@@ -1,10 +1,7 @@
 """Acceptance gate: one test per criterion, at the stated tolerances.
 
 Each test prints a `[PASS] criterion N` line (visible with -s) after its
-assertions.  Stated runtime caps are asserted on whichever kernel backend
-is active: the numpy fallback where numba is not installed, and otherwise
-numba with its kernels warm (compilation is cached on disk and excluded,
-like any build product).
+assertions.  Stated runtime caps are asserted on the numpy kernels.
 """
 
 import time
@@ -16,7 +13,6 @@ from polycd import (GRAD_1D, LINE_SEARCH, KdeHuber, L1Ball, LeastSquares,
                     Logistic, Quadratic, SolveConfig, StandardSimplex,
                     check_linear_bound, check_sublinear_bound, grad_step_alpha,
                     polycd_solve, polycdwa_solve)
-from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
 from polycd.harness import compute_gap
@@ -26,11 +22,6 @@ from polycd.verify import (check_reduction_identity, check_sequence_lemma,
                            grid_line_min, reduction_sequences_from_steps,
                            reference_solve, reference_solve_kde,
                            simplex_decompose)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
 
 
 def report(num, detail):

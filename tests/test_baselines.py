@@ -263,6 +263,16 @@ def test_stagnation_window_rule():
     assert trace[-1].t < 10_000
 
 
+@pytest.mark.parametrize("field, value", [("record_every", 0),
+                                          ("record_every", -3),
+                                          ("window", 0), ("window", -1)])
+def test_config_rejects_bad_record_every_and_window(field, value):
+    # record_every=0 divided by zero at FW's first iteration, and window=0
+    # stopped FW after one iteration
+    with pytest.raises(ValueError, match=field):
+        BaselineConfig(**{field: value})
+
+
 def test_time_budget_cap():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((60, 40))

@@ -367,6 +367,19 @@ def test_deferred_hi_test_matches_eager(family):
         alpha = bisect_line_min(deferred, lo, hi)
         assert alpha == _eager_line_min(eager, lo, hi)
         assert seen_d.count(hi) <= 1
+        # the kernels' entry point, handed phi at lo: the same points, and
+        # hi at most once and without phi''
+        seg_calls = []
+
+        def seg(a, curv):
+            seg_calls.append((a, curv))
+            d, h = phi(a)
+            return d, h if curv else 0.0
+
+        d, h = phi(lo)
+        assert _kernels.line_min(seg, lo, hi, d, h, 1e-12, 200) == alpha
+        assert [a for a, _ in seg_calls] == seen_d[1:]
+        assert [c for a, c in seg_calls if a == hi] in ([], [False])
         if phi(hi)[0] <= 0.0:
             at_hi += 1
             assert alpha == hi

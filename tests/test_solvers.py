@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, KdeHuber, L1Ball,
-                    LeastSquares, Logistic, Quadratic, SolveConfig,
+                    LeastSquares, Logistic, PolytopeError, Quadratic,
+                    SolveConfig,
                     StandardSimplex, AwayState, away_gamma,
                     check_linear_bound, check_sublinear_bound, polycd_solve,
                     polycdwa_solve, weight_refresh)
@@ -59,6 +60,25 @@ def test_early_stop_on_relative_improvement():
     x, trace = polycd_solve(obj, ball, SolveConfig(max_outer=500,
                                                    rel_improve_tol=1e-8))
     assert trace[-1].t < 500
+
+
+def test_bad_start_is_rejected_before_any_pass():
+    obj, ball = motivating_objective()
+    # a NaN start ran to f = nan (x0) or failed after a pass with a
+    # ConsistencyError (lam0)
+    with pytest.raises(ValueError, match="x0"):
+        polycd_solve(obj, ball, SolveConfig(x0=np.array([np.nan, 0.0])))
+    with pytest.raises(ValueError, match="lam0"):
+        polycdwa_solve(obj, ball,
+                       SolveConfig(lam0=np.array([np.nan, 0.0, 0.0, 1.0])))
+    # out-of-range start vertex: both solvers name it
+    for solve in (polycd_solve, polycdwa_solve):
+        with pytest.raises(PolytopeError, match="out of range"):
+            solve(obj, ball, SolveConfig(start_vertex=ball.M))
+    # a nonpositive cap made every away interval [1, 1]
+    for cap in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="gamma_cap"):
+            SolveConfig(gamma_cap=cap)
 
 
 def test_dimension_mismatch_rejected():
@@ -325,47 +345,6 @@ def test_linear_bound_trivial_cases():
         check_linear_bound(tr, ref.f, 3, quad.L, 1.0, 0.0, 1.0, LINE_SEARCH)
 
 
-# -- backend parity -----------------------------------------------------------
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("family", ["ls", "logistic", "kde"])
-@pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
-@pytest.mark.parametrize("away", [False, True])
-def test_backend_parity(family, rule, away):
-    rng = np.random.default_rng(13)
-    if family == "ls":
-        make = lambda: LeastSquares(rng_A, rng_b, ball)
-        rng_A = rng.standard_normal((40, 12))
-        rng_b = rng.standard_normal(40)
-        ball = L1Ball(12, 1.5)
-    elif family == "logistic":
-        rng_A = rng.standard_normal((40, 12))
-        labs = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-        ball = L1Ball(12, 1.5)
-        make = lambda: Logistic(rng_A, labs, ball)
-    else:
-        pts = rng.standard_normal((25, 2)) * 2
-        ball = None
-        make = lambda: KdeHuber(pts, 1.0, 0.4)
-    traces = {}
-    prev = _kernels.active_backend()
-    try:
-        for backend in ("numpy", "numba"):
-            _kernels.use_backend(backend)
-            obj = make()
-            cfg = SolveConfig(step_rule=rule, max_outer=12, rel_improve_tol=0.0)
-            if away:
-                _, _, tr = polycdwa_solve(obj, None, cfg)
-            else:
-                _, tr = polycd_solve(obj, None, cfg)
-            traces[backend] = np.array([r.f_value for r in tr])
-    finally:
-        _kernels.use_backend(prev)
-    scale = np.maximum(np.abs(traces["numpy"]), 1.0)
-    assert np.max(np.abs(traces["numpy"] - traces["numba"]) / scale) <= 1e-9
-
-
 def test_kernel_path_matches_generic_path():
     rng = np.random.default_rng(17)
     A = rng.standard_normal((50, 15))
@@ -410,18 +389,13 @@ def test_ls_scan_ahead_independent_of_block_length(monkeypatch, rule, away):
     b = rng.standard_normal(60)
     ball = L1Ball(40, 1.5)
     solve = polycdwa_solve if away else polycd_solve
-    prev = _kernels.active_backend()
     fv = {}
-    try:
-        _kernels.use_backend("numpy")
-        for block in (1, 7, 32, 100):
-            monkeypatch.setattr(_kernels, "LS_BLOCK", block)
-            tr = solve(LeastSquares(A, b, ball), ball,
-                       SolveConfig(step_rule=rule, max_outer=25,
-                                   rel_improve_tol=0.0))[-1]
-            fv[block] = np.array([r.f_value for r in tr])
-    finally:
-        _kernels.use_backend(prev)
+    for block in (1, 7, 32, 100):
+        monkeypatch.setattr(_kernels, "LS_BLOCK", block)
+        tr = solve(LeastSquares(A, b, ball), ball,
+                   SolveConfig(step_rule=rule, max_outer=25,
+                               rel_improve_tol=0.0))[-1]
+        fv[block] = np.array([r.f_value for r in tr])
     for block in (7, 32, 100):
         scale = np.maximum(np.abs(fv[1]), 1.0)
         assert np.max(np.abs(fv[block] - fv[1]) / scale) <= 1e-12
@@ -445,28 +419,23 @@ def test_logistic_screen_is_bitwise_neutral(monkeypatch, rule, away):
     A_tie[:, 7] = A_tie[:, 1]
     labels_tie = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     solve = polycdwa_solve if away else polycd_solve
-    prev = _kernels.active_backend()
-    try:
-        _kernels.use_backend("numpy")
-        for data, labs, ball, passes in ((A, labels, L1Ball(40, 3.0), 25),
-                                         (A_tie, labels_tie, L1Ball(12, 0.5),
-                                          200)):
-            runs = {}
-            for block, eps in ((32, 1.0), (1, None), (7, None), (32, None),
-                               (100, None)):
-                monkeypatch.setattr(_kernels, "LS_BLOCK", block)
-                if eps is not None:
-                    monkeypatch.setattr(_kernels, "_EPS", eps)
-                out = solve(Logistic(data, labs, ball), ball,
-                            SolveConfig(step_rule=rule, max_outer=passes,
-                                        rel_improve_tol=0.0))
-                monkeypatch.undo()
-                lam = out[1].lam if away else np.zeros(0)
-                runs[block, eps] = (out[0], lam,
-                                    np.array([r.f_value for r in out[-1]]))
-            ref = runs.pop((32, 1.0))
-            for key, got in runs.items():
-                for name, u, v in zip(("x", "lam", "f-trace"), ref, got):
-                    assert np.array_equal(u, v), (key, name)
-    finally:
-        _kernels.use_backend(prev)
+    for data, labs, ball, passes in ((A, labels, L1Ball(40, 3.0), 25),
+                                     (A_tie, labels_tie, L1Ball(12, 0.5),
+                                      200)):
+        runs = {}
+        for block, eps in ((32, 1.0), (1, None), (7, None), (32, None),
+                           (100, None)):
+            monkeypatch.setattr(_kernels, "LS_BLOCK", block)
+            if eps is not None:
+                monkeypatch.setattr(_kernels, "_EPS", eps)
+            out = solve(Logistic(data, labs, ball), ball,
+                        SolveConfig(step_rule=rule, max_outer=passes,
+                                    rel_improve_tol=0.0))
+            monkeypatch.undo()
+            lam = out[1].lam if away else np.zeros(0)
+            runs[block, eps] = (out[0], lam,
+                                np.array([r.f_value for r in out[-1]]))
+        ref = runs.pop((32, 1.0))
+        for key, got in runs.items():
+            for name, u, v in zip(("x", "lam", "f-trace"), ref, got):
+                assert np.array_equal(u, v), (key, name)
