@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .polytope import StandardSimplex
-from .solvers import AwayState, TraceRecord, _count_nnz, weight_refresh
+from .solvers import AwayState, TraceRecord, _nnz, weight_refresh
 
 
 @dataclass
@@ -23,12 +23,11 @@ class BaselineConfig:
     max_iter: int = 1000
     # stagnation rule: stop at iteration k when the best value found has
     # improved relatively by less than window_tol over the last `window`
-    # iterations
+    # iterations (fw, afw and fista; twocd_solve applies no window)
     window: int = 50
     window_tol: float = 1e-8
     rng_seed: int = 0  # two-coordinate method only
     fw_gap_tol: float = 1e-12
-    nnz_tol: float = 1e-10
     record_every: int = 1  # trace thinning
     time_budget: float | None = None  # wall-clock cap in seconds
 
@@ -73,16 +72,15 @@ def _start(obj, poly, cfg):
     return poly, cfg
 
 
-def fw_solve(obj, poly=None, cfg=None, nnz_fn=None):
+def fw_solve(obj, poly=None, cfg=None):
     """Vanilla Frank-Wolfe: per iteration pick the vertex minimizing the
     linearized objective (ties broken by lowest index), then exact line
     search on the segment toward it."""
     poly, cfg = _start(obj, poly, cfg)
     obj.reset(poly.vertex(0))
-    nnz = nnz_fn if nnz_fn is not None else (lambda x: _count_nnz(x, cfg.nnz_tol))
     stag = _Stagnation(cfg.window, cfg.window_tol)
     t0 = time.perf_counter()
-    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, nnz(obj.x))]
+    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, _nnz(obj.x))]
     stag.update(trace[0].f_value)
     for k in range(1, cfg.max_iter + 1):
         if _over_budget(cfg, t0):
@@ -101,16 +99,16 @@ def fw_solve(obj, poly=None, cfg=None, nnz_fn=None):
         f_now = obj.eval()
         if record:
             trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                     nnz(obj.x)))
+                                     _nnz(obj.x)))
         if stag.update(f_now):
             if trace[-1].t != k:
                 trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                         nnz(obj.x)))
+                                         _nnz(obj.x)))
             break
     return obj.x.copy(), trace
 
 
-def afw_solve(obj, poly=None, cfg=None, nnz_fn=None, gamma_cap=1e12):
+def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
     """Away-step Frank-Wolfe with exact line search and weight maintenance.
 
     Per iteration the steeper of the toward-vertex and away-from-vertex
@@ -118,15 +116,17 @@ def afw_solve(obj, poly=None, cfg=None, nnz_fn=None, gamma_cap=1e12):
     in [-gamma, 0], gamma capped at gamma_cap, and share the cyclic
     solver's drop snap and weight update (a capped step is never a drop).
     """
+    # not <=: a NaN cap is rejected too
+    if not gamma_cap > 0:
+        raise ValueError("gamma_cap must be positive")
     poly, cfg = _start(obj, poly, cfg)
     obj.reset(poly.vertex(0))
     lam = np.zeros(poly.M)
     lam[0] = 1.0
     state = AwayState(lam=lam)
-    nnz = nnz_fn if nnz_fn is not None else (lambda x: _count_nnz(x, cfg.nnz_tol))
     stag = _Stagnation(cfg.window, cfg.window_tol)
     t0 = time.perf_counter()
-    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, nnz(obj.x))]
+    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, _nnz(obj.x))]
     stag.update(trace[0].f_value)
     for k in range(1, cfg.max_iter + 1):
         if _over_budget(cfg, t0):
@@ -158,27 +158,26 @@ def afw_solve(obj, poly=None, cfg=None, nnz_fn=None, gamma_cap=1e12):
         f_now = obj.eval()
         if k % cfg.record_every == 0 or k == cfg.max_iter:
             trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                     nnz(obj.x)))
+                                     _nnz(obj.x)))
         if stag.update(f_now):
             if trace[-1].t != k:
                 trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                         nnz(obj.x)))
+                                         _nnz(obj.x)))
             break
     return obj.x.copy(), trace
 
 
-def fista_solve(obj, poly=None, cfg=None, nnz_fn=None):
+def fista_solve(obj, poly=None, cfg=None):
     """Accelerated projected gradient with fixed step 1/L and the classical
     extrapolation sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2."""
     poly, cfg = _start(obj, poly, cfg)
     L = obj.L
-    nnz = nnz_fn if nnz_fn is not None else (lambda x: _count_nnz(x, cfg.nnz_tol))
     stag = _Stagnation(cfg.window, cfg.window_tol)
     t0 = time.perf_counter()
     x = poly.vertex(0)
     y = x.copy()
     tk = 1.0
-    trace = [TraceRecord(0, obj.eval_at(x), time.perf_counter() - t0, 0, nnz(x))]
+    trace = [TraceRecord(0, obj.eval_at(x), time.perf_counter() - t0, 0, _nnz(x))]
     stag.update(trace[0].f_value)
     best_x, best_f = x.copy(), trace[0].f_value
     for k in range(1, cfg.max_iter + 1):
@@ -192,11 +191,11 @@ def fista_solve(obj, poly=None, cfg=None, nnz_fn=None):
         if f_now < best_f:
             best_f, best_x = f_now, x.copy()
         if k % cfg.record_every == 0 or k == cfg.max_iter:
-            trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k, nnz(x)))
+            trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k, _nnz(x)))
         if stag.update(f_now):
             if trace[-1].t != k:
                 trace.append(TraceRecord(k, f_now, time.perf_counter() - t0,
-                                         k, nnz(x)))
+                                         k, _nnz(x)))
             break
     return best_x, trace
 
@@ -226,8 +225,8 @@ def twocd_solve(obj, poly=None, cfg=None, nnz_fn=None):
     closed form for quadratics and safeguarded Newton otherwise).  On a
     one-coordinate simplex no pair exists and the start vertex is returned.
 
-    The customary budget for this method is max_iter = 100 * dimension; no
-    stagnation window is applied unless cfg.window is set explicitly.
+    The customary budget for this method is max_iter = 100 * dimension.  It
+    applies no stagnation window: cfg.window and cfg.window_tol are ignored.
     """
     poly, cfg = _start(obj, poly, cfg)
     if not isinstance(poly, StandardSimplex):
@@ -236,7 +235,7 @@ def twocd_solve(obj, poly=None, cfg=None, nnz_fn=None):
     d = poly.d
     obj.reset(poly.vertex(0))
     rng = np.random.default_rng(cfg.rng_seed)
-    nnz = nnz_fn if nnz_fn is not None else (lambda x: _count_nnz(x, cfg.nnz_tol))
+    nnz = nnz_fn if nnz_fn is not None else _nnz
     t0 = time.perf_counter()
     trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, nnz(obj.x))]
     if d < 2:

@@ -12,17 +12,16 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (PRESETS, SOLVER_NAMES, ExperimentConfig, SolverCell,
-                      run_experiment)
-from .problems import (KdeSpec, LassoSpec, LogisticSpec, dump_tsv, gen_kde,
-                       gen_lasso, gen_logistic)
+from .harness import (_PROBLEM_KEYS, L1_PRESETS, PRESETS, SOLVER_NAMES,
+                      ExperimentConfig, SolverCell, run_experiment)
+from .problems import KdeSpec, dump_tsv, gen_kde
 from .solvers import GRAD_1D, LINE_SEARCH
 
 
 def _add_problem_flags(p):
     p.add_argument("--preset", choices=PRESETS, default="lasso")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--d", type=int, default=200)
+    p.add_argument("--d", type=int, default=None, help="default 200; 2 for kde")
     p.add_argument("--r", type=int, default=20)
     p.add_argument("--snr", type=float, default=1.0)
     p.add_argument("--s", type=float, default=None,
@@ -41,36 +40,11 @@ def _add_problem_flags(p):
 
 
 def _problem_dict(args):
-    preset = args.preset
-    if preset == "lasso":
-        prob = {"n": args.n, "d": args.d, "r": args.r, "snr": args.snr}
-        if args.rho is not None:
-            prob["rho"] = args.rho
-        if args.c is not None:
-            prob["c"] = args.c
-    elif preset == "logistic":
-        prob = {"n": args.n, "d": args.d, "r": args.r}
-        if args.s is not None:
-            prob["s"] = args.s
-        if args.rho is not None:
-            prob["rho"] = args.rho
-        if args.c is not None:
-            prob["c"] = args.c
-    elif preset == "kde":
-        prob = {"n": args.n}
-        if args.d != 200:
-            prob["d"] = args.d
-        if args.m is not None:
-            prob["m"] = args.m
-        if args.sigma_kernel is not None:
-            prob["sigma_kernel"] = args.sigma_kernel
-        if args.mu_huber is not None:
-            prob["mu_huber"] = args.mu_huber
-    else:
-        prob = {"d": args.d}
-        if args.mu is not None:
-            prob["mu"] = args.mu
-    return prob
+    flags = vars(args)
+    if args.d is None and args.preset != "kde":  # KdeSpec's own d is 2
+        flags = {**flags, "d": 200}
+    keys = _PROBLEM_KEYS[args.preset]
+    return {k: v for k, v in flags.items() if k in keys and v is not None}
 
 
 def _cmd_solve(args):
@@ -111,18 +85,12 @@ def _cmd_gen(args):
     out.mkdir(parents=True, exist_ok=True)
     prob = _problem_dict(args)
     meta = {"preset": args.preset, "seed": args.seed, "problem": prob}
-    if args.preset == "lasso":
-        A, b, x_star, C = gen_lasso(LassoSpec(seed=args.seed, **{
+    if args.preset in L1_PRESETS:
+        spec_cls, gen, _ = L1_PRESETS[args.preset]
+        A, y, x_star, C = gen(spec_cls(seed=args.seed, **{
             k: v for k, v in prob.items() if k != "c"}))
         dump_tsv(out / "A.tsv", A)
-        dump_tsv(out / "b.tsv", b)
-        dump_tsv(out / "x_star.tsv", x_star)
-        meta["C"] = C
-    elif args.preset == "logistic":
-        A, labels, x_star, C = gen_logistic(LogisticSpec(seed=args.seed, **{
-            k: v for k, v in prob.items() if k != "c"}))
-        dump_tsv(out / "A.tsv", A)
-        dump_tsv(out / "labels.tsv", labels)
+        dump_tsv(out / ("b.tsv" if args.preset == "lasso" else "labels.tsv"), y)
         dump_tsv(out / "x_star.tsv", x_star)
         meta["C"] = C
     elif args.preset == "kde":

@@ -20,15 +20,29 @@ from .objectives import KdeHuber, LeastSquares, Logistic, Quadratic
 from .polytope import L1Ball, StandardSimplex
 from .problems import (RNG_NAME, KdeSpec, LassoSpec, LogisticSpec, gen_kde,
                        gen_lasso, gen_logistic)
-from .solvers import LINE_SEARCH, SolveConfig, polycd_solve, polycdwa_solve
+from .solvers import (LINE_SEARCH, SolveConfig, _nnz, polycd_solve,
+                      polycdwa_solve)
 
 PRESETS = ("lasso", "logistic", "kde", "custom-simplex-quadratic")
 SOLVER_NAMES = ("polycd", "polycdwa", "fw", "afw", "fista", "2cd")
 
+# the l1-ball presets: spec class, generator, objective class
+L1_PRESETS = {
+    "lasso": (LassoSpec, gen_lasso, LeastSquares),
+    "logistic": (LogisticSpec, gen_logistic, Logistic),
+}
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# problem-section keys per preset: the spec fields but the seed, which each
+# repetition sets, and for the l1 presets "c", which overrides the radius
 _PROBLEM_KEYS = {
-    "lasso": {"n", "d", "r", "snr", "rho", "c"},
-    "logistic": {"n", "d", "r", "s", "rho", "c"},
-    "kde": {"n", "d", "m", "outlier_rate", "sigma_kernel", "mu_huber"},
+    **{p: (_fields(spec) - {"seed"}) | {"c"}
+       for p, (spec, _, _) in L1_PRESETS.items()},
+    "kde": _fields(KdeSpec) - {"seed"},
     "custom-simplex-quadratic": {"d", "mu"},
 }
 
@@ -45,7 +59,7 @@ class SolverCell:
     max_outer: int = 100
     rel_improve_tol: float = 1e-8
     max_iter: int | None = None  # baseline budget; None = per-method default
-    window: int = 50
+    window: int = 50  # stagnation window of fw, afw and fista; 2cd has none
     window_tol: float = 1e-8
     rng_seed: int | None = None  # pair-descent draw seed; None = repetition seed
     smoothness: float | None = None  # user override of the certified L bound
@@ -59,7 +73,7 @@ class SolverCell:
 
     @classmethod
     def from_dict(cls, d):
-        _reject_unknown(d, {f.name for f in dataclasses.fields(cls)}, "solver")
+        _reject_unknown(d, _fields(cls), "solver")
         return cls(**d)
 
 
@@ -91,7 +105,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        _reject_unknown(d, {f.name for f in dataclasses.fields(cls)}, "experiment")
+        _reject_unknown(d, _fields(cls), "experiment")
         return cls(**d)
 
     @classmethod
@@ -124,48 +138,30 @@ class _Bundle:
         self.preset = preset
         self.seed = seed
         prob = dict(prob)
-        if preset == "lasso":
+        if preset in L1_PRESETS:
+            spec_cls, gen, objective = L1_PRESETS[preset]
             c_override = prob.pop("c", None)
-            spec = LassoSpec(seed=seed, **prob)
-            A, b, x_star, C = gen_lasso(spec)
+            spec = spec_cls(seed=seed, **prob)
+            A, y, _, C = gen(spec)
             if c_override is not None:
                 C = float(c_override)
             # the factories close over locals, never self: a bundle in a
             # reference cycle would keep its arrays until a full gc pass
             poly = self.poly = L1Ball(spec.d, C)
-            self._make = lambda L=None: LeastSquares(A, b, poly, L=L)
+            self._make = lambda L=None: objective(A, y, poly, L=L)
             B = np.hstack([A, -A]) * C
-            lifted_poly = StandardSimplex(2 * spec.d)
-            self._make_lifted = lambda L=None: LeastSquares(B, b, lifted_poly, L=L)
-            self.lifted_poly = lifted_poly
+            lifted_poly = self.lifted_poly = StandardSimplex(2 * spec.d)
+            self._make_lifted = lambda L=None: objective(B, y, lifted_poly, L=L)
             self.radius = C
             self.dim = spec.d
-            self.twocd_budget = 100 * spec.d
-        elif preset == "logistic":
-            c_override = prob.pop("c", None)
-            spec = LogisticSpec(seed=seed, **prob)
-            A, labels, x_star, C = gen_logistic(spec)
-            if c_override is not None:
-                C = float(c_override)
-            poly = self.poly = L1Ball(spec.d, C)
-            self._make = lambda L=None: Logistic(A, labels, poly, L=L)
-            B = np.hstack([A, -A]) * C
-            lifted_poly = StandardSimplex(2 * spec.d)
-            self._make_lifted = lambda L=None: Logistic(B, labels, lifted_poly, L=L)
-            self.lifted_poly = lifted_poly
-            self.radius = C
-            self.dim = spec.d
-            self.twocd_budget = 100 * spec.d
         elif preset == "kde":
             spec = KdeSpec(seed=seed, **prob)
             X, _ = gen_kde(spec)
-            poly = self.poly = StandardSimplex(spec.n)
+            poly = self.poly = self.lifted_poly = StandardSimplex(spec.n)
             self._make = lambda L=None: KdeHuber(X, spec.sigma_kernel,
                                                  spec.mu_huber, poly, L=L)
             self._make_lifted = self._make
-            self.lifted_poly = self.poly
             self.dim = spec.n
-            self.twocd_budget = 100 * spec.n
         elif preset == "custom-simplex-quadratic":
             d = int(prob["d"])
             mu = float(prob.get("mu", 0.0))
@@ -173,28 +169,24 @@ class _Bundle:
             B = rng.standard_normal((2 * d, d))
             Q = B.T @ B / d + mu * np.eye(d)
             qlin = rng.standard_normal(d)
-            poly = self.poly = StandardSimplex(d)
+            poly = self.poly = self.lifted_poly = StandardSimplex(d)
             self._make = lambda L=None: Quadratic(Q, qlin, poly=poly)
             self._make_lifted = self._make
-            self.lifted_poly = self.poly
             self.dim = d
-            self.twocd_budget = 100 * d
         else:  # pragma: no cover - guarded by config validation
             raise ValueError(preset)
+        self.twocd_budget = 100 * self.dim
 
     def objective(self, lifted=False, L=None):
         return self._make_lifted(L=L) if lifted else self._make(L=L)
 
     def unlift(self, u):
-        if self.preset in ("lasso", "logistic"):
-            d = self.dim
-            return self.radius * (u[:d] - u[d:])
+        if self.preset in L1_PRESETS:
+            return self.radius * (u[:self.dim] - u[self.dim:])
         return u
 
-    def lifted_nnz_fn(self, tol=1e-10):
-        if self.preset in ("lasso", "logistic"):
-            return lambda u: int(np.count_nonzero(np.abs(self.unlift(u)) > tol))
-        return None
+    def lifted_nnz_fn(self):
+        return lambda u: _nnz(self.unlift(u))
 
 
 def run_solver_cell(cell, bundle):
@@ -212,7 +204,6 @@ def run_solver_cell(cell, bundle):
         obj = bundle.objective(lifted=True, L=cell.smoothness)
         cfg = BaselineConfig(
             max_iter=cell.max_iter or bundle.twocd_budget,
-            window=cell.window, window_tol=cell.window_tol,
             rng_seed=cell.rng_seed if cell.rng_seed is not None else bundle.seed,
             record_every=max(1, bundle.lifted_poly.M // 4),
         )

@@ -26,6 +26,7 @@ from .objectives import grad_step_alpha
 LINE_SEARCH = "line_search"
 GRAD_1D = "grad"
 _RULES = (LINE_SEARCH, GRAD_1D)
+NNZ_TOL = 1e-10  # |x_k| above this counts as a nonzero in the traces
 
 
 class ConsistencyError(RuntimeError):
@@ -47,7 +48,6 @@ class SolveConfig:
     ls_tol: float = 1e-12
     ls_max_iter: int = 200
     use_kernels: bool | None = None  # None = auto-detect
-    nnz_tol: float = 1e-10
 
     def __post_init__(self):
         if self.step_rule not in _RULES:
@@ -109,8 +109,8 @@ def weight_refresh(state, x, poly, tol=1e-6):
     return state
 
 
-def _count_nnz(x, tol):
-    return int(np.count_nonzero(np.abs(x) > tol))
+def _nnz(x):
+    return int(np.count_nonzero(np.abs(x) > NNZ_TOL))
 
 
 def _resolve_order(M, visit_order):
@@ -130,7 +130,7 @@ def _inner_step(obj, i, lo, cfg):
     return obj.line_search(i, lo, 1.0, tol=cfg.ls_tol, max_iter=cfg.ls_max_iter)
 
 
-def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
+def _drive(obj, poly, cfg, away, inner_callback=None):
     poly = poly if poly is not None else obj.poly
     if poly is not obj.poly:
         raise ValueError("objective is bound to a different polytope")
@@ -153,9 +153,13 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
     else:
         lam = np.empty(0)
         state = None
-        if cfg.x0 is not None and not np.isfinite(cfg.x0).all():
-            raise ValueError("x0 must be finite")
-        obj.reset(cfg.x0 if cfg.x0 is not None else poly.vertex(cfg.start_vertex))
+        x0 = cfg.x0
+        # the tolerance scales with the point, as its rounding error does
+        if x0 is not None and not (
+                np.shape(x0) == (poly.d,) and np.isfinite(x0).all()
+                and poly.contains(x0, tol=1e-9 * (1.0 + np.linalg.norm(x0)))):
+            raise ValueError("x0 must be a finite point of the polytope")
+        obj.reset(x0 if x0 is not None else poly.vertex(cfg.start_vertex))
 
     needs_per_step = inner_callback is not None
     kname = obj.kernel_name()
@@ -169,10 +173,9 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
                          "(use_kernels=False)")
     fn = _kernels.kernel(kname) if use_kernels else None
     grad_rule = cfg.step_rule == GRAD_1D
-    nnz = nnz_fn if nnz_fn is not None else (lambda x: _count_nnz(x, cfg.nnz_tol))
 
     t_start = time.perf_counter()
-    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t_start, 0, nnz(obj.x))]
+    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t_start, 0, _nnz(obj.x))]
     inner_total = 0
 
     for t in range(1, cfg.max_outer + 1):
@@ -204,7 +207,7 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
 
         f_now = obj.eval()
         trace.append(TraceRecord(t, f_now, time.perf_counter() - t_start,
-                                 inner_total, nnz(obj.x)))
+                                 inner_total, _nnz(obj.x)))
         f_prev = trace[-2].f_value
         if (f_prev - f_now) / max(abs(f_prev), 1.0) < cfg.rel_improve_tol:
             break
@@ -215,18 +218,17 @@ def _drive(obj, poly, cfg, away, nnz_fn=None, inner_callback=None):
     return x, trace
 
 
-def polycd_solve(obj, poly=None, cfg=None, nnz_fn=None, inner_callback=None):
+def polycd_solve(obj, poly=None, cfg=None, inner_callback=None):
     """Cyclic vertex descent with steps in [0, 1].
 
     Returns (x, trace); the trace holds one record per outer iteration
     boundary, record 0 being the start point.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    return _drive(obj, poly, cfg, away=False, nnz_fn=nnz_fn,
-                  inner_callback=inner_callback)
+    return _drive(obj, poly, cfg, away=False, inner_callback=inner_callback)
 
 
-def polycdwa_solve(obj, poly=None, cfg=None, nnz_fn=None, inner_callback=None):
+def polycdwa_solve(obj, poly=None, cfg=None, inner_callback=None):
     """Cyclic vertex descent with away steps: steps in [-gamma_i, 1] and
     exact weight maintenance (a step hitting -gamma_i writes the weight as
     an exact zero).
@@ -234,8 +236,7 @@ def polycdwa_solve(obj, poly=None, cfg=None, nnz_fn=None, inner_callback=None):
     Returns (x, away_state, trace).
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    return _drive(obj, poly, cfg, away=True, nnz_fn=nnz_fn,
-                  inner_callback=inner_callback)
+    return _drive(obj, poly, cfg, away=True, inner_callback=inner_callback)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ def test_afw_capped_away_step_is_not_a_drop():
                for k in range(len(f) - 1))
 
 
+@pytest.mark.parametrize("cap", [-1.0, 0.0, np.nan])
+def test_afw_rejects_nonpositive_gamma_cap(cap):
+    # -1 failed at the first away step with an empty step interval, and a
+    # NaN cap ran as no cap at all
+    start = np.full(3, 1.0 / 3.0)
+    obj = LeastSquares(np.eye(3), np.zeros(3), StandardSimplex(3), x0=start)
+    with pytest.raises(ValueError, match="gamma_cap"):
+        afw_solve(obj, None, BaselineConfig(max_iter=10), gamma_cap=cap)
+    assert np.array_equal(obj.x, start)  # rejected before the start reset
+
+
 def test_fista_reaches_reference_on_small_lasso():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((40, 15))

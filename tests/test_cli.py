@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from polycd import cli
 from polycd.cli import main
 from polycd.problems import load_tsv
 
@@ -77,6 +78,38 @@ def test_gen_kde_subcommand(tmp_path):
     assert rc == 0
     X = load_tsv(out / "points.tsv")
     assert X.shape == (120, 2)
+
+
+def test_gen_kde_honours_d(tmp_path):
+    # an explicit --d 200 used to be taken for the default and dropped, so
+    # the points came out in 2 columns
+    out = tmp_path / "kde200"
+    rc = main(["gen", "--preset", "kde", "--n", "100", "--d", "200",
+               "--out", str(out)])
+    assert rc == 0
+    assert load_tsv(out / "points.tsv").shape == (100, 200)
+
+
+@pytest.mark.parametrize("preset, problem", [
+    ("lasso", {"n": 200, "d": 200, "r": 20, "snr": 1.0}),
+    ("logistic", {"n": 200, "d": 200, "r": 20}),
+    ("kde", {"n": 200}),
+    ("custom-simplex-quadratic", {"d": 200}),
+])
+def test_default_flags_problem_section(monkeypatch, preset, problem):
+    # each preset takes only its own keys, and kde keeps its spec's d
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg: seen.append(cfg.problem) or {"solvers": {}})
+    assert main(["solve", "--preset", preset]) == 0
+    assert seen == [problem]
+
+
+def test_verify_subcommand_runs_the_property_suite(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == 13
+    assert "13/13 properties passed" in lines
 
 
 def test_verify_subcommand_wiring(monkeypatch, capsys):

@@ -81,6 +81,36 @@ def test_bad_start_is_rejected_before_any_pass():
             SolveConfig(gamma_cap=cap)
 
 
+def test_x0_outside_polytope_is_rejected_before_any_pass():
+    # (5, ..., 5) on the unit l1 ball recorded f = 5276.18 at t = 0 and
+    # carried infeasible iterates until a full step
+    rng = np.random.default_rng(0)
+    ball = L1Ball(8, 1.0)
+    obj = LeastSquares(rng.standard_normal((20, 8)), rng.standard_normal(20),
+                       ball)
+    for x0 in (np.full(8, 5.0), np.zeros(3)):
+        with pytest.raises(ValueError, match="x0"):
+            polycd_solve(obj, ball, SolveConfig(x0=x0))
+
+
+def test_x0_tolerance_is_relative_to_the_point():
+    # a combination of valid weights on a far-out ball carries rounding of
+    # the ball's scale, which an absolute tolerance rejects for some starts
+    rng = np.random.default_rng(0)
+    ball = L1Ball(8, 1e8)
+    obj = LeastSquares(rng.standard_normal((20, 8)), rng.standard_normal(20),
+                       ball)
+    starts = []
+    for seed in range(20):
+        lam = np.zeros(ball.M)
+        lam[::2] = np.random.default_rng(seed).random(8)
+        starts.append(ball.combination(lam / lam.sum()))
+    assert not all(ball.contains(x0) for x0 in starts)
+    for x0 in starts:
+        _, trace = polycd_solve(obj, ball, SolveConfig(x0=x0, max_outer=1))
+        assert trace[0].f_value == obj.eval_at(x0)
+
+
 def test_dimension_mismatch_rejected():
     obj, _ = motivating_objective()
     with pytest.raises(ValueError):
