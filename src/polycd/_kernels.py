@@ -5,12 +5,14 @@ order) of the cyclic solver for one objective family, mutating the iterate
 and its cached quantities in place.
 
 The step math that every vertex step shares is written once, as the
-helpers below: the away interval, the drop snap and the weight update, the
-1D gradient rule, the safeguarded Newton line search (newton_step,
-hi_test_due and the loop line_min), the segment derivatives of the
-logistic and kernel-density losses, and the move of the iterate toward a
-coordinate vertex.  The kernels, the per-step path of the solvers, the
-away-step Frank-Wolfe baseline and the objective methods all call them.
+helpers below: the step interval (step_interval), the away-step weight
+update with its drop snap (away_update), the 1D gradient rule, the
+safeguarded Newton line search (newton_step, hi_test_due and the loop
+line_min), the segment derivatives of the logistic and kernel-density
+losses, and the move of the iterate toward a coordinate vertex.  The
+kernels, the per-step path of the solvers (which a run given an
+inner_callback takes), the away-step Frank-Wolfe baseline and the
+objective methods all call them.
 """
 
 import numpy as np
@@ -33,9 +35,9 @@ def kernel(name):
 #
 # Every kernel visits vertices in the given order.  For vertex index i the
 # admissible step interval is [0, 1], or [-gamma_i, 1] in away mode with
-# gamma_i = lam_i / (1 - lam_i) capped at gamma_cap (away_interval).  A step
+# gamma_i = lam_i / (1 - lam_i) capped at gamma_cap (step_interval).  A step
 # landing within drop_tol of an uncapped -gamma_i is snapped to it and the
-# weight is written as an exact zero (snap_drop, reweight).
+# weight is written as an exact zero (away_update).
 #
 # Degenerate segments (v_i == x up to float cancellation, detected by
 # ||v - x||^2 falling below a relative floor: is_degenerate) are skipped
@@ -56,9 +58,13 @@ def is_degenerate(c, scale):
     return c <= _DEGENERATE_REL * scale
 
 
-def away_interval(lam_i, gamma_cap):
-    """(lo, capped): the low end -min(gamma_i, gamma_cap) of the away-step
-    interval toward a vertex of weight lam_i, and whether the cap binds."""
+def step_interval(away, lam, i, gamma_cap):
+    """(lo, capped): the step toward vertex i ranges over [lo, 1].  Plain
+    mode gives [0, 1]; away mode gives lo = -min(gamma_i, gamma_cap) with
+    gamma_i = lam_i / (1 - lam_i), and capped says whether the cap binds."""
+    if not away:
+        return 0.0, False
+    lam_i = float(lam[i])
     if lam_i >= 1.0:
         return -gamma_cap, True
     gma = lam_i / (1.0 - lam_i)
@@ -67,22 +73,22 @@ def away_interval(lam_i, gamma_cap):
     return -gma, False
 
 
-def snap_drop(alpha, lo, capped, drop_tol):
-    """(alpha, dropped): an away step within drop_tol of lo = -gamma_i is
-    the drop step alpha = lo, after which the weight is an exact zero.  A
-    capped step stops short of -gamma_i and is never a drop."""
+def away_update(lam, i, alpha, lo, capped, drop_tol):
+    """Update the weights in place for the step alpha toward vertex i on
+    [lo, 1] and return the step taken.  A step within drop_tol of an
+    uncapped lo = -gamma_i is the drop step alpha = lo, after which the
+    weight is an exact zero; a capped step stops short of -gamma_i and is
+    never a drop.  alpha = 0 leaves the weights as they are: a drop to
+    alpha = 0 means lo = 0, so lam_i is zero already."""
     if not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
-        return lo, True
-    return alpha, False
-
-
-def reweight(lam, i, alpha, dropped):
-    """Update the weights in place for the step alpha toward vertex i."""
-    lam *= 1.0 - alpha
-    if dropped:
-        lam[i] = 0.0
-    else:
+        if lo != 0.0:
+            lam *= 1.0 - lo
+            lam[i] = 0.0
+        return lo
+    if alpha != 0.0:
+        lam *= 1.0 - alpha
         lam[i] += alpha
+    return alpha
 
 
 def grad_step(b, c, L, lo, hi):
@@ -369,11 +375,7 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
             col = Ab[pos - p]
             g = float(gb[m])
             num = float(t[m]) - zr
-            lo = 0.0
-            capped = False
-            if away:
-                lo, capped = away_interval(float(lam[i]), gamma_cap)
-
+            lo, capped = step_interval(away, lam, i, gamma_cap)
             cs = float(col_sq[j])
             sb = float(SB[pos])
             if grad_rule:
@@ -389,12 +391,8 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
                 # phi'(0) = 2 num and phi'' = 2 den
                 alpha = lo if den <= 0.0 else grad_step(2.0 * num, den, 2.0,
                                                         lo, 1.0)
-            dropped = False
             if away:
-                alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
-
-            # alpha = 0 leaves z, x and lam as they are: a drop to alpha = 0
-            # means lo = 0, so lam_i is zero already
+                alpha = away_update(lam, i, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
             if alpha == 1.0:
@@ -419,8 +417,6 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
                 zz = (beta * beta * zz + 2.0 * alpha * beta * s * g
                       + alpha * alpha * s * s * cs)
                 zb = beta * zb + alpha * sb
-            if away:
-                reweight(lam, i, alpha, dropped)
         p = q
     if xi != 1.0:
         x *= xi
@@ -511,11 +507,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             sc = s * A_cols[j]
             w = sc - z
             yw = ylab * w
-            lo = 0.0
-            capped = False
-            if away:
-                lo, capped = away_interval(lam[i], gamma_cap)
-
+            lo, capped = step_interval(away, lam, i, gamma_cap)
             if (grad_rule or lo == 0.0) and not sig_ok:
                 sig = sigmoid_neg(ym)
                 sig_ok = True
@@ -532,16 +524,11 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                     lo, 1.0, d, h, ls_tol, ls_max_iter)
             if lo != 0.0 or alpha > 0.0:
                 ncand += 1
-            dropped = False
             if away:
-                alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
-
-            # alpha = 0 leaves z, x and lam as they are (see ls_cycle)
+                alpha = away_update(lam, i, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
             sq_x = vertex_move(x, j, s, alpha, sq_x, z, sc, w)
-            if away:
-                reweight(lam, i, alpha, dropped)
             ym = ylab * z
             sig_ok = False
             scr_ok = False
@@ -582,11 +569,7 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                 continue
             kcol = Kb[idx - p]
             np.subtract(kcol, u, dvec)
-            lo = 0.0
-            capped = False
-            if away:
-                lo, capped = away_interval(float(lam[j]), gamma_cap)
-
+            lo, capped = step_interval(away, lam, j, gamma_cap)
             if grad_rule:
                 alpha = grad_step(kde_slope(u, dvec, q, uj, kappa0, mu_h), c,
                                   L, lo, 1.0)
@@ -600,16 +583,11 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                 alpha = line_min(
                     lambda a, curv: kde_seg(a, P, R, C, mu_h, curv, W),
                     lo, 1.0, d, h, ls_tol, ls_max_iter)
-            dropped = False
             if away:
-                alpha, dropped = snap_drop(alpha, lo, capped, drop_tol)
-
-            # alpha = 0 leaves u, q, wv and lam as they are (see ls_cycle)
+                alpha = away_update(lam, j, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
             q, sq_w = kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0)
-            if away:
-                reweight(lam, j, alpha, dropped)
     return q, sq_w
 
 

@@ -40,28 +40,52 @@ class BaselineConfig:
             raise ValueError("window must be >= 1 or None")
 
 
-def _over_budget(cfg, t0):
-    return (cfg.time_budget is not None
-            and time.perf_counter() - t0 > cfg.time_budget)
+class _Run:
+    """The record-and-stop protocol of the baselines and the trace it
+    keeps.  Record 0 is the start point; iteration k is recorded when
+    record_every divides it and at max_iter.  The run stops when the time
+    budget is spent or when the best value found has improved relatively
+    by less than window_tol over the last `window` iterations, and a
+    window stop is recorded once.  f is read only where a record or the
+    window needs it."""
 
+    def __init__(self, cfg, f, x, nnz=_nnz, windowed=True):
+        self.cfg = cfg
+        self.nnz = nnz
+        # the running best value over the last window + 1 iterations
+        self.best = (deque(maxlen=cfg.window + 1)
+                     if windowed and cfg.window is not None else None)
+        self.t0 = time.perf_counter()
+        self.trace = []
+        self._close(0, f(), x, True)
 
-class _Stagnation:
-    """The window rule over the running best value.  Only the last
-    window + 1 best values are kept; with window=None nothing is."""
+    def iterations(self):
+        """1, ..., max_iter, ending once the time budget is spent."""
+        budget = self.cfg.time_budget
+        for k in range(1, self.cfg.max_iter + 1):
+            if budget is not None and time.perf_counter() - self.t0 > budget:
+                return
+            yield k
 
-    def __init__(self, window, tol):
-        self.window = window
-        self.tol = tol
-        self.best = deque(maxlen=window + 1) if window is not None else None
+    def stop_after(self, k, f, x):
+        """Whether the run stops after iteration k, whose value is f() and
+        iterate x; records k where due."""
+        record = k % self.cfg.record_every == 0 or k == self.cfg.max_iter
+        if not record and self.best is None:
+            return False
+        return self._close(k, f(), x, record)
 
-    def update(self, f):
+    def _close(self, k, f_k, x, record):
         best = self.best
-        if best is None:
-            return False
-        best.append(min(f, best[-1]) if best else f)
-        if len(best) <= self.window:
-            return False
-        return (best[0] - best[-1]) / max(abs(best[0]), 1.0) < self.tol
+        stop = False
+        if best is not None:
+            best.append(min(f_k, best[-1]) if best else f_k)
+            stop = (len(best) > self.cfg.window and (best[0] - best[-1])
+                    / max(abs(best[0]), 1.0) < self.cfg.window_tol)
+        if record or stop:
+            self.trace.append(TraceRecord(
+                k, f_k, time.perf_counter() - self.t0, k, self.nnz(x)))
+        return stop
 
 
 def _start(obj, poly, cfg):
@@ -78,34 +102,18 @@ def fw_solve(obj, poly=None, cfg=None):
     search on the segment toward it."""
     poly, cfg = _start(obj, poly, cfg)
     obj.reset(poly.vertex(0))
-    stag = _Stagnation(cfg.window, cfg.window_tol)
-    t0 = time.perf_counter()
-    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, _nnz(obj.x))]
-    stag.update(trace[0].f_value)
-    for k in range(1, cfg.max_iter + 1):
-        if _over_budget(cfg, t0):
-            break
+    run = _Run(cfg, obj.eval, obj.x)
+    for k in run.iterations():
         g = obj.full_gradient()
         scores = poly.vertex_scores(g)
         v_idx = int(scores.argmin())
         fw_gap = float(g @ obj.x) - float(scores[v_idx])
         if fw_gap <= cfg.fw_gap_tol:
             break
-        alpha = obj.line_search(v_idx, 0.0, 1.0)
-        obj.apply_step(v_idx, alpha)
-        record = k % cfg.record_every == 0 or k == cfg.max_iter
-        if not record and cfg.window is None:
-            continue
-        f_now = obj.eval()
-        if record:
-            trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                     _nnz(obj.x)))
-        if stag.update(f_now):
-            if trace[-1].t != k:
-                trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                         _nnz(obj.x)))
+        obj.apply_step(v_idx, obj.line_search(v_idx, 0.0, 1.0))
+        if run.stop_after(k, obj.eval, obj.x):
             break
-    return obj.x.copy(), trace
+    return obj.x.copy(), run.trace
 
 
 def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
@@ -124,13 +132,8 @@ def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
     lam = np.zeros(poly.M)
     lam[0] = 1.0
     state = AwayState(lam=lam)
-    stag = _Stagnation(cfg.window, cfg.window_tol)
-    t0 = time.perf_counter()
-    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, _nnz(obj.x))]
-    stag.update(trace[0].f_value)
-    for k in range(1, cfg.max_iter + 1):
-        if _over_budget(cfg, t0):
-            break
+    run = _Run(cfg, obj.eval, obj.x)
+    for k in run.iterations():
         g = obj.full_gradient()
         scores = poly.vertex_scores(g)
         v_fw = int(np.argmin(scores))
@@ -142,29 +145,19 @@ def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
         v_aw = int(np.argmax(away_scores))
         fw_slope = float(scores[v_fw]) - gx      # <g, v_fw - x> <= 0
         aw_slope = gx - float(scores[v_aw])      # <g, x - v_aw> <= 0
-        li = lam[v_aw]
-        if fw_slope <= aw_slope or li >= 1.0:
-            v = v_fw
-            alpha = obj.line_search(v_fw, 0.0, 1.0)
-            dropped = False
+        if fw_slope <= aw_slope or lam[v_aw] >= 1.0:
+            # a toward step is never a drop: it counts as capped
+            v, lo, hi, capped = v_fw, 0.0, 1.0, True
         else:
-            v = v_aw
-            lo, capped = _kernels.away_interval(li, gamma_cap)
-            alpha, dropped = _kernels.snap_drop(
-                obj.line_search(v_aw, lo, 0.0), lo, capped, _kernels.DROP_TOL)
+            v, hi = v_aw, 0.0
+            lo, capped = _kernels.step_interval(True, lam, v, gamma_cap)
+        alpha = _kernels.away_update(lam, v, obj.line_search(v, lo, hi), lo,
+                                     capped, _kernels.DROP_TOL)
         obj.apply_step(v, alpha)
-        _kernels.reweight(lam, v, alpha, dropped)
         weight_refresh(state, obj.x, poly, tol=1e-8)
-        f_now = obj.eval()
-        if k % cfg.record_every == 0 or k == cfg.max_iter:
-            trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                     _nnz(obj.x)))
-        if stag.update(f_now):
-            if trace[-1].t != k:
-                trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k,
-                                         _nnz(obj.x)))
+        if run.stop_after(k, obj.eval, obj.x):
             break
-    return obj.x.copy(), trace
+    return obj.x.copy(), run.trace
 
 
 def fista_solve(obj, poly=None, cfg=None):
@@ -172,17 +165,12 @@ def fista_solve(obj, poly=None, cfg=None):
     extrapolation sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2."""
     poly, cfg = _start(obj, poly, cfg)
     L = obj.L
-    stag = _Stagnation(cfg.window, cfg.window_tol)
-    t0 = time.perf_counter()
     x = poly.vertex(0)
     y = x.copy()
     tk = 1.0
-    trace = [TraceRecord(0, obj.eval_at(x), time.perf_counter() - t0, 0, _nnz(x))]
-    stag.update(trace[0].f_value)
-    best_x, best_f = x.copy(), trace[0].f_value
-    for k in range(1, cfg.max_iter + 1):
-        if _over_budget(cfg, t0):
-            break
+    run = _Run(cfg, lambda: obj.eval_at(x), x)
+    best_x, best_f = x.copy(), run.trace[0].f_value
+    for k in run.iterations():
         x_new = poly.project(y - obj.grad_at(y) / L)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = x_new + ((tk - 1.0) / t_new) * (x_new - x)
@@ -190,14 +178,9 @@ def fista_solve(obj, poly=None, cfg=None):
         f_now = obj.eval_at(x)
         if f_now < best_f:
             best_f, best_x = f_now, x.copy()
-        if k % cfg.record_every == 0 or k == cfg.max_iter:
-            trace.append(TraceRecord(k, f_now, time.perf_counter() - t0, k, _nnz(x)))
-        if stag.update(f_now):
-            if trace[-1].t != k:
-                trace.append(TraceRecord(k, f_now, time.perf_counter() - t0,
-                                         k, _nnz(x)))
+        if run.stop_after(k, lambda: f_now, x):
             break
-    return best_x, trace
+    return best_x, run.trace
 
 
 # pairs drawn per generator call by pair_stream
@@ -235,15 +218,12 @@ def twocd_solve(obj, poly=None, cfg=None, nnz_fn=None):
     d = poly.d
     obj.reset(poly.vertex(0))
     rng = np.random.default_rng(cfg.rng_seed)
-    nnz = nnz_fn if nnz_fn is not None else _nnz
-    t0 = time.perf_counter()
-    trace = [TraceRecord(0, obj.eval(), time.perf_counter() - t0, 0, nnz(obj.x))]
+    run = _Run(cfg, obj.eval, obj.x, nnz_fn if nnz_fn is not None else _nnz,
+               windowed=False)
     if d < 2:
         # no coordinate pair exists; the start vertex is the only point
-        return obj.x.copy(), trace
-    for k, (i, j) in zip(range(1, cfg.max_iter + 1), pair_stream(rng, d)):
-        if _over_budget(cfg, t0):
-            break
+        return obj.x.copy(), run.trace
+    for k, (i, j) in zip(run.iterations(), pair_stream(rng, d)):
         lo = -obj.x[i]
         hi = obj.x[j]
         if hi > lo:
@@ -251,7 +231,5 @@ def twocd_solve(obj, poly=None, cfg=None, nnz_fn=None):
         else:
             theta = 0.0
         obj.apply_pair_step(i, j, theta)
-        if k % cfg.record_every == 0 or k == cfg.max_iter:
-            trace.append(TraceRecord(k, obj.eval(), time.perf_counter() - t0,
-                                     k, nnz(obj.x)))
-    return obj.x.copy(), trace
+        run.stop_after(k, obj.eval, obj.x)
+    return obj.x.copy(), run.trace

@@ -68,6 +68,10 @@ class SolverCell:
     def __post_init__(self):
         if self.name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {self.name!r}; known: {SOLVER_NAMES}")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1 or None")
         if self.label is None:
             self.label = self.name
 
@@ -203,7 +207,8 @@ def run_solver_cell(cell, bundle):
     if cell.name == "2cd":
         obj = bundle.objective(lifted=True, L=cell.smoothness)
         cfg = BaselineConfig(
-            max_iter=cell.max_iter or bundle.twocd_budget,
+            max_iter=(bundle.twocd_budget if cell.max_iter is None
+                      else cell.max_iter),
             rng_seed=cell.rng_seed if cell.rng_seed is not None else bundle.seed,
             record_every=max(1, bundle.lifted_poly.M // 4),
         )
@@ -212,8 +217,9 @@ def run_solver_cell(cell, bundle):
         return bundle.unlift(u), trace
     obj = bundle.objective(L=cell.smoothness)
     default_iter = {"fw": 5000, "afw": 5000, "fista": 1000}[cell.name]
-    cfg = BaselineConfig(max_iter=cell.max_iter or default_iter,
-                         window=cell.window, window_tol=cell.window_tol)
+    cfg = BaselineConfig(
+        max_iter=default_iter if cell.max_iter is None else cell.max_iter,
+        window=cell.window, window_tol=cell.window_tol)
     solver = {"fw": fw_solve, "afw": afw_solve, "fista": fista_solve}[cell.name]
     x, trace = solver(obj, bundle.poly, cfg)
     return x, trace

@@ -10,8 +10,9 @@ vertex i.
 
 Structured problems (the composite and kernel-density objectives over the
 simplex / l1 ball) run whole outer passes inside the cycle kernels of
-``_kernels``.  Everything else runs through the per-step objective API,
-which produces the same trajectories.
+``_kernels``.  Everything else, and every run given an inner_callback,
+runs through the per-step objective API, which produces the same
+trajectories.
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ class SolveConfig:
     drop_tol: float = _kernels.DROP_TOL  # snap-to-drop tolerance around -gamma
     ls_tol: float = 1e-12
     ls_max_iter: int = 200
-    use_kernels: bool | None = None  # None = auto-detect
 
     def __post_init__(self):
         if self.step_rule not in _RULES:
@@ -161,17 +161,11 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
             raise ValueError("x0 must be a finite point of the polytope")
         obj.reset(x0 if x0 is not None else poly.vertex(cfg.start_vertex))
 
-    needs_per_step = inner_callback is not None
+    # the per-step path serves objectives without a cycle kernel and runs
+    # that report each step to inner_callback
     kname = obj.kernel_name()
-    use_kernels = cfg.use_kernels
-    if use_kernels is None:
-        use_kernels = kname is not None and not needs_per_step
-    if use_kernels and kname is None:
-        raise ValueError("no cycle kernel for this objective/polytope")
-    if use_kernels and needs_per_step:
-        raise ValueError("this configuration needs the per-step path "
-                         "(use_kernels=False)")
-    fn = _kernels.kernel(kname) if use_kernels else None
+    fn = (_kernels.kernel(kname)
+          if kname is not None and inner_callback is None else None)
     grad_rule = cfg.step_rule == GRAD_1D
 
     t_start = time.perf_counter()
@@ -179,26 +173,20 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
     inner_total = 0
 
     for t in range(1, cfg.max_outer + 1):
-        if use_kernels:
+        if fn is not None:
             obj.run_cycle(fn, order, lam, grad_rule, away,
                           cfg.gamma_cap, cfg.drop_tol, cfg.ls_tol, cfg.ls_max_iter)
         else:
             for i in order:
-                if obj.segment_is_degenerate(i):
-                    if inner_callback is not None:
-                        inner_callback(t, int(i), 0.0)
-                    continue
-                lo = 0.0
-                capped = False
-                if away:
-                    lo, capped = _kernels.away_interval(lam[i], cfg.gamma_cap)
-                alpha = _inner_step(obj, i, lo, cfg)
-                if away:
-                    alpha, dropped = _kernels.snap_drop(alpha, lo, capped,
-                                                        cfg.drop_tol)
-                obj.apply_step(i, alpha)
-                if away:
-                    _kernels.reweight(lam, i, alpha, dropped)
+                alpha = 0.0
+                if not obj.segment_is_degenerate(i):
+                    lo, capped = _kernels.step_interval(away, lam, i,
+                                                        cfg.gamma_cap)
+                    alpha = _inner_step(obj, i, lo, cfg)
+                    if away:
+                        alpha = _kernels.away_update(lam, i, alpha, lo, capped,
+                                                     cfg.drop_tol)
+                    obj.apply_step(i, alpha)
                 if inner_callback is not None:
                     inner_callback(t, int(i), float(alpha))
         inner_total += M

@@ -234,31 +234,26 @@ def test_criterion_5_weight_invariants():
     b = rng.standard_normal(150)
     ball = L1Ball(150, 2.0)
     total += _replay_and_check(lambda: LeastSquares(A, b, ball), ball,
-                               SolveConfig(max_outer=200, rel_improve_tol=0.0,
-                                           use_kernels=False))
+                               SolveConfig(max_outer=200, rel_improve_tol=0.0))
 
     A2 = rng.standard_normal((120, 80))
     labs = np.where(rng.random(120) < 0.5, 1.0, -1.0)
     ball2 = L1Ball(80, 1.5)
     total += _replay_and_check(lambda: Logistic(A2, labs, ball2), ball2,
-                               SolveConfig(max_outer=250, rel_improve_tol=0.0,
-                                           use_kernels=False))
+                               SolveConfig(max_outer=250, rel_improve_tol=0.0))
     total += _replay_and_check(lambda: Logistic(A2, labs, ball2), ball2,
                                SolveConfig(step_rule=GRAD_1D, max_outer=150,
-                                           rel_improve_tol=0.0,
-                                           use_kernels=False))
+                                           rel_improve_tol=0.0))
 
     X, _ = gen_kde(KdeSpec(n=150, d=2, seed=1))
     simp = StandardSimplex(150)
     total += _replay_and_check(lambda: KdeHuber(X, 1.0, 0.4, simp), simp,
-                               SolveConfig(max_outer=150, rel_improve_tol=0.0,
-                                           use_kernels=False))
+                               SolveConfig(max_outer=150, rel_improve_tol=0.0))
 
     # merely convex quadratic: the sublinear tail keeps every sweep busy
     quad = random_quadratic(40, 123, mu=0.0)
     total += _replay_and_check(lambda: (quad.reset() or quad), quad.poly,
-                               SolveConfig(max_outer=1500, rel_improve_tol=0.0,
-                                           use_kernels=False))
+                               SolveConfig(max_outer=1500, rel_improve_tol=0.0))
 
     assert total >= 100_000, f"only {total} inner steps exercised"
     report(5, f"{total} replayed inner steps, zero invariant violations")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,41 @@ def test_time_budget_cap():
     x, trace = fw_solve(obj, None, BaselineConfig(max_iter=10**7, window=None,
                                                   time_budget=0.3))
     assert trace[-1].elapsed <= 2.0
+
+
+@pytest.mark.parametrize("solve", [fw_solve, afw_solve, fista_solve,
+                                   twocd_solve])
+def test_record_and_stop_protocol(solve):
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((40, 12))
+    b = rng.standard_normal(40)
+    simp = StandardSimplex(12)
+
+    def run(**kw):
+        # fw_gap_tol=-inf: FW and AFW must not end on a small gap here
+        obj = LeastSquares(A, b, simp)
+        evals = []
+        orig = obj.eval
+        obj.eval = lambda: evals.append(1) or orig()
+        _, trace = solve(obj, simp, BaselineConfig(fw_gap_tol=-np.inf, **kw))
+        return [r.t for r in trace], len(evals)
+
+    # record 0, every record_every-th iteration and the last
+    ts, evals = run(max_iter=400, window=None, record_every=7)
+    assert ts == [0, *range(7, 400, 7), 400]
+    if solve is not fista_solve:  # FISTA reads f every step for its best x
+        assert evals == len(ts)   # f is read only for the records
+    # a window stop at iteration 5 is recorded once, due there or not;
+    # 2cd applies no window
+    for every in (5, 7):
+        ts, _ = run(max_iter=30, window=5, window_tol=np.inf,
+                    record_every=every)
+        if solve is twocd_solve:
+            assert ts[-1] == 30
+        else:
+            assert ts == [0, 5]
+    # the time budget ends a run
+    t0 = time.perf_counter()
+    ts, _ = run(max_iter=10**8, window=None, record_every=10**8,
+                time_budget=0.05)
+    assert time.perf_counter() - t0 < 5.0 and ts[-1] < 10**8

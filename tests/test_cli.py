@@ -20,6 +20,15 @@ def test_solve_subcommand_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "res" / "trace_polycdwa_rep0.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--max-outer", "--max-iter"])
+def test_solve_rejects_zero_budget(tmp_path, flag):
+    # --max-outer 0 used to exit 0 with the solver reported as failed
+    with pytest.raises(ValueError, match=flag[2:].replace("-", "_")):
+        main(["solve", "--preset", "lasso", "--n", "20", "--d", "10",
+              "--r", "2", "--solver", "fw", flag, "0",
+              "--out", str(tmp_path / "res")])
+
+
 def test_solve_with_smoothness_override(tmp_path):
     rc = main(["solve", "--preset", "lasso", "--n", "40", "--d", "20",
                "--r", "3", "--solver", "polycd", "--step-rule", "grad",

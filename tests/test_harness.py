@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polycd.harness import (ExperimentConfig, SolverCell, compute_gap,
-                            emit_plot_data, run_experiment, _Bundle)
+                            emit_plot_data, run_experiment, run_solver_cell,
+                            _Bundle)
 from polycd.solvers import TraceRecord
 
 
@@ -41,6 +42,22 @@ def test_config_rejects_unknown_keys():
                                                  "oops": True}]})
     with pytest.raises(ValueError):
         SolverCell(name="nonexistent")
+
+
+@pytest.mark.parametrize("field, value", [("max_iter", 0), ("max_iter", -1),
+                                          ("max_outer", 0)])
+def test_solver_cell_rejects_budget_below_one(field, value):
+    # max_iter=0 used to run the per-method default budget, and
+    # max_outer=0 reported the solver as failed
+    with pytest.raises(ValueError, match=field):
+        SolverCell(name="fw", **{field: value})
+
+
+def test_solver_cell_budget_none_means_default():
+    bundle = _Bundle("lasso", {"n": 30, "d": 6, "r": 2, "snr": 1.0}, 0)
+    for max_iter, last in ((None, bundle.twocd_budget), (3, 3)):
+        _, trace = run_solver_cell(SolverCell("2cd", max_iter=max_iter), bundle)
+        assert trace[-1].t == last
 
 
 def test_config_json_round_trip(tmp_path):

@@ -118,3 +118,32 @@ def test_kde_seg_matches_reference_formula():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+def test_away_update_drops_scales_and_keeps():
+    lam = np.array([0.2, 0.5, 0.3])
+    tol = _kernels.DROP_TOL
+    assert _kernels.step_interval(False, lam, 0, 1e12) == (0.0, False)
+    lo, capped = _kernels.step_interval(True, lam, 0, 1e12)
+    assert lo == -0.2 / 0.8 and not capped
+    # a step within DROP_TOL of an uncapped lo is the drop step lo: the
+    # weight becomes an exact zero and the others scale by 1 - lo
+    for alpha in (lo, lo + 0.5 * tol, lo - 0.5 * tol):
+        w = lam.copy()
+        assert _kernels.away_update(w, 0, alpha, lo, False, tol) == lo
+        assert w[0] == 0.0 and not np.signbit(w[0])
+        assert np.array_equal(w[1:], lam[1:] * (1.0 - lo))
+    # a capped step stops short of -gamma_i and never drops
+    lo_c, capped = _kernels.step_interval(True, lam, 0, 0.1)
+    assert lo_c == -0.1 and capped
+    w = lam.copy()
+    assert _kernels.away_update(w, 0, lo_c, lo_c, True, tol) == lo_c
+    expect = lam * (1.0 - lo_c)
+    expect[0] += lo_c
+    assert np.array_equal(w, expect) and w[0] > 0.0
+    # alpha = 0 leaves the weights as they are, bit for bit
+    for i in range(3):
+        lo_i, capped_i = _kernels.step_interval(True, lam, i, 1e12)
+        w = lam.copy()
+        assert _kernels.away_update(w, i, 0.0, lo_i, capped_i, tol) == 0.0
+        assert w.tobytes() == lam.tobytes()

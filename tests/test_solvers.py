@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, KdeHuber, L1Ball,
-                    LeastSquares, Logistic, PolytopeError, Quadratic,
+from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, ExplicitVertices,
+                    KdeHuber, L1Ball, LeastSquares, Logistic, PolytopeError, Quadratic,
                     SolveConfig,
                     StandardSimplex, AwayState, away_gamma,
                     check_linear_bound, check_sublinear_bound, polycd_solve,
@@ -152,7 +152,7 @@ def test_feasibility_along_run():
             seen = []
             _, _, tr = polycdwa_solve(
                 obj, poly, SolveConfig(step_rule=rule, max_outer=15,
-                                       rel_improve_tol=0.0, use_kernels=False),
+                                       rel_improve_tol=0.0),
                 inner_callback=lambda t, i, a: seen.append(obj.x.copy()))
             for x in seen[::7]:
                 if poly.kind == "simplex":
@@ -203,8 +203,7 @@ def test_drop_step_writes_exact_zero_and_stays_until_revisit():
         lam_at.append((t, i, alpha))
 
     _, state, _ = polycdwa_solve(obj, ball,
-                                 SolveConfig(max_outer=30, rel_improve_tol=0.0,
-                                             use_kernels=False),
+                                 SolveConfig(max_outer=30, rel_improve_tol=0.0),
                                  inner_callback=cb)
     lam = np.zeros(ball.M)
     lam[0] = 1.0
@@ -390,10 +389,12 @@ def test_kernel_path_matches_generic_path():
             runs = {}
             for use_k in (True, False):
                 obj = make()
+                # a callback selects the per-step path
                 out = solve(obj, obj.poly,
                             SolveConfig(step_rule=rule, max_outer=20,
-                                        rel_improve_tol=0.0,
-                                        use_kernels=use_k))
+                                        rel_improve_tol=0.0),
+                            inner_callback=None if use_k
+                            else lambda t, i, a: None)
                 lam = out[1].lam if solve is polycdwa_solve else np.zeros(0)
                 runs[use_k] = (np.array([r.f_value for r in out[-1]]),
                                out[0], lam)
@@ -407,6 +408,34 @@ def test_kernel_path_matches_generic_path():
                 scale = np.maximum(np.abs(u), 1.0)
                 assert np.max(np.abs(u - v) / scale, initial=0.0) <= 1e-9, (
                     case, name)
+
+
+def test_composite_objectives_over_listed_vertices_match_the_l1_ball():
+    # ExplicitVertices takes the listed-vertex branch of the composite
+    # objectives (a stored A v_i per vertex): its per-step trajectory must
+    # follow the l1 ball's coordinate-vertex kernel pass
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((30, 8))
+    b = rng.standard_normal(30)
+    labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    ball = L1Ball(8, 1.5)
+    listed = ExplicitVertices(ball.vertex_matrix())
+    cases = itertools.product(((LeastSquares, b), (Logistic, labels)),
+                              (polycd_solve, polycdwa_solve),
+                              (LINE_SEARCH, GRAD_1D))
+    for (cls, y), solve, rule in cases:
+        runs = []
+        for poly in (ball, listed):
+            obj = cls(A, y, poly)
+            out = solve(obj, poly, SolveConfig(step_rule=rule, max_outer=20,
+                                               rel_improve_tol=0.0))
+            runs.append((np.array([r.f_value for r in out[-1]]), out[0]))
+        assert obj.kernel_name() is None
+        case = f"{cls.__name__}, {solve.__name__}, {rule}"
+        assert len(runs[0][0]) == len(runs[1][0]), case
+        for name, u, v in zip(("f-trace", "x"), runs[0], runs[1]):
+            scale = np.maximum(np.abs(u), 1.0)
+            assert np.max(np.abs(u - v) / scale) <= 1e-9, (case, name)
 
 
 @pytest.mark.parametrize("away", [False, True])

@@ -1,10 +1,18 @@
-"""Print a SHA-256 digest of the cyclic solvers' trajectories, one line per
-case, to check that a change leaves every trajectory bitwise unchanged.
+"""Print a SHA-256 digest of the solvers' trajectories, one line per case,
+to check that a change leaves every trajectory bitwise unchanged.
 
-The cases are polycd and polycdwa with both step rules on a lasso, a
+The cyclic cases are polycd and polycdwa with both step rules on a lasso, a
 logistic and a KDE instance, each on the kernel path and on the per-step
-path.  A digest covers the bytes of the f-trace, the final x and, for
-polycdwa, the final weights.  Run it on two checkouts and diff the output:
+path (which a no-op inner_callback selects).  A digest covers the bytes of
+the f-trace, the final x and, for polycdwa, the final weights.
+
+The baseline cases are FW, AFW, FISTA and 2cd on the same instances (2cd on
+the lifted simplex form of the l1-ball problems), each with the default
+config, with window=None, record_every=7, and with window=20,
+window_tol=1e-6, record_every=3.  A digest covers (t, f, inner_steps, nnz)
+of every record and the final x.
+
+Run it on two checkouts and diff the output:
 
     PYTHONPATH=src python3 tools/trajectory_digest.py > after.txt
 """
@@ -16,31 +24,51 @@ import sys
 import numpy as np
 
 from polycd import (GRAD_1D, LINE_SEARCH, KdeHuber, L1Ball, LeastSquares,
-                    Logistic, SolveConfig, polycd_solve, polycdwa_solve)
+                    Logistic, SolveConfig, StandardSimplex, polycd_solve,
+                    polycdwa_solve)
+from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
+                              fw_solve, twocd_solve)
 from polycd.problems import (KdeSpec, LassoSpec, LogisticSpec, gen_kde,
                              gen_lasso, gen_logistic)
 
 PASSES = 30
 
+BASELINES = (("fw", fw_solve), ("afw", afw_solve), ("fista", fista_solve),
+             ("2cd", twocd_solve))
+BASELINE_CONFIGS = (
+    ("default", {}),
+    ("every7", {"window": None, "record_every": 7}),
+    ("window20", {"window": 20, "window_tol": 1e-6, "record_every": 3}),
+)
+
 
 def instances():
+    """(name, objective factory, lifted-simplex objective factory)."""
     A, b, _, C = gen_lasso(LassoSpec(n=200, d=200, r=20, seed=1))
-    yield "lasso", lambda: LeastSquares(A, b, L1Ball(200, C))
+    yield ("lasso", lambda: LeastSquares(A, b, L1Ball(200, C)),
+           lambda: LeastSquares(np.hstack([A, -A]) * C, b,
+                                StandardSimplex(400)))
     A2, labels, _, C2 = gen_logistic(LogisticSpec(n=200, d=200, r=20, seed=2))
-    yield "logistic", lambda: Logistic(A2, labels, L1Ball(200, C2))
+    yield ("logistic", lambda: Logistic(A2, labels, L1Ball(200, C2)),
+           lambda: Logistic(np.hstack([A2, -A2]) * C2, labels,
+                            StandardSimplex(400)))
     spec = KdeSpec(n=600, seed=3)
     X, _ = gen_kde(spec)
-    yield "kde", lambda: KdeHuber(X, spec.sigma_kernel, spec.mu_huber)
+
+    def kde():
+        return KdeHuber(X, spec.sigma_kernel, spec.mu_huber)
+    yield "kde", kde, kde
 
 
-def main():
-    cases = itertools.product(instances(), (polycd_solve, polycdwa_solve),
+def cyclic_cases(insts):
+    cases = itertools.product(insts, (polycd_solve, polycdwa_solve),
                               (LINE_SEARCH, GRAD_1D), (True, False))
-    for (name, make), solve, rule, use_k in cases:
+    for (name, make, _), solve, rule, use_k in cases:
         obj = make()
         out = solve(obj, obj.poly,
                     SolveConfig(step_rule=rule, max_outer=PASSES,
-                                rel_improve_tol=0.0, use_kernels=use_k))
+                                rel_improve_tol=0.0),
+                    inner_callback=None if use_k else lambda t, i, a: None)
         f = np.array([r.f_value for r in out[-1]])
         h = hashlib.sha256(f.tobytes())
         h.update(out[0].tobytes())
@@ -50,6 +78,26 @@ def main():
         print(f"{name:8s} {solve.__name__:14s} {rule:11s} {path:8s} "
               f"{h.hexdigest()[:16]} f={float(f[-1])!r}")
         sys.stdout.flush()
+
+
+def baseline_cases(insts):
+    cases = itertools.product(insts, BASELINES, BASELINE_CONFIGS)
+    for (name, make, make_lifted), (label, solve), (cname, kw) in cases:
+        obj = make_lifted() if label == "2cd" else make()
+        x, trace = solve(obj, obj.poly, BaselineConfig(**kw))
+        rows = np.array([(r.t, r.f_value, r.inner_steps, r.nnz)
+                         for r in trace], dtype=np.float64)
+        h = hashlib.sha256(rows.tobytes())
+        h.update(x.tobytes())
+        print(f"{name:8s} {label:14s} {cname:11s} {len(trace):8d} "
+              f"{h.hexdigest()[:16]} f={float(trace[-1].f_value)!r}")
+        sys.stdout.flush()
+
+
+def main():
+    insts = list(instances())
+    cyclic_cases(insts)
+    baseline_cases(insts)
 
 
 if __name__ == "__main__":
