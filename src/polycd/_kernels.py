@@ -7,12 +7,13 @@ and its cached quantities in place.
 The step math that every vertex step shares is written once, as the
 helpers below: the step interval (step_interval), the away-step weight
 update with its drop snap (away_update), the 1D gradient rule, the
-safeguarded Newton line search (newton_step, hi_test_due and the loop
-line_min), the segment derivatives of the logistic and kernel-density
-losses, and the move of the iterate toward a coordinate vertex.  The
-kernels, the per-step path of the solvers (which a run given an
-inner_callback takes), the away-step Frank-Wolfe baseline and the
-objective methods all call them.
+safeguarded Newton line search (newton_step, end_test_due and the loop
+line_min, which starts at the current point alpha = 0), the segment
+derivatives of the logistic and kernel-density losses and their values
+at alpha = 0 (logistic_start, kde_start, kde_seg0), and the move of the
+iterate toward a coordinate vertex.  The kernels, the per-step path of
+the solvers (which a run given an inner_callback takes), the away-step
+Frank-Wolfe baseline and the objective methods all call them.
 """
 
 import numpy as np
@@ -113,9 +114,10 @@ def newton_step(a, b, x, d, h, tol, more):
     evaluation budget is spent), giving its midpoint, or the Newton step is
     at most tol / 4 long, giving its end.  Otherwise x is the next point to
     evaluate: the Newton step if it lands strictly inside the bracket, the
-    midpoint if not.  Its caller line_min tests lo first, so flat stretches
-    of phi' resolve to the smallest minimizer, starts from x = a = lo with
-    b = hi, and tests hi where hi_test_due says.
+    midpoint if not.  Its caller line_min starts from x = x0, the point at
+    which phi' was given, with [a, b] = [lo, hi], so the first step keeps
+    the side of x0 that the sign of phi'(x0) picks, and it tests the far
+    end of that side where end_test_due says.
     """
     if d >= 0.0:
         b = x
@@ -133,48 +135,61 @@ def newton_step(a, b, x, d, h, tol, more):
     return a, b, 0.5 * (a + b), False
 
 
-# a line search that defers its test of the hi end makes it at the latest
-# after this many evaluations inside the interval have left b at hi
-HI_TEST_AFTER = 3
+# a line search that defers its test of the interval end on its side of the
+# start makes it at the latest after this many evaluations inside the
+# interval have left the bracket at that end
+END_TEST_AFTER = 3
 
 
-def hi_test_due(a, b, x, done, hi, it):
-    """Whether a line search that started newton_step on [lo, hi] without
-    testing hi must test it now, before it evaluates or returns x; it
-    counts the evaluations inside the interval so far.
+def end_test_due(a, b, x, done, end, it):
+    """Whether a line search that runs newton_step toward the interval end
+    `end` without testing it must test it now, before it evaluates or
+    returns x; it counts the evaluations inside the interval so far.
 
-    The search takes phi'(hi) > 0 on trust and first relies on it where it
-    ends or bisects with b still at hi; there phi'(hi) <= 0 makes hi the
+    The search takes on trust that phi' changes sign before end (phi'(hi)
+    > 0, or phi'(lo) < 0), and first relies on it where it ends or bisects
+    with the bracket still at end; there the other sign makes end the
     minimizer.  Until then it evaluates only points that a search testing
-    hi first evaluates too, so the result is the same, except where phi'
-    is exactly 0 on a stretch that ends at hi.  HI_TEST_AFTER caps what a
-    search whose minimizer is hi pays over testing hi first.  The caller
-    tests hi at most once.
+    end first evaluates too, so the result is the same, except where phi'
+    is exactly 0 on a stretch that ends at hi.  END_TEST_AFTER caps what a
+    search whose minimizer is end pays over testing it first.  The caller
+    tests end at most once.
     """
-    return b == hi and (done or x == 0.5 * (a + b) or it >= HI_TEST_AFTER)
+    return ((a == end or b == end)
+            and (done or x == 0.5 * (a + b) or it >= END_TEST_AFTER))
 
 
-def line_min(seg, lo, hi, d, h, tol, max_iter):
+def line_min(seg, lo, hi, x0, d, h, tol, max_iter):
     """Minimize a convex phi on [lo, hi] by safeguarded Newton on phi',
-    given d = phi'(lo) and h = phi''(lo); seg(alpha, curv) returns phi'
-    and, if curv, phi'' at alpha (else 0).
+    given d = phi'(x0) and h = phi''(x0) at a point x0 in [lo, hi];
+    seg(alpha, curv) returns phi' and, if curv, phi'' at alpha (else 0).
 
-    Unless phi'(lo) < 0, which a NaN is not, the minimizer is lo.
-    Otherwise newton_step runs from lo on the bracket [lo, hi] for at most
-    max_iter evaluations inside it, and hi is tested at most once, with
-    curv False, where hi_test_due says: phi'(hi) <= 0 makes hi the
-    minimizer.
+    The sign of d picks the side of x0 that holds the minimizer: (x0, hi]
+    where d < 0 and [lo, x0) where d > 0.  Where d is 0 or NaN, or x0 is
+    the end of that side, the minimizer is x0.  Otherwise newton_step runs
+    from x0 on the bracket between x0 and the side's end for at most
+    max_iter evaluations inside it, and the end is tested at most once,
+    with curv False, where end_test_due says: phi'(hi) <= 0 makes hi the
+    minimizer, and phi'(lo) >= 0 makes lo the minimizer.  With x0 = lo this
+    is a search that tests lo first.  Flat stretches of phi' resolve to the
+    smallest minimizer on the side searched.
     """
-    if not d < 0.0:
-        return lo
+    if d < 0.0:
+        end, sgn = hi, -1.0
+    elif d > 0.0:
+        end, sgn = lo, 1.0
+    else:
+        return x0
+    if x0 == end:
+        return x0
     it = 0
-    hi_open = True
-    a, b, x, done = newton_step(lo, hi, lo, d, h, tol, max_iter > 0)
+    end_open = True
+    a, b, x, done = newton_step(lo, hi, x0, d, h, tol, max_iter > 0)
     while True:
-        if hi_open and hi_test_due(a, b, x, done, hi, it):
-            hi_open = False
-            if seg(hi, False)[0] <= 0.0:
-                return hi
+        if end_open and end_test_due(a, b, x, done, end, it):
+            end_open = False
+            if sgn * seg(end, False)[0] >= 0.0:
+                return end
         if done:
             return x
         d, h = seg(x, True)
@@ -187,13 +202,24 @@ def sigmoid_neg(m):
     return 1.0 / (1.0 + np.exp(np.minimum(m, 700.0)))
 
 
-def logistic_seg(sig, yw, yw2, curv):
+def logistic_start(ym, curv):
+    """(sig, sg) at the current z, where ym = y z: sig = sigmoid_neg(ym)
+    and, if curv, sg = sig (1 - sig) (else None), the weights of phi' and
+    phi'' at alpha = 0 that every step from z shares (logistic_seg)."""
+    sig = sigmoid_neg(ym)
+    return sig, sig * (1.0 - sig) if curv else None
+
+
+def logistic_seg(sig, yw, yw2, curv, sg=None):
     """phi' and, if curv, phi'' of phi(alpha) = f(z + alpha w) for the
     logistic loss, at the alpha where sig = sigmoid_neg(y (z + alpha w));
-    yw = y w and yw2 = yw^2."""
+    yw = y w and yw2 = yw^2.  sg = sig (1 - sig) is computed unless the
+    caller passes it from logistic_start."""
     if not curv:
         return -np.dot(sig, yw), 0.0
-    return -np.dot(sig, yw), np.dot(sig * (1.0 - sig), yw2)
+    if sg is None:
+        sg = sig * (1.0 - sig)
+    return -np.dot(sig, yw), np.dot(sg, yw2)
 
 
 def huber_ratio(t, mu_h):
@@ -228,8 +254,8 @@ def kde_slope(u, dvec, q, uj, kappa0, mu_h):
 def kde_work(n):
     """The work rows that kde_seg writes into, for n sample points: T_i
     (then m_i), T_i', r_i, the far-side curvature factor, and ones, so
-    that sum r_i is a dot product."""
-    W = np.empty((5, n))
+    that sum r_i is a dot product; then the four rows of kde_start."""
+    W = np.empty((9, n))
     W[4] = 1.0
     return W
 
@@ -268,6 +294,34 @@ def kde_seg(alpha, P, R, C, mu_h, curv, W):
     np.multiply(F, Tp, F)
     np.divide(F, T, F)
     return (d, C * float(np.dot(r, W[4])) - 0.25 * float(np.dot(F, Tp)))
+
+
+def kde_start(u, q, kappa0, mu_h, W):
+    """Write into rows 5-8 of W (from kde_work) what kde_seg reads at
+    alpha = 0 on every move from the weights with caches u = K w and
+    q = w'Kw: P = q - 2u + kappa0, m = max(P, mu^2), r = mu / sqrt(m) and
+    the far-side factor r - floor(r).  Returns sum r_i.  Row 5, P, is the
+    P that kde_seg takes."""
+    P, m, r, F = W[5], W[6], W[7], W[8]
+    np.multiply(u, -2.0, P)
+    np.add(P, q + kappa0, P)
+    np.fmax(P, mu_h * mu_h, m)
+    np.sqrt(m, r)
+    np.divide(mu_h, r, r)
+    np.floor(r, F)
+    np.subtract(r, F, F)
+    return float(np.dot(r, W[4]))
+
+
+def kde_seg0(R, C, sum_r, W):
+    """kde_seg(0.0, W[5], R, C, mu_h, True, W) bit for bit, from the rows
+    that kde_start wrote and its sum_r: T = P and T' = R at alpha = 0, so
+    a step takes two dot products and one far-side product."""
+    d = 0.5 * float(np.dot(W[7], R))
+    F = W[3]
+    np.multiply(W[8], R, F)
+    np.divide(F, W[6], F)
+    return d, C * sum_r - 0.25 * float(np.dot(F, R))
 
 
 def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
@@ -438,12 +492,15 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     alpha = 0 step, so the iterates are bit for bit those of a visit to
     every vertex.  The screen is recomputed after each step that moves.
 
-    sig at the current z is computed once per move and serves every step
-    that reads it at alpha = 0, so a visit that does not move costs a few
-    array operations, a fraction of a rescan.  A block is therefore
-    screened only when at most a third of the previous block's positions
-    were candidates (a nonzero weight or a positive step): in a denser
-    block the rescans, one per move, cost more than the visits they save.
+    sig at the current z, and sig (1 - sig) for the line search, are
+    computed once per move (logistic_start) and serve the screen, the
+    gradient rule and the line search's start at alpha = 0, where phi'(0)
+    and phi''(0) are two dot products.  So a visit that does not move
+    costs a few array operations, a fraction of a rescan.  A block is
+    therefore screened only when at most a third of the previous block's
+    positions were candidates (a nonzero weight or a positive step): in a
+    denser block the rescans, one per move, cost more than the visits
+    they save.
     """
     M = order.shape[0]
     J = vcoord[order]
@@ -451,8 +508,8 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     # 4 (n + 2) rounding units: twice the bound on either phi'(0)'s error
     tie = 4.0 * (z.shape[0] + 2)
     ym = ylab * z
-    # sig and the screen's sy and zs hold for the current z while *_ok
-    sig_ok = False
+    sig, sg = logistic_start(ym, not grad_rule)
+    # the screen's sy and zs hold for the current z while scr_ok
     scr_ok = False
     ncand = 0  # candidates of the previous block
     nprev = 0
@@ -475,9 +532,6 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
         while pos < q:
             if screen:
                 if rescan:
-                    if not sig_ok:
-                        sig = sigmoid_neg(ym)
-                        sig_ok = True
                     if not scr_ok:
                         sy = sig * ylab
                         # phi'(0) less the ||z||_1 part of the margin; the
@@ -508,20 +562,16 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             w = sc - z
             yw = ylab * w
             lo, capped = step_interval(away, lam, i, gamma_cap)
-            if (grad_rule or lo == 0.0) and not sig_ok:
-                sig = sigmoid_neg(ym)
-                sig_ok = True
             if grad_rule:
                 alpha = grad_step(-np.dot(sig, yw), c, L, lo, 1.0)
             else:
                 yw2 = yw * yw
-                # at lo = 0, ym + lo * yw is ym: the segment's sig is this sig
-                slo = sig if lo == 0.0 else sigmoid_neg(ym + lo * yw)
-                d, h = logistic_seg(slo, yw, yw2, True)
+                # the search starts at alpha = 0, where ym + 0 yw is ym
+                d, h = logistic_seg(sig, yw, yw2, True, sg)
                 alpha = line_min(
                     lambda a, curv: logistic_seg(sigmoid_neg(ym + a * yw),
                                                  yw, yw2, curv),
-                    lo, 1.0, d, h, ls_tol, ls_max_iter)
+                    lo, 1.0, 0.0, d, h, ls_tol, ls_max_iter)
             if lo != 0.0 or alpha > 0.0:
                 ncand += 1
             if away:
@@ -530,7 +580,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                 continue
             sq_x = vertex_move(x, j, s, alpha, sq_x, z, sc, w)
             ym = ylab * z
-            sig_ok = False
+            sig, sg = logistic_start(ym, not grad_rule)
             scr_ok = False
             rescan = screen
         p = q
@@ -547,18 +597,23 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     xsq), LS_BLOCK visit positions at a time with one kde_columns call, so
     K itself is never materialized.  The line search's rows are allocated
     once per pass (kde_work), and a step reads its scalars as Python
-    floats.  Returns (q, sq_w).
+    floats.  The search starts at alpha = 0: what kde_seg reads there
+    that does not depend on the step's vertex (P, the Huber ratios, their
+    sum and the far-side factor) is built once per move (kde_start), so a
+    step builds R and takes phi'(0) and phi''(0) from kde_seg0.
+    Returns (q, sq_w).
     """
     M = order.shape[0]
     n = u.shape[0]
     q = float(q)
     sq_w = float(sq_w)
-    # rows for dvec = K e_j - u, P = q - 2u + kappa0 and R, built in place
-    rows = np.empty((3, n))
+    # rows for dvec = K e_j - u and R, built in place
+    rows = np.empty((2, n))
     dvec = rows[0]
-    P = rows[1]
-    R = rows[2]
+    R = rows[1]
     W = kde_work(n)
+    P = W[5]
+    start_ok = False  # kde_start's rows of W hold for the current weights
     for p in range(0, M, LS_BLOCK):
         Kb = kde_columns(X, xsq, order[p:p + LS_BLOCK], kappa0, inv2s2)
         for idx in range(p, min(p + LS_BLOCK, M)):
@@ -574,20 +629,22 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                 alpha = grad_step(kde_slope(u, dvec, q, uj, kappa0, mu_h), c,
                                   L, lo, 1.0)
             else:
-                np.multiply(u, -2.0, P)
-                np.add(P, q + kappa0, P)
+                if not start_ok:
+                    sum_r = kde_start(u, q, kappa0, mu_h, W)
+                    start_ok = True
                 np.multiply(dvec, -2.0, R)
                 np.add(R, 2.0 * (uj - q), R)
                 C = q - 2.0 * uj + kappa0
-                d, h = kde_seg(lo, P, R, C, mu_h, True, W)
+                d, h = kde_seg0(R, C, sum_r, W)
                 alpha = line_min(
                     lambda a, curv: kde_seg(a, P, R, C, mu_h, curv, W),
-                    lo, 1.0, d, h, ls_tol, ls_max_iter)
+                    lo, 1.0, 0.0, d, h, ls_tol, ls_max_iter)
             if away:
                 alpha = away_update(lam, j, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
             q, sq_w = kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0)
+            start_ok = False
     return q, sq_w
 
 

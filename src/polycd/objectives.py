@@ -54,11 +54,15 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     ``_kernels.line_min``, the kernels' line search: safeguarded Newton on
     phi', which takes a Newton step only when it lands strictly inside the
     bracket [a, b] with phi'(a) < 0 <= phi'(b) and bisects otherwise.  It
+    evaluates fn first at the current point alpha = 0 (clipped to
+    [lo, hi]), and the sign of phi' there picks the side of it that it
+    searches; a zero or NaN phi'(0) returns 0, which does not move.  It
     stops when the bracket is at most tol wide or a Newton step at most
-    tol / 4 long, after at most max_iter evaluations besides the two
-    endpoint tests.  Flat stretches of phi' resolve to the smallest
-    minimizer.  The test of hi comes last, where ``_kernels.hi_test_due``
-    says, and only if the search has not moved the bracket off hi by then.
+    tol / 4 long, after at most max_iter evaluations besides the one at
+    the start and one end test.  Flat stretches of phi' resolve to the
+    smallest minimizer on the side searched.  The end of that side is
+    tested last, where ``_kernels.end_test_due`` says, and only if the
+    search has not moved the bracket off it by then.
 
     The name is kept from the derivative-bisection version: it is public,
     and profiling wrappers hook this module attribute by name to count
@@ -66,8 +70,9 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     """
     if hi < lo:
         raise ValueError(f"empty step interval [{lo}, {hi}]")
-    d, h = fn(lo)
-    return _kernels.line_min(lambda a, curv: fn(a), lo, hi, d, h, tol,
+    x0 = min(max(0.0, lo), hi)
+    d, h = fn(x0)
+    return _kernels.line_min(lambda a, curv: fn(a), lo, hi, x0, d, h, tol,
                              max_iter)
 
 

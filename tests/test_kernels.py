@@ -147,3 +147,41 @@ def test_away_update_drops_scales_and_keeps():
         w = lam.copy()
         assert _kernels.away_update(w, i, 0.0, lo_i, capped_i, tol) == 0.0
         assert w.tobytes() == lam.tobytes()
+
+
+def test_start_derivatives_match_segment_at_zero():
+    # the kernels' line searches start at alpha = 0 from values cached per
+    # move; phi'(0) and phi''(0) must be the segment helpers' bit for bit
+    from polycd import KdeHuber
+
+    rng = np.random.default_rng(11)
+    for n in (37, 80, 201):
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        ym = y * rng.standard_normal(n) * 3.0
+        for _ in range(3):
+            yw = y * rng.standard_normal(n)
+            yw2 = yw * yw
+            sig, sg = _kernels.logistic_start(ym, True)
+            got = _kernels.logistic_seg(sig, yw, yw2, True, sg)
+            ref = _kernels.logistic_seg(_kernels.sigmoid_neg(ym), yw, yw2,
+                                        True)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert _kernels.logistic_start(ym, False)[1] is None
+
+        X = rng.standard_normal((n, 2)) * 1.5
+        obj = KdeHuber(X, 1.0, 0.4)
+        obj.reset(rng.dirichlet(np.full(n, 0.3)))
+        u, q, k0, mu = obj.u, obj.q, obj.kappa0, obj.mu_h
+        W = _kernels.kde_work(n)
+        sum_r = _kernels.kde_start(u, q, k0, mu, W)
+        P = W[5].copy()
+        assert np.array_equal(P, (q + k0) - 2.0 * u)
+        # points on both sides of mu, so the far-side term is not empty
+        assert np.any(P < mu * mu) and np.any(P > mu * mu)
+        for j in rng.choice(n, 4, replace=False):
+            R = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
+            C = float(q - 2.0 * u[j] + k0)
+            got = _kernels.kde_seg0(R, C, sum_r, W)
+            ref = _kernels.kde_seg(0.0, P, R, C, mu, True,
+                                   _kernels.kde_work(n))
+            assert np.array(got).tobytes() == np.array(ref).tobytes()

@@ -311,15 +311,21 @@ def test_newton_line_min_evaluation_budget():
 
 
 def _eager_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
-    """The same safeguarded Newton search with phi'(hi) tested right after
-    phi'(lo), before any Newton step."""
-    d, h = fn(lo)
-    if d >= 0.0:
-        return lo
-    if fn(hi)[0] <= 0.0:
-        return hi
+    """The same safeguarded Newton search from x0 = clip(0, lo, hi), with
+    the end of the side that phi'(x0) picks tested right after phi'(x0),
+    before any Newton step."""
+    x0 = min(max(0.0, lo), hi)
+    d, h = fn(x0)
+    if d < 0.0:
+        if x0 == hi or fn(hi)[0] <= 0.0:
+            return hi
+    elif d > 0.0:
+        if x0 == lo or fn(lo)[0] >= 0.0:
+            return lo
+    else:
+        return x0
     it = 0
-    a, b, x, done = _kernels.newton_step(lo, hi, lo, d, h, tol, max_iter > 0)
+    a, b, x, done = _kernels.newton_step(lo, hi, x0, d, h, tol, max_iter > 0)
     while not done:
         d, h = fn(x)
         it += 1
@@ -346,29 +352,47 @@ def _convex_phi(family, rng):
         k = 10.0 ** rng.uniform(-1.0, 2.0)
         return lambda a: (float(np.arctan(k * (a - c))),
                           k / (1.0 + (k * (a - c)) ** 2))
-    # phi' < 0 on the whole interval, concave: Newton steps fall short
     s = rng.uniform(0.1, 3.0)
     k = 10.0 ** rng.uniform(-1.0, 1.5)
+    if family == "positive":
+        # the mirror image of "negative": phi' > 0 on the whole interval,
+        # so the search runs toward lo
+        return lambda a: (s * np.exp(k * a), s * k * np.exp(k * a))
+    # phi' < 0 on the whole interval, concave: Newton steps fall short
     return lambda a: (-s * np.exp(-k * a), s * k * np.exp(-k * a))
 
 
-@pytest.mark.parametrize("family",
-                         ["huber-sum", "logistic", "arctan", "negative"])
+def _interval(kind, rng):
+    """A seeded step interval: around 0 (away mode), from 0 (plain mode),
+    or wholly above or below 0, where the search starts at lo or hi."""
+    if kind == 0:
+        return -float(rng.uniform(0.0, 1.0)), 1.0
+    if kind == 1:
+        return 0.0, 1.0
+    if kind == 2:
+        return float(rng.uniform(0.05, 0.5)), 1.5
+    return -1.5, -float(rng.uniform(0.05, 0.5))
+
+
+@pytest.mark.parametrize(
+    "family", ["huber-sum", "logistic", "arctan", "negative", "positive"])
 def test_deferred_hi_test_matches_eager(family):
     rng = np.random.default_rng(31)
-    at_hi = 0
-    evals = np.zeros(2, dtype=int)  # deferred, eager, where alpha < hi
-    for _ in range(200):
+    at_end = 0
+    evals = np.zeros(2, dtype=int)  # deferred, eager, where alpha != end
+    for k in range(200):
         phi = _convex_phi(family, rng)
-        lo = -float(rng.uniform(0.0, 1.0)) if rng.random() < 0.5 else 0.0
-        hi = 1.0
+        lo, hi = _interval(k % 4, rng)
+        x0 = min(max(0.0, lo), hi)
+        # the end of the side of x0 that phi'(x0) picks
+        end = hi if phi(x0)[0] < 0.0 else lo
         eager, seen_e = _counted(phi)
         deferred, seen_d = _counted(phi)
         alpha = bisect_line_min(deferred, lo, hi)
         assert alpha == _eager_line_min(eager, lo, hi)
-        assert seen_d.count(hi) <= 1
-        # the kernels' entry point, handed phi at lo: the same points, and
-        # hi at most once and without phi''
+        assert seen_d[0] == x0 and seen_d.count(end) <= 1
+        # the kernels' entry point, handed phi at x0: the same points, and
+        # the end at most once and without phi''
         seg_calls = []
 
         def seg(a, curv):
@@ -376,27 +400,40 @@ def test_deferred_hi_test_matches_eager(family):
             d, h = phi(a)
             return d, h if curv else 0.0
 
-        d, h = phi(lo)
-        assert _kernels.line_min(seg, lo, hi, d, h, 1e-12, 200) == alpha
+        d, h = phi(x0)
+        assert _kernels.line_min(seg, lo, hi, x0, d, h, 1e-12, 200) == alpha
         assert [a for a, _ in seg_calls] == seen_d[1:]
-        assert [c for a, c in seg_calls if a == hi] in ([], [False])
-        if phi(hi)[0] <= 0.0:
-            at_hi += 1
-            assert alpha == hi
+        assert [c for a, c in seg_calls if a == end] in ([], [False])
+        d_end = phi(end)[0]
+        if d_end <= 0.0 if end == hi else d_end >= 0.0:
+            at_end += 1
+            assert alpha == end
             # the Newton steps taken before the test are capped
-            assert len(seen_d) <= len(seen_e) + _kernels.HI_TEST_AFTER
+            assert len(seen_d) <= len(seen_e) + _kernels.END_TEST_AFTER
         else:
             # the eager loop's evaluations in its order, less the one at
-            # hi where the bracket moved off hi first
-            assert ([a for a in seen_d if a != hi]
-                    == [a for a in seen_e if a != hi])
+            # the end where the bracket moved off it first
+            assert ([a for a in seen_d if a != end]
+                    == [a for a in seen_e if a != end])
             assert len(seen_d) <= len(seen_e)
             evals += len(seen_d), len(seen_e)
-    if family == "negative":
-        assert at_hi == 200
+    if family in ("negative", "positive"):
+        assert at_end == 200
     else:
-        assert 0 < at_hi < 200
+        assert 0 < at_end < 200
         assert evals[0] < evals[1]
+
+
+def test_line_min_nan_at_start_does_not_move():
+    # a NaN phi' at the start point returns alpha = 0, which does not
+    # move; returning lo would be a drop step in away mode
+    nan = float("nan")
+    for lo in (-0.5, 0.0):
+        counted, calls = _counted(lambda a: (nan, nan))
+        assert bisect_line_min(counted, lo, 1.0) == 0.0
+        assert calls == [0.0]
+        assert _kernels.line_min(lambda a, curv: (nan, nan), lo, 1.0, 0.0,
+                                 nan, nan, 1e-12, 200) == 0.0
 
 
 def test_line_search_first_order_optimality():

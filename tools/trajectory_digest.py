@@ -10,11 +10,16 @@ The baseline cases are FW, AFW, FISTA and 2cd on the same instances (2cd on
 the lifted simplex form of the l1-ball problems), each with the default
 config, with window=None, record_every=7, and with window=20,
 window_tol=1e-6, record_every=3.  A digest covers (t, f, inner_steps, nnz)
-of every record and the final x.
+of every record and the final x.  Each line ends with the case's final f
+(repr), so a changed digest shows how far the trajectory moved.
 
-Run it on two checkouts and diff the output:
+Run it on two checkouts, then compare the outputs:
 
     PYTHONPATH=src python3 tools/trajectory_digest.py > after.txt
+    PYTHONPATH=src python3 tools/trajectory_digest.py before.txt after.txt
+
+The second form prints each case whose digest differs, with the relative
+change of its final f, and the number of cases unchanged.
 """
 
 import hashlib
@@ -94,7 +99,29 @@ def baseline_cases(insts):
         sys.stdout.flush()
 
 
+def compare(before, after):
+    """Print each case whose digest differs between two outputs of this
+    tool, with the relative change of its final f."""
+    with open(before) as fb, open(after) as fa:
+        pairs = list(zip(fb.read().splitlines(), fa.read().splitlines(),
+                         strict=True))
+    same = 0
+    for old, new in pairs:
+        *case, dig_old, f_old = old.split()
+        *_, dig_new, f_new = new.split()
+        if dig_old == dig_new:
+            same += 1
+            continue
+        f0, f1 = float(f_old[2:]), float(f_new[2:])
+        print(f"{' '.join(case)}: f {f0!r} -> {f1!r}, "
+              f"relative change {abs(f1 - f0) / abs(f0):.2e}")
+    print(f"{same} of {len(pairs)} cases unchanged")
+
+
 def main():
+    if len(sys.argv) == 3:
+        compare(*sys.argv[1:])
+        return
     insts = list(instances())
     cyclic_cases(insts)
     baseline_cases(insts)
