@@ -8,12 +8,13 @@ The step math that every vertex step shares is written once, as the
 helpers below: the step interval (step_interval), the away-step weight
 update with its drop snap (away_update), the 1D gradient rule, the
 safeguarded Newton line search (newton_step, end_test_due and the loop
-line_min, which starts at the current point alpha = 0), the segment
-derivatives of the logistic and kernel-density losses and their values
-at alpha = 0 (logistic_start, kde_start, kde_seg0), and the move of the
-iterate toward a coordinate vertex.  The kernels, the per-step path of
-the solvers (which a run given an inner_callback takes), the away-step
-Frank-Wolfe baseline and the objective methods all call them.
+line_min, which starts at the current point alpha = 0 and can take its
+first step to third order), the segment derivatives of the logistic and
+kernel-density losses and their values at alpha = 0 (logistic_start,
+kde_start, kde_seg0, kde_third), and the move of the iterate toward a
+coordinate vertex.  The kernels, the per-step path of the solvers
+(which a run given an inner_callback takes), the away-step Frank-Wolfe
+baseline and the objective methods all call them.
 """
 
 import numpy as np
@@ -112,9 +113,12 @@ def newton_step(a, b, x, d, h, tol, more):
     sign of d picks.  Returns (a, b, x, done).  With done, x is the
     minimizer: the bracket is at most tol wide or more is False (the
     evaluation budget is spent), giving its midpoint, or the Newton step is
-    at most tol / 4 long, giving its end.  Otherwise x is the next point to
-    evaluate: the Newton step if it lands strictly inside the bracket, the
-    midpoint if not.  Its caller line_min starts from x = x0, the point at
+    at most tol / 4 long, giving x itself, the point just evaluated, which
+    that step puts within about tol / 4 of the root.  So a caller that
+    keeps what it computed at its last evaluation can reuse it for the
+    step it accepts.  Otherwise x is the next point to evaluate: the
+    Newton step if it lands strictly inside the bracket, the midpoint if
+    not.  Its caller line_min starts from x = x0, the point at
     which phi' was given, with [a, b] = [lo, hi], so the first step keeps
     the side of x0 that the sign of phi'(x0) picks, and it tests the far
     end of that side where end_test_due says.
@@ -129,7 +133,7 @@ def newton_step(a, b, x, d, h, tol, more):
     # tested before the bracket: a Newton step from a root found exactly
     # lands on the bracket end it became
     if abs(step) <= 0.25 * tol:
-        return a, b, x - step, True
+        return a, b, x, True
     if a < x - step < b:
         return a, b, x - step, False
     return a, b, 0.5 * (a + b), False
@@ -159,7 +163,7 @@ def end_test_due(a, b, x, done, end, it):
             and (done or x == 0.5 * (a + b) or it >= END_TEST_AFTER))
 
 
-def line_min(seg, lo, hi, x0, d, h, tol, max_iter):
+def line_min(seg, lo, hi, x0, d, h, tol, max_iter, t=None):
     """Minimize a convex phi on [lo, hi] by safeguarded Newton on phi',
     given d = phi'(x0) and h = phi''(x0) at a point x0 in [lo, hi];
     seg(alpha, curv) returns phi' and, if curv, phi'' at alpha (else 0).
@@ -173,6 +177,18 @@ def line_min(seg, lo, hi, x0, d, h, tol, max_iter):
     minimizer, and phi'(lo) >= 0 makes lo the minimizer.  With x0 = lo this
     is a search that tests lo first.  Flat stretches of phi' resolve to the
     smallest minimizer on the side searched.
+
+    Given t = phi'''(x0), the first point is the Halley point
+    x0 - d / (h - d t / (2 h)) in place of the Newton point x0 - d / h,
+    where newton_step took a Newton step from x0, h > 0 and the corrected
+    curvature h - d t / (2 h) lies in [h / 2, 2 h].  It is moved tol / 8
+    further toward the end of the side searched, and used only if it then
+    lies strictly inside the bracket.  For a short step the Halley point
+    lands within tol / 4 of the minimizer, so the next Newton step is at
+    most tol / 4 long and the search returns the one point it evaluated;
+    moved past the predicted root, that point also takes the bracket off
+    the end, so the end is not tested.  Only the first point changes: each
+    iteration still makes one evaluation, within the max_iter + 2 budget.
     """
     if d < 0.0:
         end, sgn = hi, -1.0
@@ -185,6 +201,12 @@ def line_min(seg, lo, hi, x0, d, h, tol, max_iter):
     it = 0
     end_open = True
     a, b, x, done = newton_step(lo, hi, x0, d, h, tol, max_iter > 0)
+    if t is not None and not done and h > 0.0 and x == x0 - d / h:
+        hc = h - d * t / (2.0 * h)
+        if 0.5 * h <= hc <= 2.0 * h:
+            xh = x0 - d / hc - sgn * (0.125 * tol)
+            if a < xh < b:
+                x = xh
     while True:
         if end_open and end_test_due(a, b, x, done, end, it):
             end_open = False
@@ -252,76 +274,112 @@ def kde_slope(u, dvec, q, uj, kappa0, mu_h):
 
 
 def kde_work(n):
-    """The work rows that kde_seg writes into, for n sample points: T_i
-    (then m_i), T_i', r_i, the far-side curvature factor, and ones, so
-    that sum r_i is a dot product; then the four rows of kde_start."""
-    W = np.empty((9, n))
-    W[4] = 1.0
-    return W
+    """The two row sets of the density line search, for n sample points:
+    zero-initialised (7, n) arrays S whose rows are
+
+        S[0]  T_i, unclamped: P_i = T_i(0) in a start set
+        S[1]  m_i = max(T_i, mu^2)
+        S[2]  r_i = huber_ratio(t_i) = mu / sqrt(m_i)
+        S[3]  F_i = G_i T_i'
+        S[4]  T_i', which is R_i in a start set
+        S[5]  ones
+        S[6]  G_i = (r_i - floor(r_i)) / m_i, the far-side factor
+
+    so that one 2 x 2 product [r; F] [T'; 1]' gives r.T', sum r_i, F.T'
+    and sum F_i (kde_sums).  A start set holds these rows at alpha = 0 for
+    the current weights (kde_start, and R from the step); kde_seg reads P
+    and R from it and evaluates into the other set."""
+    S = np.zeros((2, 7, n))
+    S[:, 5] = 1.0
+    return S[0], S[1]
 
 
-def kde_seg(alpha, P, R, C, mu_h, curv, W):
+def kde_sums(S):
+    """The 2 x 2 product [r; F] [T'; 1]' of the rows of a row set S:
+    [[r.T', sum r], [F.T', sum F]]."""
+    return np.dot(S[2:4], S[4:6].T)
+
+
+def kde_seg(alpha, S0, S1, C, mu_h, curv):
     """phi' and, if curv, phi'' of the kernel-weight objective along a move
     on which t_i^2 is the quadratic T_i(alpha) = P_i + alpha R_i
-    + alpha^2 C.  With r_i = huber_ratio(t_i): phi' = 1/2 sum r_i T_i' and
+    + alpha^2 C, with P and R read from the start set S0 (kde_work).  With
+    r_i = huber_ratio(t_i): phi' = 1/2 sum r_i T_i' and
     phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i.  Returns
     Python floats.
 
-    Every array operation writes into the rows of W (from kde_work) and
-    the sums are dot products, so an evaluation allocates nothing.  Written
-    with m_i = max(T_i, mu^2): the square root of a rounded mu^2 is mu
-    while mu^2 is a normal number (kde_scales checks it), so
-    sqrt(m_i) = max(t_i, mu) bit for bit, and r_i = mu / sqrt(m_i) is
-    exactly 1 where t_i <= mu and below 1 where t_i > mu (mu over a larger
-    number rounds to at most 1 - 2^-53).  So r_i - floor(r_i) is r_i on
-    the far side and 0 on the near side, with no mask."""
-    T = W[0]
-    Tp = W[1]
-    r = W[2]
-    F = W[3]
+    Every array operation writes into the rows of S1, and the sums come
+    from one kde_sums product, so an evaluation allocates no n-length
+    array.  With curv False the F and G rows are left as they were:
+    phi' reads only r and T', so it is the same with and without
+    curvature.  Written with m_i = max(T_i, mu^2): the square root of a
+    rounded mu^2 is mu while mu^2 is a normal number (kde_scales checks
+    it), so sqrt(m_i) = max(t_i, mu) bit for bit, and r_i = mu / sqrt(m_i)
+    is exactly 1 where t_i <= mu and below 1 where t_i > mu (mu over a
+    larger number rounds to at most 1 - 2^-53).  So r_i - floor(r_i) is
+    r_i on the far side and 0 on the near side, with no mask."""
+    P, R = S0[0], S0[4]
+    T, m, r, F, Tp, G = S1[0], S1[1], S1[2], S1[3], S1[4], S1[6]
     np.add(R, alpha * C, T)
     np.multiply(T, alpha, T)
     np.add(T, P, T)
     np.add(R, (2.0 * alpha) * C, Tp)
-    np.fmax(T, mu_h * mu_h, T)
-    np.sqrt(T, r)
+    np.fmax(T, mu_h * mu_h, m)
+    np.sqrt(m, r)
     np.divide(mu_h, r, r)
-    d = 0.5 * float(np.dot(r, Tp))
+    if curv:
+        np.floor(r, G)
+        np.subtract(r, G, G)
+        np.divide(G, m, G)
+        np.multiply(G, Tp, F)
+    sums = kde_sums(S1)
+    d = 0.5 * float(sums[0, 0])
     if not curv:
         return d, 0.0
-    np.floor(r, F)
-    np.subtract(r, F, F)
-    np.multiply(F, Tp, F)
-    np.divide(F, T, F)
-    return (d, C * float(np.dot(r, W[4])) - 0.25 * float(np.dot(F, Tp)))
+    return d, C * float(sums[0, 1]) - 0.25 * float(sums[1, 0])
 
 
-def kde_start(u, q, kappa0, mu_h, W):
-    """Write into rows 5-8 of W (from kde_work) what kde_seg reads at
-    alpha = 0 on every move from the weights with caches u = K w and
-    q = w'Kw: P = q - 2u + kappa0, m = max(P, mu^2), r = mu / sqrt(m) and
-    the far-side factor r - floor(r).  Returns sum r_i.  Row 5, P, is the
-    P that kde_seg takes."""
-    P, m, r, F = W[5], W[6], W[7], W[8]
+def kde_start(u, q, kappa0, mu_h, S):
+    """Write into the start set S (kde_work) the rows that every move from
+    the weights with caches u = K w and q = w'Kw shares at alpha = 0:
+    P = q - 2u + kappa0, m = max(P, mu^2), r = mu / sqrt(m) and
+    G = (r - floor(r)) / m, by the operations kde_seg uses.  A step writes
+    its R into row 4 and calls kde_seg0."""
+    P, m, r, G = S[0], S[1], S[2], S[6]
     np.multiply(u, -2.0, P)
     np.add(P, q + kappa0, P)
     np.fmax(P, mu_h * mu_h, m)
     np.sqrt(m, r)
     np.divide(mu_h, r, r)
-    np.floor(r, F)
-    np.subtract(r, F, F)
-    return float(np.dot(r, W[4]))
+    np.floor(r, G)
+    np.subtract(r, G, G)
+    np.divide(G, m, G)
 
 
-def kde_seg0(R, C, sum_r, W):
-    """kde_seg(0.0, W[5], R, C, mu_h, True, W) bit for bit, from the rows
-    that kde_start wrote and its sum_r: T = P and T' = R at alpha = 0, so
-    a step takes two dot products and one far-side product."""
-    d = 0.5 * float(np.dot(W[7], R))
-    F = W[3]
-    np.multiply(W[8], R, F)
-    np.divide(F, W[6], F)
-    return d, C * sum_r - 0.25 * float(np.dot(F, R))
+def kde_seg0(C, S):
+    """(phi'(0), phi''(0), sum G_i R_i) of the move whose R is row 4 of
+    the start set S.  At alpha = 0, T = P and T' = R, so the first two
+    equal kde_seg(0.0, S, ..., C, mu_h, True) bit for bit, from the one
+    product F = G R and kde_sums; the third is the free entry sum F_i of
+    kde_sums, which kde_third takes."""
+    np.multiply(S[6], S[4], S[3])
+    sums = kde_sums(S)
+    return (0.5 * float(sums[0, 0]),
+            C * float(sums[0, 1]) - 0.25 * float(sums[1, 0]),
+            float(sums[1, 1]))
+
+
+def kde_third(C, gr, S):
+    """phi'''(0) of the move that kde_seg0 has just read from the start set
+    S, given its gr = sum G_i R_i:
+    phi''' = -3/2 C sum_{t_i > mu} r_i T_i' / T_i
+             + 3/8 sum_{t_i > mu} r_i T_i'^3 / T_i^2,
+    which at alpha = 0 is -3/2 C gr + 3/8 sum F_i R_i^2 / m_i.  Writes
+    into the F row of S."""
+    F, R = S[3], S[4]
+    np.multiply(F, R, F)
+    np.divide(F, S[1], F)
+    return -1.5 * C * gr + 0.375 * float(np.dot(F, R))
 
 
 def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
@@ -587,6 +645,14 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     return sq_x
 
 
+def kde_drift(P, u, q, kappa0):
+    """max_i |P_i - (q - 2 u_i + kappa0)| / (q + kappa0): how far a carried
+    row P of squared distances has moved from its rebuild from the caches
+    u = K w and q = w'Kw, relative to the size of the terms it is built
+    from."""
+    return float(np.max(np.abs(P - ((q + kappa0) - 2.0 * u)))) / (q + kappa0)
+
+
 def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
               L, kappa0, inv2s2, mu_h, q, sq_w, gamma_cap, drop_tol,
               ls_tol, ls_max_iter):
@@ -595,25 +661,39 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     wv holds the weights, u caches K wv and q caches wv' K wv; kernel-matrix
     columns are recomputed from the sample points X (row square norms in
     xsq), LS_BLOCK visit positions at a time with one kde_columns call, so
-    K itself is never materialized.  The line search's rows are allocated
-    once per pass (kde_work), and a step reads its scalars as Python
-    floats.  The search starts at alpha = 0: what kde_seg reads there
-    that does not depend on the step's vertex (P, the Huber ratios, their
-    sum and the far-side factor) is built once per move (kde_start), so a
-    step builds R and takes phi'(0) and phi''(0) from kde_seg0.
-    Returns (q, sq_w).
+    K itself is never materialized.  A step reads its scalars as Python
+    floats.
+
+    The line search's two row sets are allocated once per pass
+    (kde_work).  The start set holds what kde_seg reads at alpha = 0 that
+    does not depend on the step's vertex (P, m, the Huber ratios and the
+    far-side factor), so a step builds R into it and takes phi'(0),
+    phi''(0) and, where the search evaluates, phi'''(0) from kde_seg0 and
+    kde_third.  line_min evaluates into the other set.  A move to the
+    point that it evaluated last with curvature swaps the two sets: the
+    evaluation's rows are the new weights' start, up to rounding.  Any
+    other move (after an end test, a drop snap or a bisection's midpoint)
+    leaves the start to be rebuilt from u and q (kde_start) where the next
+    search needs it, as it is at the start of each pass.
+
+    Returns (q, sq_w, drift): drift is kde_drift of the start set's P row
+    where that set holds for the weights the pass ends at, and 0 where it
+    does not.
     """
     M = order.shape[0]
     n = u.shape[0]
     q = float(q)
     sq_w = float(sq_w)
-    # rows for dvec = K e_j - u and R, built in place
-    rows = np.empty((2, n))
-    dvec = rows[0]
-    R = rows[1]
-    W = kde_work(n)
-    P = W[5]
-    start_ok = False  # kde_start's rows of W hold for the current weights
+    dvec = np.empty(n)  # K e_j - u, built in place
+    S0, S1 = kde_work(n)
+    start_ok = False  # S0 is the start set of the current weights
+    at = None  # the alpha of S1's rows if a curvature evaluation wrote them
+
+    def seg(a, curv):
+        nonlocal at
+        at = a if curv else None
+        return kde_seg(a, S0, S1, C, mu_h, curv)
+
     for p in range(0, M, LS_BLOCK):
         Kb = kde_columns(X, xsq, order[p:p + LS_BLOCK], kappa0, inv2s2)
         for idx in range(p, min(p + LS_BLOCK, M)):
@@ -630,22 +710,30 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                                   L, lo, 1.0)
             else:
                 if not start_ok:
-                    sum_r = kde_start(u, q, kappa0, mu_h, W)
+                    kde_start(u, q, kappa0, mu_h, S0)
                     start_ok = True
+                R = S0[4]
                 np.multiply(dvec, -2.0, R)
                 np.add(R, 2.0 * (uj - q), R)
                 C = q - 2.0 * uj + kappa0
-                d, h = kde_seg0(R, C, sum_r, W)
-                alpha = line_min(
-                    lambda a, curv: kde_seg(a, P, R, C, mu_h, curv, W),
-                    lo, 1.0, 0.0, d, h, ls_tol, ls_max_iter)
+                d, h, gr = kde_seg0(C, S0)
+                # phi'''(0) only for a search that evaluates: from 0 it
+                # searches (0, 1] where d < 0 and [lo, 0) where d > 0
+                t = kde_third(C, gr, S0) if d < 0.0 or lo < 0.0 else None
+                at = None
+                alpha = line_min(seg, lo, 1.0, 0.0, d, h, ls_tol,
+                                 ls_max_iter, t)
             if away:
                 alpha = away_update(lam, j, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
             q, sq_w = kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0)
-            start_ok = False
-    return q, sq_w
+            if alpha == at:
+                S0, S1 = S1, S0
+            else:
+                start_ok = False
+    drift = kde_drift(S0[0], u, q, kappa0) if start_ok else 0.0
+    return q, sq_w, drift
 
 
 _KERNELS = {fn.__name__: fn for fn in (ls_cycle, logistic_cycle, kde_cycle)}

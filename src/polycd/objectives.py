@@ -19,9 +19,15 @@ from .polytope import StandardSimplex
 # rows of the kernel matrix that KdeHuber.matvec builds at a time
 KDE_MATVEC_BLOCK = 128
 
+# how far the squared distances that kde_cycle carries from move to move
+# may drift from their rebuild from the caches (_kernels.kde_drift) by the
+# end of a pass
+KDE_DRIFT_TOL = 1e-10
+
 
 class CacheConsistencyError(RuntimeError):
-    pass
+    """A quantity carried from step to step has drifted from its rebuild
+    from the caches."""
 
 
 @dataclass
@@ -47,9 +53,9 @@ def grad_step_alpha(b, c, L, lo, hi):
     return _kernels.grad_step(b, c, L, lo, hi)
 
 
-def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
+def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200, third=None):
     """Minimize a convex 1D function phi on [lo, hi]; fn(alpha) returns
-    (phi'(alpha), phi''(alpha)).
+    (phi'(alpha), phi''(alpha)), and third, if given, is phi'''(0).
 
     ``_kernels.line_min``, the kernels' line search: safeguarded Newton on
     phi', which takes a Newton step only when it lands strictly inside the
@@ -62,7 +68,9 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     the start and one end test.  Flat stretches of phi' resolve to the
     smallest minimizer on the side searched.  The end of that side is
     tested last, where ``_kernels.end_test_due`` says, and only if the
-    search has not moved the bracket off it by then.
+    search has not moved the bracket off it by then.  Given third, a
+    search that starts at 0 takes line_min's Halley first step, so a short
+    step costs one evaluation besides the one at the start.
 
     The name is kept from the derivative-bisection version: it is public,
     and profiling wrappers hook this module attribute by name to count
@@ -73,7 +81,7 @@ def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200):
     x0 = min(max(0.0, lo), hi)
     d, h = fn(x0)
     return _kernels.line_min(lambda a, curv: fn(a), lo, hi, x0, d, h, tol,
-                             max_iter)
+                             max_iter, third if x0 == 0.0 else None)
 
 
 def _power_sigma_sq(matvec, rmatvec, dim, iters=100, seed=0):
@@ -514,12 +522,25 @@ class KdeHuber(BoundObjective):
         c = max(self.sq_x - 2.0 * self.x[i] + 1.0, 0.0)
         return SegmentQuery(b=b, c=c)
 
-    def _seg_derivs(self, R, C):
-        # (phi', phi'') along a move on which t_i^2 is the quadratic
-        # T_i(a) = P_i + a R_i + a^2 C, P = q - 2u + kappa0
-        P = (self.q + self.kappa0) - 2.0 * self.u
-        W = _kernels.kde_work(self.n)
-        return lambda a: _kernels.kde_seg(a, P, R, C, self.mu_h, True, W)
+    def _line_min(self, dvec, b, C, lo, hi, tol=1e-12, max_iter=200):
+        # bisect_line_min along a move on which t_i^2 is the quadratic
+        # T_i(a) = P_i + a R_i + a^2 C, with P = q - 2u + kappa0 and
+        # R = b - 2 dvec, started as the kernel starts: from kde_seg0,
+        # which is kde_seg at 0 bit for bit, and with phi'''(0)
+        S0, S1 = _kernels.kde_work(self.n)
+        _kernels.kde_start(self.u, self.q, self.kappa0, self.mu_h, S0)
+        R = S0[4]
+        np.multiply(dvec, -2.0, R)
+        np.add(R, b, R)
+        d, h, gr = _kernels.kde_seg0(C, S0)
+        third = _kernels.kde_third(C, gr, S0)
+
+        def fn(a):
+            if a == 0.0:
+                return d, h
+            return _kernels.kde_seg(a, S0, S1, C, self.mu_h, True)
+        return bisect_line_min(fn, lo, hi, tol=tol, max_iter=max_iter,
+                               third=third)
 
     def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
         if hi < lo:
@@ -528,10 +549,9 @@ class KdeHuber(BoundObjective):
         if c <= 0.0:
             return lo
         ui = float(self.u[i])
-        R = 2.0 * (ui - self.q) - 2.0 * (self._column(i) - self.u)
-        C = self.q - 2.0 * ui + self.kappa0
-        return bisect_line_min(self._seg_derivs(R, C), lo, hi,
-                               tol=tol, max_iter=max_iter)
+        return self._line_min(self._column(i) - self.u, 2.0 * (ui - self.q),
+                              self.q - 2.0 * ui + self.kappa0, lo, hi,
+                              tol=tol, max_iter=max_iter)
 
     def apply_step(self, i, alpha):
         if alpha != 0.0:
@@ -545,8 +565,8 @@ class KdeHuber(BoundObjective):
         ki = self._column(i)
         kj = self._column(j)
         curv = float(ki[i] - 2.0 * ki[j] + kj[j])
-        R = 2.0 * (self.u[i] - self.u[j]) - 2.0 * (ki - kj)
-        return bisect_line_min(self._seg_derivs(R, curv), lo, hi)
+        return self._line_min(ki - kj, 2.0 * (self.u[i] - self.u[j]), curv,
+                              lo, hi)
 
     def apply_pair_step(self, i, j, theta):
         if theta == 0.0:
@@ -576,10 +596,14 @@ class KdeHuber(BoundObjective):
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
         L = self.L if grad_rule else 1.0
-        self.q, self.sq_x = fn(self.X, self.xsq, self.u, self.x, lam, order,
-                               grad_rule, away, L, self.kappa0,
-                               self.inv2s2, self.mu_h, self.q, self.sq_x,
-                               gamma_cap, drop_tol, ls_tol, ls_max_iter)
+        self.q, self.sq_x, drift = fn(
+            self.X, self.xsq, self.u, self.x, lam, order, grad_rule, away, L,
+            self.kappa0, self.inv2s2, self.mu_h, self.q, self.sq_x,
+            gamma_cap, drop_tol, ls_tol, ls_max_iter)
+        if drift > KDE_DRIFT_TOL:
+            raise CacheConsistencyError(
+                f"the squared distances kde_cycle carries drifted "
+                f"{drift:.2e} from their rebuild, past {KDE_DRIFT_TOL:.0e}")
         self._bump(len(order))
 
 

@@ -59,10 +59,13 @@ class KdeSpec:
 
 def _design(rng, n, d, rho):
     """Rows ~ N(0, (1-rho) I + rho 11'): diagonal 1, off-diagonal rho,
-    sampled via the one-factor decomposition sqrt(1-rho) z + sqrt(rho) g 1."""
+    sampled via the one-factor decomposition sqrt(1-rho) z + sqrt(rho) g 1,
+    built in place in z so that no second n x d array is made."""
     z = rng.standard_normal((n, d))
     g = rng.standard_normal(n)
-    return np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g[:, None]
+    z *= np.sqrt(1.0 - rho)
+    z += np.sqrt(rho) * g[:, None]
+    return z
 
 
 def _sparse_binary(rng, d, r):

@@ -88,7 +88,7 @@ def test_kde_seg_matches_reference_formula():
     R = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
     C = float(q - 2.0 * u[j] + k0)
     lo = -0.3
-    W = _kernels.kde_work(80)
+    S0, S1 = _kernels.kde_work(80)
     for alpha in (lo, 0.37, 1.0):
         Pa, Ra = P.copy(), R.copy()
         # a point with T exactly mu^2: alpha (R_0 + alpha C) is exactly 0
@@ -99,21 +99,29 @@ def test_kde_seg_matches_reference_formula():
         assert np.any(T < mu * mu) and np.any(T > mu * mu)
         if alpha == 1.0:
             assert T[11] <= 0.0 or T[40] <= 0.0
-        d, h = _kernels.kde_seg(alpha, Pa, Ra, C, mu, True, W)
+        S0[0], S0[4] = Pa, Ra
+        d, h = _kernels.kde_seg(alpha, S0, S1, C, mu, True)
         assert type(d) is float and type(h) is float
         assert abs(d - d_ref) <= 1e-13 * abs(d_ref)
         assert abs(h - h_ref) <= 1e-13 * abs(h_ref)
-        assert _kernels.kde_seg(alpha, Pa, Ra, C, mu, False, W) == (d, 0.0)
-    # an evaluation writes into W and allocates no n-length array
+        assert _kernels.kde_seg(alpha, S0, S1, C, mu, False) == (d, 0.0)
+        # the evaluated set holds T unclamped, its clamp m and T'
+        assert np.array_equal(S1[0], Pa + alpha * (Ra + alpha * C))
+        assert np.array_equal(S1[1], np.fmax(S1[0], mu * mu))
+        assert np.array_equal(S1[4], Ra + (2.0 * alpha) * C)
+    # an evaluation writes into the row sets and allocates no n-length array
     n = 4000
-    P4, R4 = np.tile(P, 50), np.tile(R, 50)
-    W4 = _kernels.kde_work(n)
-    _kernels.kde_seg(0.37, P4, R4, C, mu, True, W4)
+    S0, S1 = _kernels.kde_work(n)
+    S0[0], S0[4] = np.tile(P, 50), np.tile(R, 50)
+    _kernels.kde_seg(0.37, S0, S1, C, mu, True)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _kernels.kde_seg(0.37, P4, R4, C, mu, True, W4)
+        _kernels.kde_seg(0.37, S0, S1, C, mu, True)
+        _kernels.kde_seg(0.37, S0, S1, C, mu, False)
+        _kernels.kde_start(S0[2], 0.3, 1.0, mu, S1)
+        _kernels.kde_third(C, _kernels.kde_seg0(C, S1)[2], S1)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -172,16 +180,116 @@ def test_start_derivatives_match_segment_at_zero():
         obj = KdeHuber(X, 1.0, 0.4)
         obj.reset(rng.dirichlet(np.full(n, 0.3)))
         u, q, k0, mu = obj.u, obj.q, obj.kappa0, obj.mu_h
-        W = _kernels.kde_work(n)
-        sum_r = _kernels.kde_start(u, q, k0, mu, W)
-        P = W[5].copy()
+        S0 = _kernels.kde_work(n)[0]
+        _kernels.kde_start(u, q, k0, mu, S0)
+        P = S0[0].copy()
         assert np.array_equal(P, (q + k0) - 2.0 * u)
         # points on both sides of mu, so the far-side term is not empty
         assert np.any(P < mu * mu) and np.any(P > mu * mu)
         for j in rng.choice(n, 4, replace=False):
+            S0[4] = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
+            C = float(q - 2.0 * u[j] + k0)
+            got = _kernels.kde_seg0(C, S0)[:2]
+            S1 = _kernels.kde_work(n)[1]
+            ref = _kernels.kde_seg(0.0, S0, S1, C, mu, True)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            # the evaluation at 0 writes the start's rows: those that a
+            # kernel carries to the next move are the same at alpha = 0
+            for row in (0, 1, 2, 6):
+                assert S1[row].tobytes() == S0[row].tobytes()
+
+
+def _kde_third_reference(P, R, C, mu_h):
+    """phi''' at alpha = 0 of the kernel-weight objective along a move,
+    written out over the far side t > mu, with r = mu / t, T = P and
+    T' = R: -3/2 C sum r T' / T + 3/8 sum r T'^3 / T^2."""
+    far = P > mu_h * mu_h
+    T, Tp = P[far], R[far]
+    r = mu_h / np.sqrt(T)
+    return (-1.5 * C * np.sum(r * Tp / T)
+            + 0.375 * np.sum(r * Tp ** 3 / T ** 2))
+
+
+def test_kde_third_matches_closed_form_and_central_difference():
+    from polycd import KdeHuber
+
+    rng = np.random.default_rng(5)
+    checked = 0
+    for n in (60, 150):
+        X = rng.standard_normal((n, 2)) * 1.5
+        obj = KdeHuber(X, 1.0, 0.4)
+        obj.reset(rng.dirichlet(np.full(n, 0.3)))
+        u, q, k0, mu = obj.u, obj.q, obj.kappa0, obj.mu_h
+        S0, S1 = _kernels.kde_work(n)
+        _kernels.kde_start(u, q, k0, mu, S0)
+        P = S0[0].copy()
+        # points on both sides of mu, so both sums of phi''' are exercised
+        assert np.any(P < mu * mu) and np.any(P > mu * mu)
+        for j in rng.choice(n, 5, replace=False):
             R = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
             C = float(q - 2.0 * u[j] + k0)
-            got = _kernels.kde_seg0(R, C, sum_r, W)
-            ref = _kernels.kde_seg(0.0, P, R, C, mu, True,
-                                   _kernels.kde_work(n))
-            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            S0[4] = R
+            gr = _kernels.kde_seg0(C, S0)[2]
+            t = _kernels.kde_third(C, gr, S0)
+            ref = _kde_third_reference(P, R, C, mu)
+            assert abs(t - ref) <= 1e-12 * max(abs(ref), 1.0)
+            # a central difference of phi'', where no point crosses mu^2
+            # within +-eps: phi'' jumps there
+            eps = 1e-5
+            if any(np.any((P + a * (R + a * C) > mu * mu) != (P > mu * mu))
+                   for a in (-eps, eps)):
+                continue
+            h_lo = _kernels.kde_seg(-eps, S0, S1, C, mu, True)[1]
+            h_hi = _kernels.kde_seg(eps, S0, S1, C, mu, True)[1]
+            fd = (h_hi - h_lo) / (2.0 * eps)
+            assert abs(fd - t) <= 1e-5 * max(abs(t), 1.0), (fd, t)
+            checked += 1
+    assert checked >= 5
+
+
+def _kde_away_start(seed, n=300):
+    """A KdeHuber instance at vertex 0, with its away weights and a visit
+    order for kde_cycle."""
+    from polycd import KdeHuber
+    from polycd.problems import KdeSpec, gen_kde
+
+    X, _ = gen_kde(KdeSpec(n=n, seed=seed))
+    obj = KdeHuber(X, 1.0, 0.4)
+    lam = np.zeros(n)
+    lam[0] = 1.0
+    return obj, lam, np.arange(n, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kde_cycle_carried_start_stays_on_its_rebuild(seed):
+    # kde_cycle carries P = q - 2u + kappa0 from move to move; at the end
+    # of each pass it must still equal its rebuild from u and q
+    obj, lam, order = _kde_away_start(seed)
+    drifts = []
+    for _ in range(4):
+        obj.q, obj.sq_x, drift = _kernels.kde_cycle(
+            obj.X, obj.xsq, obj.u, obj.x, lam, order, False, True, 1.0,
+            obj.kappa0, obj.inv2s2, obj.mu_h, obj.q, obj.sq_x, 1e12,
+            _kernels.DROP_TOL, 1e-12, 200)
+        drifts.append(drift)
+    assert all(0.0 <= d <= 1e-13 for d in drifts), drifts
+    # some pass ends on a carried row, not on one just rebuilt
+    assert max(drifts) > 0.0
+
+
+def test_kde_run_cycle_raises_on_a_drifted_start(monkeypatch):
+    from polycd.objectives import CacheConsistencyError
+
+    obj, lam, order = _kde_away_start(0)
+    seg = _kernels.kde_seg
+
+    def drifted(alpha, S0, S1, C, mu_h, curv):
+        out = seg(alpha, S0, S1, C, mu_h, curv)
+        # the row a kernel carries to the next move, moved off T(alpha)
+        S1[0] *= 1.0 + 1e-8
+        return out
+
+    monkeypatch.setattr(_kernels, "kde_seg", drifted)
+    with pytest.raises(CacheConsistencyError):
+        obj.run_cycle(_kernels.kde_cycle, order, lam, False, True, 1e12,
+                      _kernels.DROP_TOL, 1e-12, 200)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
                     StandardSimplex, _kernels, bisect_line_min,
@@ -434,6 +436,54 @@ def test_line_min_nan_at_start_does_not_move():
         assert calls == [0.0]
         assert _kernels.line_min(lambda a, curv: (nan, nan), lo, 1.0, 0.0,
                                  nan, nan, 1e-12, 200) == 0.0
+
+
+def _exp_convex(A, B, Cn, D, E, S):
+    """seg(alpha, curv) and the third derivative of a convex phi with
+    phi'(a) = A e^(B a) - Cn e^(-D a) + E + S a, which increases for
+    A, Cn, S >= 0 and B, D > 0."""
+    def seg(a, curv):
+        ep, em = np.exp(B * a), np.exp(-D * a)
+        d = A * ep - Cn * em + E + S * a
+        return d, (A * B * ep + Cn * D * em + S) if curv else 0.0
+
+    def third(a):
+        return A * B * B * np.exp(B * a) - Cn * D * D * np.exp(-D * a)
+    return seg, third
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(A=st.floats(0.0, 10.0), B=st.floats(0.1, 5.0),
+       Cn=st.floats(0.0, 10.0), D=st.floats(0.1, 5.0),
+       E=st.floats(-10.0, 10.0), S=st.floats(0.0, 5.0),
+       lo=st.floats(-2.0, 0.0), hi=st.floats(0.0, 2.0),
+       frac=st.floats(0.0, 1.0), max_iter=st.integers(0, 8))
+def test_line_min_halley_start_properties(A, B, Cn, D, E, S, lo, hi, frac,
+                                          max_iter):
+    # for a random convex phi, the search given the third derivative at x0
+    # stays in [lo, hi] and keeps the evaluation budget, as the search
+    # without it does; given the full budget, the two return minimizers
+    # within tol of each other
+    seg, third = _exp_convex(A, B, Cn, D, E, S)
+    x0 = min(max(lo + frac * (hi - lo), lo), hi)
+    d, h = seg(x0, True)
+    tol = 1e-12
+    found = {}
+    for t in (None, third(x0)):
+        for budget in (max_iter, 200):
+            calls = []
+
+            def counted(a, curv):
+                calls.append(a)
+                return seg(a, curv)
+            alpha = _kernels.line_min(counted, lo, hi, x0, d, h, tol,
+                                      budget, t)
+            assert lo <= alpha <= hi
+            assert all(lo <= a <= hi for a in calls)
+            # the evaluation at x0 that gave d and h, then the calls
+            assert 1 + len(calls) <= budget + 2
+            found[t is None, budget] = alpha
+    assert abs(found[True, 200] - found[False, 200]) <= tol
 
 
 def test_line_search_first_order_optimality():

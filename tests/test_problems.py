@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polycd.problems import (KdeSpec, LassoSpec, LogisticSpec, dump_tsv,
-                             gen_kde, gen_lasso, gen_logistic, load_tsv)
+from polycd.problems import (KdeSpec, LassoSpec, LogisticSpec, _design,
+                             dump_tsv, gen_kde, gen_lasso, gen_logistic,
+                             load_tsv)
 
 
 def test_lasso_snr_identity_exact():
@@ -44,6 +45,20 @@ def test_design_covariance_monte_carlo():
     emp = A.T @ A / A.shape[0]
     want = 0.9 * np.eye(5) + 0.1 * np.ones((5, 5))
     assert np.max(np.abs(emp - want)) <= 0.02
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_design_in_place_matches_two_temporary_form(seed):
+    # _design scales and shifts its draw in place; the bytes must be those
+    # of sqrt(1 - rho) z + sqrt(rho) g 1 written with temporaries
+    n, d, rho = 60, 45, 0.1
+    A = _design(np.random.default_rng(seed), n, d, rho)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d))
+    g = rng.standard_normal(n)
+    ref = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g[:, None]
+    assert A.dtype == ref.dtype and A.shape == ref.shape
+    assert A.tobytes() == ref.tobytes()
 
 
 def test_logistic_labels_and_sigmoid_frequency():

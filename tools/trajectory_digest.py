@@ -19,7 +19,10 @@ Run it on two checkouts, then compare the outputs:
     PYTHONPATH=src python3 tools/trajectory_digest.py before.txt after.txt
 
 The second form prints each case whose digest differs, with the relative
-change of its final f, and the number of cases unchanged.
+change of its final f, the number of cases unchanged and the largest
+relative change.  It exits with status 1 when that change exceeds
+F_CHANGE_LIMIT (1e-11): a change that only reorders rounding moves a final
+f by far less, so a larger move is a change of behaviour.
 """
 
 import hashlib
@@ -37,6 +40,10 @@ from polycd.problems import (KdeSpec, LassoSpec, LogisticSpec, gen_kde,
                              gen_lasso, gen_logistic)
 
 PASSES = 30
+
+# the largest relative change of a case's final f that the compare form
+# accepts
+F_CHANGE_LIMIT = 1e-11
 
 BASELINES = (("fw", fw_solve), ("afw", afw_solve), ("fista", fista_solve),
              ("2cd", twocd_solve))
@@ -101,11 +108,14 @@ def baseline_cases(insts):
 
 def compare(before, after):
     """Print each case whose digest differs between two outputs of this
-    tool, with the relative change of its final f."""
+    tool, with the relative change of its final f, then the number of
+    cases unchanged and the largest relative change.  Returns that
+    largest change."""
     with open(before) as fb, open(after) as fa:
         pairs = list(zip(fb.read().splitlines(), fa.read().splitlines(),
                          strict=True))
     same = 0
+    worst = 0.0
     for old, new in pairs:
         *case, dig_old, f_old = old.split()
         *_, dig_new, f_new = new.split()
@@ -113,14 +123,20 @@ def compare(before, after):
             same += 1
             continue
         f0, f1 = float(f_old[2:]), float(f_new[2:])
+        rel = abs(f1 - f0) / abs(f0)
+        worst = max(worst, rel)
         print(f"{' '.join(case)}: f {f0!r} -> {f1!r}, "
-              f"relative change {abs(f1 - f0) / abs(f0):.2e}")
+              f"relative change {rel:.2e}")
     print(f"{same} of {len(pairs)} cases unchanged")
+    print(f"largest relative change of final f: {worst:.2e} "
+          f"(limit {F_CHANGE_LIMIT:.0e})")
+    return worst
 
 
 def main():
     if len(sys.argv) == 3:
-        compare(*sys.argv[1:])
+        if compare(*sys.argv[1:]) > F_CHANGE_LIMIT:
+            sys.exit(1)
         return
     insts = list(instances())
     cyclic_cases(insts)
