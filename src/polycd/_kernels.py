@@ -2,7 +2,9 @@
 
 Each kernel runs one full outer pass (one sweep over the vertex visit
 order) of the cyclic solver for one objective family, mutating the iterate
-and its cached quantities in place.
+and its cached quantities in place.  The density kernel also rebuilds its
+caches from the kernel columns it builds, so its pass needs no separate
+refresh.
 
 The step math that every vertex step shares is written once, as the
 helpers below: the step interval (step_interval), the away-step weight
@@ -274,56 +276,71 @@ def kde_slope(u, dvec, q, uj, kappa0, mu_h):
 
 
 def kde_work(n):
-    """The two row sets of the density line search, for n sample points:
+    """The three row sets of the density line search, for n sample points:
     zero-initialised (7, n) arrays S whose rows are
 
         S[0]  T_i, unclamped: P_i = T_i(0) in a start set
-        S[1]  m_i = max(T_i, mu^2)
-        S[2]  r_i = huber_ratio(t_i) = mu / sqrt(m_i)
-        S[3]  F_i = G_i T_i'
-        S[4]  T_i', which is R_i in a start set
-        S[5]  ones
+        S[1]  R_i = T_i'(0), in a start set
+        S[2]  ones
+        S[3]  R_i^2, in a start set
+        S[4]  m_i = max(T_i, mu^2)
+        S[5]  r_i = huber_ratio(t_i) = mu / sqrt(m_i)
         S[6]  G_i = (r_i - floor(r_i)) / m_i, the far-side factor
 
-    so that one 2 x 2 product [r; F] [T'; 1]' gives r.T', sum r_i, F.T'
-    and sum F_i (kde_sums).  A start set holds these rows at alpha = 0 for
-    the current weights (kde_start, and R from the step); kde_seg reads P
-    and R from it and evaluates into the other set."""
-    S = np.zeros((2, 7, n))
-    S[:, 5] = 1.0
-    return S[0], S[1]
+    A start set holds these rows at alpha = 0 for the current weights
+    (kde_start, then R and R^2 from kde_seg0).  An evaluation at alpha
+    reads P, R, 1 and R^2 from the start set and writes T, m, r and G into
+    another set: T is the one product [1, alpha, alpha^2 C] [P; R; 1], and
+    the sums are the one 2 x 3 product [r; G] [R; 1; R^2]' (kde_sums).
+    The third set is scratch: end tests evaluate into it."""
+    S = np.zeros((3, 7, n))
+    S[:, 2] = 1.0
+    return S[0], S[1], S[2]
 
 
-def kde_sums(S):
-    """The 2 x 2 product [r; F] [T'; 1]' of the rows of a row set S:
-    [[r.T', sum r], [F.T', sum F]]."""
-    return np.dot(S[2:4], S[4:6].T)
+def kde_sums(S0, S1):
+    """The 2 x 3 product [r; G] [R; 1; R^2]' of the rows r and G of S1 and
+    R, 1 and R^2 of the start set S0:
+    [[r.R, sum r, r.R^2], [G.R, sum G, G.R^2]]."""
+    return np.dot(S1[5:7], S0[1:4].T)
+
+
+def kde_derivs(alpha, C, sums, curv):
+    """phi' and, if curv, phi'' (else 0) at alpha, from the kde_sums of the
+    evaluation there, where T' = R + 2 alpha C:
+    phi' = 1/2 (r.R + 2 alpha C sum r) and
+    phi'' = C sum r - 1/4 (G.R^2 + 4 alpha C G.R + 4 alpha^2 C^2 sum G).
+    Returns Python floats."""
+    (rR, sr, _), (gR, sg, gR2) = sums.tolist()
+    ac = alpha * C
+    d = 0.5 * (rR + 2.0 * ac * sr)
+    if not curv:
+        return d, 0.0
+    return d, C * sr - 0.25 * (gR2 + 4.0 * ac * gR + 4.0 * ac * ac * sg)
 
 
 def kde_seg(alpha, S0, S1, C, mu_h, curv):
     """phi' and, if curv, phi'' of the kernel-weight objective along a move
     on which t_i^2 is the quadratic T_i(alpha) = P_i + alpha R_i
-    + alpha^2 C, with P and R read from the start set S0 (kde_work).  With
-    r_i = huber_ratio(t_i): phi' = 1/2 sum r_i T_i' and
-    phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i.  Returns
-    Python floats.
+    + alpha^2 C, with P, R and R^2 read from the start set S0 (kde_work).
+    With r_i = huber_ratio(t_i): phi' = 1/2 sum r_i T_i' and
+    phi'' = C sum r_i - 1/4 sum_{t_i > mu} r_i T_i'^2 / T_i (kde_derivs).
+    Returns Python floats.
 
-    Every array operation writes into the rows of S1, and the sums come
-    from one kde_sums product, so an evaluation allocates no n-length
-    array.  With curv False the F and G rows are left as they were:
-    phi' reads only r and T', so it is the same with and without
-    curvature.  Written with m_i = max(T_i, mu^2): the square root of a
-    rounded mu^2 is mu while mu^2 is a normal number (kde_scales checks
-    it), so sqrt(m_i) = max(t_i, mu) bit for bit, and r_i = mu / sqrt(m_i)
-    is exactly 1 where t_i <= mu and below 1 where t_i > mu (mu over a
-    larger number rounds to at most 1 - 2^-53).  So r_i - floor(r_i) is
-    r_i on the far side and 0 on the near side, with no mask."""
-    P, R = S0[0], S0[4]
-    T, m, r, F, Tp, G = S1[0], S1[1], S1[2], S1[3], S1[4], S1[6]
-    np.add(R, alpha * C, T)
-    np.multiply(T, alpha, T)
-    np.add(T, P, T)
-    np.add(R, (2.0 * alpha) * C, Tp)
+    Every array operation writes into the rows of S1: T is the one
+    product [1, alpha, alpha (alpha C)] [P; R; 1] with the rows of S0 and
+    the sums are one kde_sums product, so an evaluation allocates no
+    n-length array.  With curv False the G row is left as it was: phi'
+    reads only the r row of the product, so it is the same with and
+    without curvature.  Written with m_i = max(T_i, mu^2): the square root
+    of a rounded mu^2 is mu while mu^2 is a normal number (kde_scales
+    checks it), so sqrt(m_i) = max(t_i, mu) bit for bit, and
+    r_i = mu / sqrt(m_i) is exactly 1 where t_i <= mu and below 1 where
+    t_i > mu (mu over a larger number rounds to at most 1 - 2^-53).  So
+    r_i - floor(r_i) is r_i on the far side and 0 on the near side, with
+    no mask, and G_i = r_i / T_i there."""
+    T, m, r, G = S1[0], S1[4], S1[5], S1[6]
+    np.dot(np.array((1.0, alpha, alpha * (alpha * C))), S0[:3], T)
     np.fmax(T, mu_h * mu_h, m)
     np.sqrt(m, r)
     np.divide(mu_h, r, r)
@@ -331,21 +348,16 @@ def kde_seg(alpha, S0, S1, C, mu_h, curv):
         np.floor(r, G)
         np.subtract(r, G, G)
         np.divide(G, m, G)
-        np.multiply(G, Tp, F)
-    sums = kde_sums(S1)
-    d = 0.5 * float(sums[0, 0])
-    if not curv:
-        return d, 0.0
-    return d, C * float(sums[0, 1]) - 0.25 * float(sums[1, 0])
+    return kde_derivs(alpha, C, kde_sums(S0, S1), curv)
 
 
 def kde_start(u, q, kappa0, mu_h, S):
     """Write into the start set S (kde_work) the rows that every move from
     the weights with caches u = K w and q = w'Kw shares at alpha = 0:
     P = q - 2u + kappa0, m = max(P, mu^2), r = mu / sqrt(m) and
-    G = (r - floor(r)) / m, by the operations kde_seg uses.  A step writes
-    its R into row 4 and calls kde_seg0."""
-    P, m, r, G = S[0], S[1], S[2], S[6]
+    G = (r - floor(r)) / m, by the operations kde_seg uses.  A step then
+    calls kde_seg0."""
+    P, m, r, G = S[0], S[4], S[5], S[6]
     np.multiply(u, -2.0, P)
     np.add(P, q + kappa0, P)
     np.fmax(P, mu_h * mu_h, m)
@@ -356,30 +368,31 @@ def kde_start(u, q, kappa0, mu_h, S):
     np.divide(G, m, G)
 
 
-def kde_seg0(C, S):
-    """(phi'(0), phi''(0), sum G_i R_i) of the move whose R is row 4 of
-    the start set S.  At alpha = 0, T = P and T' = R, so the first two
-    equal kde_seg(0.0, S, ..., C, mu_h, True) bit for bit, from the one
-    product F = G R and kde_sums; the third is the free entry sum F_i of
-    kde_sums, which kde_third takes."""
-    np.multiply(S[6], S[4], S[3])
-    sums = kde_sums(S)
-    return (0.5 * float(sums[0, 0]),
-            C * float(sums[0, 1]) - 0.25 * float(sums[1, 0]),
-            float(sums[1, 1]))
+def kde_seg0(dvec, b, C, S):
+    """(phi'(0), phi''(0), sums) of the move from the start set S whose
+    T'(0) is R = b - 2 dvec: writes R and R^2 into S and reads the
+    derivatives from sums = kde_sums(S, S).  At alpha = 0 an evaluation's
+    T row is P, so the derivatives equal kde_seg(0.0, S, ..., C, mu_h,
+    True) bit for bit; kde_third takes its sum G.R from the same product.
+    dvec may be the R row of S itself."""
+    R = S[1]
+    np.multiply(dvec, -2.0, R)
+    np.add(R, b, R)
+    np.multiply(R, R, S[3])
+    sums = kde_sums(S, S)
+    return (*kde_derivs(0.0, C, sums, True), sums)
 
 
-def kde_third(C, gr, S):
+def kde_third(C, sums, S, out):
     """phi'''(0) of the move that kde_seg0 has just read from the start set
-    S, given its gr = sum G_i R_i:
+    S, given its sums:
     phi''' = -3/2 C sum_{t_i > mu} r_i T_i' / T_i
              + 3/8 sum_{t_i > mu} r_i T_i'^3 / T_i^2,
-    which at alpha = 0 is -3/2 C gr + 3/8 sum F_i R_i^2 / m_i.  Writes
-    into the F row of S."""
-    F, R = S[3], S[4]
-    np.multiply(F, R, F)
-    np.divide(F, S[1], F)
-    return -1.5 * C * gr + 0.375 * float(np.dot(F, R))
+    which at alpha = 0 is -3/2 C G.R + 3/8 (G R / m).R^2.  Writes into the
+    n-length scratch row out."""
+    np.multiply(S[6], S[1], out)
+    np.divide(out, S[4], out)
+    return -1.5 * C * float(sums[1, 0]) + 0.375 * float(np.dot(out, S[3]))
 
 
 def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
@@ -661,42 +674,58 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     wv holds the weights, u caches K wv and q caches wv' K wv; kernel-matrix
     columns are recomputed from the sample points X (row square norms in
     xsq), LS_BLOCK visit positions at a time with one kde_columns call, so
-    K itself is never materialized.  A step reads its scalars as Python
-    floats.
+    K itself is never materialized.  order is a permutation of the sample
+    indices.  A step reads its scalars as Python floats.
 
-    The line search's two row sets are allocated once per pass
-    (kde_work).  The start set holds what kde_seg reads at alpha = 0 that
-    does not depend on the step's vertex (P, m, the Huber ratios and the
-    far-side factor), so a step builds R into it and takes phi'(0),
+    The pass rebuilds the caches from the columns it builds anyway: each
+    block adds its columns weighted by the weights w0 the pass started
+    from, and every column is built once, so the blocks sum to K w0.  At
+    the end u becomes K w0 plus the change the steps made to u, and q and
+    ||w||^2 are recomputed from u and the weights.  The same sum measures
+    how far u had drifted from K w0 when the pass began.
+
+    The line search's row sets are allocated once per pass (kde_work).
+    The start set holds what kde_seg reads at alpha = 0 that does not
+    depend on the step's vertex (P, m, the Huber ratios and the far-side
+    factor), so a step builds R and R^2 into it and takes phi'(0),
     phi''(0) and, where the search evaluates, phi'''(0) from kde_seg0 and
-    kde_third.  line_min evaluates into the other set.  A move to the
-    point that it evaluated last with curvature swaps the two sets: the
-    evaluation's rows are the new weights' start, up to rounding.  Any
-    other move (after an end test, a drop snap or a bisection's midpoint)
-    leaves the start to be rebuilt from u and q (kde_start) where the next
-    search needs it, as it is at the start of each pass.
+    kde_third.  line_min evaluates with curvature into the second set and
+    tests its end in the third.  A move to the point that it evaluated
+    last with curvature swaps the first two sets: the evaluation's rows
+    are the new weights' start, up to rounding.  Any other move (after a
+    drop snap or a bisection's midpoint) leaves the start to be rebuilt
+    from u and q (kde_start) where the next search needs it, as it is at
+    the start of each pass.
 
-    Returns (q, sq_w, drift): drift is kde_drift of the start set's P row
-    where that set holds for the weights the pass ends at, and 0 where it
-    does not.
+    Returns (q, sq_w, drift): drift is the larger of
+    ||u - K w0||_inf / ||K w0||_inf at the start of the pass and kde_drift
+    of the start set's P row against the caches the steps carried, where
+    that set holds for the weights the pass ends at.
     """
     M = order.shape[0]
     n = u.shape[0]
     q = float(q)
     sq_w = float(sq_w)
     dvec = np.empty(n)  # K e_j - u, built in place
-    S0, S1 = kde_work(n)
+    S0, S1, S2 = kde_work(n)
+    w0 = wv.copy()
+    u0 = u.copy()
+    kw = np.zeros(n)  # K w0, block by block
     start_ok = False  # S0 is the start set of the current weights
     at = None  # the alpha of S1's rows if a curvature evaluation wrote them
 
     def seg(a, curv):
         nonlocal at
-        at = a if curv else None
-        return kde_seg(a, S0, S1, C, mu_h, curv)
+        if not curv:
+            return kde_seg(a, S0, S2, C, mu_h, False)
+        at = a
+        return kde_seg(a, S0, S1, C, mu_h, True)
 
     for p in range(0, M, LS_BLOCK):
-        Kb = kde_columns(X, xsq, order[p:p + LS_BLOCK], kappa0, inv2s2)
-        for idx in range(p, min(p + LS_BLOCK, M)):
+        J = order[p:p + LS_BLOCK]
+        Kb = kde_columns(X, xsq, J, kappa0, inv2s2)
+        kw += np.dot(w0[J], Kb)
+        for idx in range(p, p + J.shape[0]):
             j = order[idx]
             uj = float(u[j])
             c = sq_w - 2.0 * float(wv[j]) + 1.0
@@ -712,14 +741,12 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                 if not start_ok:
                     kde_start(u, q, kappa0, mu_h, S0)
                     start_ok = True
-                R = S0[4]
-                np.multiply(dvec, -2.0, R)
-                np.add(R, 2.0 * (uj - q), R)
                 C = q - 2.0 * uj + kappa0
-                d, h, gr = kde_seg0(C, S0)
+                d, h, sums = kde_seg0(dvec, 2.0 * (uj - q), C, S0)
                 # phi'''(0) only for a search that evaluates: from 0 it
                 # searches (0, 1] where d < 0 and [lo, 0) where d > 0
-                t = kde_third(C, gr, S0) if d < 0.0 or lo < 0.0 else None
+                t = (kde_third(C, sums, S0, S2[0]) if d < 0.0 or lo < 0.0
+                     else None)
                 at = None
                 alpha = line_min(seg, lo, 1.0, 0.0, d, h, ls_tol,
                                  ls_max_iter, t)
@@ -733,7 +760,12 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             else:
                 start_ok = False
     drift = kde_drift(S0[0], u, q, kappa0) if start_ok else 0.0
-    return q, sq_w, drift
+    # np.maximum, unlike max, keeps a NaN
+    drift = float(np.maximum(
+        float(np.max(np.abs(u0 - kw))) / float(np.max(kw)), drift))
+    u -= u0
+    u += kw
+    return float(np.dot(wv, u)), float(np.dot(wv, wv)), drift
 
 
 _KERNELS = {fn.__name__: fn for fn in (ls_cycle, logistic_cycle, kde_cycle)}

@@ -5,6 +5,8 @@ Every objective keeps its iterate ``x`` plus objective-specific caches (the
 product A x for the composite losses, the kernel products for the density
 objective) that are updated incrementally by ``apply_step`` and rebuilt from
 scratch every ``refresh_every`` steps to keep floating-point drift bounded.
+A kernel pass of the density objective rebuilds its caches from the kernel
+columns it builds (``_kernels.kde_cycle``), so it needs no refresh.
 ``eval_at``/``grad_at`` are stateless recomputations used by the oracles, so
 they share no code path with the incremental caches.
 """
@@ -19,9 +21,11 @@ from .polytope import StandardSimplex
 # rows of the kernel matrix that KdeHuber.matvec builds at a time
 KDE_MATVEC_BLOCK = 128
 
-# how far the squared distances that kde_cycle carries from move to move
-# may drift from their rebuild from the caches (_kernels.kde_drift) by the
-# end of a pass
+# how far, relative to the terms they are built from, what kde_cycle
+# carries may drift from its rebuild: the cache u = K w at the start of a
+# pass from the K w that the pass sums from its own kernel columns, and
+# the squared distances carried from move to move from their rebuild from
+# the caches by the end of the pass (_kernels.kde_drift)
 KDE_DRIFT_TOL = 1e-10
 
 
@@ -451,6 +455,7 @@ class KdeHuber(BoundObjective):
             raise ValueError("weight vector must live on the simplex of the samples")
         self._L_cached = float(L) if L is not None else None
         self._cols = {}
+        self._work = _kernels.kde_work(self.n)  # the per-step searches' rows
         self._init_state(poly, x0)
 
     def kernel_column(self, j):
@@ -522,18 +527,17 @@ class KdeHuber(BoundObjective):
         c = max(self.sq_x - 2.0 * self.x[i] + 1.0, 0.0)
         return SegmentQuery(b=b, c=c)
 
-    def _line_min(self, dvec, b, C, lo, hi, tol=1e-12, max_iter=200):
+    def _line_min(self, ka, kb, b, C, lo, hi, tol=1e-12, max_iter=200):
         # bisect_line_min along a move on which t_i^2 is the quadratic
         # T_i(a) = P_i + a R_i + a^2 C, with P = q - 2u + kappa0 and
-        # R = b - 2 dvec, started as the kernel starts: from kde_seg0,
-        # which is kde_seg at 0 bit for bit, and with phi'''(0)
-        S0, S1 = _kernels.kde_work(self.n)
+        # R = b - 2 (ka - kb), started as the kernel starts: from kde_seg0,
+        # which is kde_seg at 0 bit for bit, and with phi'''(0).  The row
+        # sets are the objective's, so a search allocates no n-length array
+        S0, S1, S2 = self._work
         _kernels.kde_start(self.u, self.q, self.kappa0, self.mu_h, S0)
-        R = S0[4]
-        np.multiply(dvec, -2.0, R)
-        np.add(R, b, R)
-        d, h, gr = _kernels.kde_seg0(C, S0)
-        third = _kernels.kde_third(C, gr, S0)
+        np.subtract(ka, kb, S0[1])
+        d, h, sums = _kernels.kde_seg0(S0[1], b, C, S0)
+        third = _kernels.kde_third(C, sums, S0, S2[0])
 
         def fn(a):
             if a == 0.0:
@@ -549,7 +553,7 @@ class KdeHuber(BoundObjective):
         if c <= 0.0:
             return lo
         ui = float(self.u[i])
-        return self._line_min(self._column(i) - self.u, 2.0 * (ui - self.q),
+        return self._line_min(self._column(i), self.u, 2.0 * (ui - self.q),
                               self.q - 2.0 * ui + self.kappa0, lo, hi,
                               tol=tol, max_iter=max_iter)
 
@@ -565,7 +569,7 @@ class KdeHuber(BoundObjective):
         ki = self._column(i)
         kj = self._column(j)
         curv = float(ki[i] - 2.0 * ki[j] + kj[j])
-        return self._line_min(ki - kj, 2.0 * (self.u[i] - self.u[j]), curv,
+        return self._line_min(ki, kj, 2.0 * (self.u[i] - self.u[j]), curv,
                               lo, hi)
 
     def apply_pair_step(self, i, j, theta):
@@ -600,11 +604,13 @@ class KdeHuber(BoundObjective):
             self.X, self.xsq, self.u, self.x, lam, order, grad_rule, away, L,
             self.kappa0, self.inv2s2, self.mu_h, self.q, self.sq_x,
             gamma_cap, drop_tol, ls_tol, ls_max_iter)
-        if drift > KDE_DRIFT_TOL:
+        if not drift <= KDE_DRIFT_TOL:
             raise CacheConsistencyError(
-                f"the squared distances kde_cycle carries drifted "
-                f"{drift:.2e} from their rebuild, past {KDE_DRIFT_TOL:.0e}")
-        self._bump(len(order))
+                f"the caches kde_cycle carries drifted {drift:.2e} from "
+                f"their rebuild, past {KDE_DRIFT_TOL:.0e}")
+        # the pass rebuilt u, q and ||w||^2 from its own kernel columns
+        self._steps += len(order)
+        self._last_refresh = self._steps
 
 
 class Quadratic(BoundObjective):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycd import _kernels
 
@@ -68,6 +70,38 @@ def _kde_seg_reference(alpha, P, R, C, mu_h):
     return d, h, T
 
 
+def _pin_to_mu_sq(P, R, k, alpha, C, mu_h):
+    """Set R_k = 0 and P_k so that T_k = P_k + alpha (alpha C) is exactly
+    mu^2, both in _kde_seg_reference and in kde_seg's product, whose last
+    coefficient is alpha (alpha C)."""
+    mu2 = mu_h * mu_h
+    c2 = alpha * (alpha * C)
+    R[k] = 0.0
+    P[k] = mu2 - c2
+    for _ in range(4):
+        if P[k] + c2 == mu2:
+            break
+        P[k] = np.nextafter(P[k], np.inf if P[k] + c2 < mu2 else -np.inf)
+    assert P[k] + c2 == mu2
+
+
+def _kde_start_rows(S0, P, R):
+    """Write P, R and R^2 into the start set S0 (kde_work)."""
+    S0[0], S0[1], S0[3] = P, R, R * R
+
+
+def _assert_kde_seg_rows(alpha, S0, S1, C, mu_h):
+    """The rows kde_seg evaluated into S1 from the start set S0, exactly
+    as kde_work defines them."""
+    T, m = S1[0], S1[4]
+    coef = np.array([1.0, alpha, alpha * (alpha * C)])
+    assert np.array_equal(T, np.dot(coef, S0[:3]))
+    assert np.array_equal(m, np.fmax(T, mu_h * mu_h))
+    r = mu_h / np.sqrt(m)
+    assert np.array_equal(S1[5], r)
+    assert np.array_equal(S1[6], (r - np.floor(r)) / m)
+
+
 def test_kde_seg_matches_reference_formula():
     import tracemalloc
 
@@ -88,44 +122,82 @@ def test_kde_seg_matches_reference_formula():
     R = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
     C = float(q - 2.0 * u[j] + k0)
     lo = -0.3
-    S0, S1 = _kernels.kde_work(80)
+    S0, S1, S2 = _kernels.kde_work(80)
     for alpha in (lo, 0.37, 1.0):
         Pa, Ra = P.copy(), R.copy()
-        # a point with T exactly mu^2: alpha (R_0 + alpha C) is exactly 0
-        Ra[0] = -(alpha * C)
-        Pa[0] = mu * mu
+        # a point with T exactly mu^2
+        _pin_to_mu_sq(Pa, Ra, 0, alpha, C, mu)
         d_ref, h_ref, T = _kde_seg_reference(alpha, Pa, Ra, C, mu)
         assert T[0] == mu * mu
         assert np.any(T < mu * mu) and np.any(T > mu * mu)
         if alpha == 1.0:
             assert T[11] <= 0.0 or T[40] <= 0.0
-        S0[0], S0[4] = Pa, Ra
+        _kde_start_rows(S0, Pa, Ra)
         d, h = _kernels.kde_seg(alpha, S0, S1, C, mu, True)
         assert type(d) is float and type(h) is float
         assert abs(d - d_ref) <= 1e-13 * abs(d_ref)
         assert abs(h - h_ref) <= 1e-13 * abs(h_ref)
-        assert _kernels.kde_seg(alpha, S0, S1, C, mu, False) == (d, 0.0)
-        # the evaluated set holds T unclamped, its clamp m and T'
-        assert np.array_equal(S1[0], Pa + alpha * (Ra + alpha * C))
-        assert np.array_equal(S1[1], np.fmax(S1[0], mu * mu))
-        assert np.array_equal(S1[4], Ra + (2.0 * alpha) * C)
+        # the evaluated set holds T = [1, alpha, alpha^2 C] [P; R; 1], its
+        # clamp m, the ratios r and the far-side factor G
+        _assert_kde_seg_rows(alpha, S0, S1, C, mu)
+        assert S1[0][0] == mu * mu
+        # phi' without curvature, evaluated into another set, is the same
+        assert _kernels.kde_seg(alpha, S0, S2, C, mu, False) == (d, 0.0)
+        for row in (0, 4, 5):
+            assert np.array_equal(S2[row], S1[row])
     # an evaluation writes into the row sets and allocates no n-length array
     n = 4000
-    S0, S1 = _kernels.kde_work(n)
-    S0[0], S0[4] = np.tile(P, 50), np.tile(R, 50)
+    S0, S1, S2 = _kernels.kde_work(n)
+    _kde_start_rows(S0, np.tile(P, 50), np.tile(R, 50))
     _kernels.kde_seg(0.37, S0, S1, C, mu, True)
+    # nor does a per-step search after its first call, which builds the
+    # column it reads
+    obj = KdeHuber(rng.standard_normal((n, 2)) * 1.5, 1.0, 0.4)
+    obj.reset(rng.dirichlet(np.full(n, 0.3)))
+    obj.line_search(j, -0.2, 1.0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         _kernels.kde_seg(0.37, S0, S1, C, mu, True)
-        _kernels.kde_seg(0.37, S0, S1, C, mu, False)
-        _kernels.kde_start(S0[2], 0.3, 1.0, mu, S1)
-        _kernels.kde_third(C, _kernels.kde_seg0(C, S1)[2], S1)
+        _kernels.kde_seg(0.37, S0, S2, C, mu, False)
+        _kernels.kde_start(S0[5], 0.3, 1.0, mu, S1)
+        # the R row as dvec, as the per-step search passes it
+        sums = _kernels.kde_seg0(S1[1], 0.2, C, S1)[2]
+        _kernels.kde_third(C, sums, S1, S2[0])
+        obj.line_search(j, -0.2, 1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(-1.0, 1.0), C=st.floats(1e-3, 0.16),
+       pins=st.integers(1, 3))
+def test_kde_seg_matches_reference_property(n, seed, alpha, C, pins):
+    # random P and R on both sides of mu^2, with 1 to 3 points pinned to
+    # T exactly mu^2; phi' within 1e-13 of sum r_i |T_i'| and phi''
+    # within 1e-13 of the sum of the magnitudes of its terms
+    mu = 0.4
+    rng = np.random.default_rng(seed)
+    P = rng.random(n) * (3.0 * mu * mu)
+    R = rng.standard_normal(n) * rng.choice([1e-3, 0.1, 1.0])
+    for k in range(min(pins, n)):
+        _pin_to_mu_sq(P, R, k, alpha, C, mu)
+    d_ref, h_ref, T = _kde_seg_reference(alpha, P, R, C, mu)
+    assert T[0] == mu * mu
+    S0, S1, _ = _kernels.kde_work(n)
+    _kde_start_rows(S0, P, R)
+    d, h = _kernels.kde_seg(alpha, S0, S1, C, mu, True)
+    assert S1[0][0] == mu * mu
+    _assert_kde_seg_rows(alpha, S0, S1, C, mu)
+    r = S1[5]
+    assert abs(d - d_ref) <= 1e-13 * np.sum(r * np.abs(R + 2.0 * alpha * C))
+    Tp = np.abs(R) + 2.0 * abs(alpha) * C
+    assert abs(h - h_ref) <= 1e-13 * (C * np.sum(r)
+                                      + 0.25 * np.sum(S1[6] * Tp * Tp))
 
 
 def test_away_update_drops_scales_and_keeps():
@@ -187,15 +259,19 @@ def test_start_derivatives_match_segment_at_zero():
         # points on both sides of mu, so the far-side term is not empty
         assert np.any(P < mu * mu) and np.any(P > mu * mu)
         for j in rng.choice(n, 4, replace=False):
-            S0[4] = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
+            dvec = obj.kernel_column(j) - u
+            b = 2.0 * (u[j] - q)
             C = float(q - 2.0 * u[j] + k0)
-            got = _kernels.kde_seg0(C, S0)[:2]
+            got = _kernels.kde_seg0(dvec, b, C, S0)[:2]
+            R = b - 2.0 * dvec
+            assert np.array_equal(S0[1], R)
+            assert np.array_equal(S0[3], R * R)
             S1 = _kernels.kde_work(n)[1]
             ref = _kernels.kde_seg(0.0, S0, S1, C, mu, True)
             assert np.array(got).tobytes() == np.array(ref).tobytes()
             # the evaluation at 0 writes the start's rows: those that a
             # kernel carries to the next move are the same at alpha = 0
-            for row in (0, 1, 2, 6):
+            for row in (0, 4, 5, 6):
                 assert S1[row].tobytes() == S0[row].tobytes()
 
 
@@ -220,17 +296,17 @@ def test_kde_third_matches_closed_form_and_central_difference():
         obj = KdeHuber(X, 1.0, 0.4)
         obj.reset(rng.dirichlet(np.full(n, 0.3)))
         u, q, k0, mu = obj.u, obj.q, obj.kappa0, obj.mu_h
-        S0, S1 = _kernels.kde_work(n)
+        S0, S1, S2 = _kernels.kde_work(n)
         _kernels.kde_start(u, q, k0, mu, S0)
         P = S0[0].copy()
         # points on both sides of mu, so both sums of phi''' are exercised
         assert np.any(P < mu * mu) and np.any(P > mu * mu)
         for j in rng.choice(n, 5, replace=False):
-            R = 2.0 * (u[j] - q) - 2.0 * (obj.kernel_column(j) - u)
+            dvec = obj.kernel_column(j) - u
+            R = 2.0 * (u[j] - q) - 2.0 * dvec
             C = float(q - 2.0 * u[j] + k0)
-            S0[4] = R
-            gr = _kernels.kde_seg0(C, S0)[2]
-            t = _kernels.kde_third(C, gr, S0)
+            sums = _kernels.kde_seg0(dvec, 2.0 * (u[j] - q), C, S0)[2]
+            t = _kernels.kde_third(C, sums, S0, S2[0])
             ref = _kde_third_reference(P, R, C, mu)
             assert abs(t - ref) <= 1e-12 * max(abs(ref), 1.0)
             # a central difference of phi'', where no point crosses mu^2
@@ -290,6 +366,39 @@ def test_kde_run_cycle_raises_on_a_drifted_start(monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "kde_seg", drifted)
+    with pytest.raises(CacheConsistencyError):
+        obj.run_cycle(_kernels.kde_cycle, order, lam, False, True, 1e12,
+                      _kernels.DROP_TOL, 1e-12, 200)
+
+
+def test_kde_run_cycle_rebuilds_the_caches_from_its_columns(monkeypatch):
+    # the kernel pass leaves u = K w, q = w'u and ||w||^2 rebuilt from the
+    # kernel columns it builds, with no refresh_cache or matvec
+    from polycd import KdeHuber
+
+    obj, lam, order = _kde_away_start(0)
+    assert obj.L > 0.0  # estimated now, by power iteration on matvec
+    calls = []
+    for name in ("refresh_cache", "matvec"):
+        monkeypatch.setattr(obj, name,
+                            lambda *a, name=name: calls.append(name))
+    for grad_rule in (False, False, True):
+        obj.run_cycle(_kernels.kde_cycle, order, lam, grad_rule, True, 1e12,
+                      _kernels.DROP_TOL, 1e-12, 200)
+        x = obj.x
+        ref = KdeHuber.matvec(obj, x)
+        assert np.max(np.abs(obj.u - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert obj.q == x @ obj.u
+        assert obj.sq_x == x @ x
+    assert calls == []
+    assert obj._last_refresh == obj._steps == 3 * len(order)
+
+
+def test_kde_run_cycle_raises_on_a_drifted_cache():
+    from polycd.objectives import CacheConsistencyError
+
+    obj, lam, order = _kde_away_start(0)
+    obj.u *= 1.0 + 1e-8
     with pytest.raises(CacheConsistencyError):
         obj.run_cycle(_kernels.kde_cycle, order, lam, False, True, 1e12,
                       _kernels.DROP_TOL, 1e-12, 200)

@@ -13,16 +13,21 @@ window_tol=1e-6, record_every=3.  A digest covers (t, f, inner_steps, nnz)
 of every record and the final x.  Each line ends with the case's final f
 (repr), so a changed digest shows how far the trajectory moved.
 
+The last case is the kde-away benchmark's shape: polycdwa with the line
+search on the kernel path, on gen_kde(n=1000) seed 0, for 5 passes.
+
 Run it on two checkouts, then compare the outputs:
 
     PYTHONPATH=src python3 tools/trajectory_digest.py > after.txt
     PYTHONPATH=src python3 tools/trajectory_digest.py before.txt after.txt
 
 The second form prints each case whose digest differs, with the relative
-change of its final f, the number of cases unchanged and the largest
-relative change.  It exits with status 1 when that change exceeds
-F_CHANGE_LIMIT (1e-11): a change that only reorders rounding moves a final
-f by far less, so a larger move is a change of behaviour.
+change of its final f, each case that only the second output has (new),
+the number of cases unchanged and the largest relative change.  It exits
+with status 1 when that change exceeds F_CHANGE_LIMIT (1e-11), or when a
+case of the first output is missing from the second.  A change that only
+reorders rounding moves a final f by far less than the limit, so a larger
+move is a change of behaviour.
 """
 
 import hashlib
@@ -72,24 +77,32 @@ def instances():
     yield "kde", kde, kde
 
 
+def print_case(fields, digest, f):
+    print(f"{' '.join(fields)} {digest.hexdigest()[:16]} f={float(f)!r}")
+    sys.stdout.flush()
+
+
+def cyclic_case(name, obj, solve, rule, passes, use_k):
+    """Run one cyclic solve and print its digest line."""
+    out = solve(obj, obj.poly,
+                SolveConfig(step_rule=rule, max_outer=passes,
+                            rel_improve_tol=0.0),
+                inner_callback=None if use_k else lambda t, i, a: None)
+    f = np.array([r.f_value for r in out[-1]])
+    h = hashlib.sha256(f.tobytes())
+    h.update(out[0].tobytes())
+    if solve is polycdwa_solve:
+        h.update(out[1].lam.tobytes())
+    path = "kernel" if use_k else "per-step"
+    print_case((f"{name:8s}", f"{solve.__name__:14s}", f"{rule:11s}",
+                f"{path:8s}"), h, f[-1])
+
+
 def cyclic_cases(insts):
     cases = itertools.product(insts, (polycd_solve, polycdwa_solve),
                               (LINE_SEARCH, GRAD_1D), (True, False))
     for (name, make, _), solve, rule, use_k in cases:
-        obj = make()
-        out = solve(obj, obj.poly,
-                    SolveConfig(step_rule=rule, max_outer=PASSES,
-                                rel_improve_tol=0.0),
-                    inner_callback=None if use_k else lambda t, i, a: None)
-        f = np.array([r.f_value for r in out[-1]])
-        h = hashlib.sha256(f.tobytes())
-        h.update(out[0].tobytes())
-        if solve is polycdwa_solve:
-            h.update(out[1].lam.tobytes())
-        path = "kernel" if use_k else "per-step"
-        print(f"{name:8s} {solve.__name__:14s} {rule:11s} {path:8s} "
-              f"{h.hexdigest()[:16]} f={float(f[-1])!r}")
-        sys.stdout.flush()
+        cyclic_case(name, make(), solve, rule, PASSES, use_k)
 
 
 def baseline_cases(insts):
@@ -101,46 +114,73 @@ def baseline_cases(insts):
                          for r in trace], dtype=np.float64)
         h = hashlib.sha256(rows.tobytes())
         h.update(x.tobytes())
-        print(f"{name:8s} {label:14s} {cname:11s} {len(trace):8d} "
-              f"{h.hexdigest()[:16]} f={float(trace[-1].f_value)!r}")
-        sys.stdout.flush()
+        print_case((f"{name:8s}", f"{label:14s}", f"{cname:11s}",
+                    f"{len(trace):8d}"), h, trace[-1].f_value)
+
+
+def kde_away_case():
+    """The kde-away benchmark's solve at its size, for fewer passes, so
+    that the kernel pass's cache rebuild and row-set swaps are digested
+    where the benchmark runs them."""
+    spec = KdeSpec(n=1000, seed=0)
+    X, _ = gen_kde(spec)
+    cyclic_case("kde-away", KdeHuber(X, spec.sigma_kernel, spec.mu_huber),
+                polycdwa_solve, LINE_SEARCH, 5, True)
+
+
+def read_cases(path):
+    """{case: (digest, final f)} of an output of this tool.  A baseline
+    case's record count is not part of its name: a change may move it."""
+    cases = {}
+    with open(path) as fh:
+        for line in fh.read().splitlines():
+            *fields, digest, f = line.split()
+            name = " ".join(w for w in fields if not w.isdigit())
+            cases[name] = (digest, float(f[2:]))
+    return cases
 
 
 def compare(before, after):
     """Print each case whose digest differs between two outputs of this
-    tool, with the relative change of its final f, then the number of
-    cases unchanged and the largest relative change.  Returns that
-    largest change."""
-    with open(before) as fb, open(after) as fa:
-        pairs = list(zip(fb.read().splitlines(), fa.read().splitlines(),
-                         strict=True))
+    tool, with the relative change of its final f, and each case that only
+    one of them has, then the number of cases unchanged and the largest
+    relative change.  Returns that largest change and the number of cases
+    missing from the second output."""
+    old, new = read_cases(before), read_cases(after)
     same = 0
     worst = 0.0
-    for old, new in pairs:
-        *case, dig_old, f_old = old.split()
-        *_, dig_new, f_new = new.split()
+    for case, (dig_old, f0) in old.items():
+        if case not in new:
+            continue
+        dig_new, f1 = new[case]
         if dig_old == dig_new:
             same += 1
             continue
-        f0, f1 = float(f_old[2:]), float(f_new[2:])
         rel = abs(f1 - f0) / abs(f0)
         worst = max(worst, rel)
-        print(f"{' '.join(case)}: f {f0!r} -> {f1!r}, "
-              f"relative change {rel:.2e}")
-    print(f"{same} of {len(pairs)} cases unchanged")
+        print(f"{case}: f {f0!r} -> {f1!r}, relative change {rel:.2e}")
+    missing = [case for case in old if case not in new]
+    for case in missing:
+        print(f"{case}: missing")
+    for case in new:
+        if case not in old:
+            print(f"{case}: new, f {new[case][1]!r}")
+    print(f"{same} of {len(old)} cases unchanged")
     print(f"largest relative change of final f: {worst:.2e} "
           f"(limit {F_CHANGE_LIMIT:.0e})")
-    return worst
+    return worst, len(missing)
 
 
 def main():
     if len(sys.argv) == 3:
-        if compare(*sys.argv[1:]) > F_CHANGE_LIMIT:
+        worst, missing = compare(*sys.argv[1:])
+        if worst > F_CHANGE_LIMIT or missing:
             sys.exit(1)
         return
     insts = list(instances())
     cyclic_cases(insts)
     baseline_cases(insts)
+    kde_away_case()
 
 
 if __name__ == "__main__":
