@@ -30,7 +30,6 @@ from .solvers import (
     ConsistencyError,
     SolveConfig,
     TraceRecord,
-    away_gamma,
     check_linear_bound,
     check_sublinear_bound,
     polycd_solve,
@@ -46,7 +45,7 @@ __all__ = [
     "LeastSquares", "Logistic", "PolytopeConstants", "PolytopeError",
     "Quadratic", "SegmentQuery", "SolveConfig", "StandardSimplex",
     "TraceRecord", "UnsupportedSizeError", "VertexPolytope",
-    "active_backend", "away_gamma", "bisect_line_min", "check_linear_bound",
+    "active_backend", "bisect_line_min", "check_linear_bound",
     "check_sublinear_bound", "grad_step_alpha", "polycd_solve",
     "polycdwa_solve", "project_l1_ball", "project_simplex", "weight_refresh",
 ]

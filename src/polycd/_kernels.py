@@ -11,12 +11,13 @@ helpers below: the step interval (step_interval), the away-step weight
 update with its drop snap (away_update), the 1D gradient rule, the
 safeguarded Newton line search (newton_step, end_test_due and the loop
 line_min, which starts at the current point alpha = 0 and can take its
-first step to third order), the segment derivatives of the logistic and
-kernel-density losses and their values at alpha = 0 (logistic_start,
-kde_start, kde_seg0, kde_third), and the move of the iterate toward a
-coordinate vertex.  The kernels, the per-step path of the solvers
-(which a run given an inner_callback takes), the away-step Frank-Wolfe
-baseline and the objective methods all call them.
+first step to third order; defaults LS_TOL and LS_MAX_ITER), the segment
+derivatives of the logistic and kernel-density losses and their values at
+alpha = 0 (logistic_start, kde_start, kde_seg0, kde_third, which serve
+both step rules), and the move of the iterate toward a coordinate vertex.
+The kernels, the per-step path of the solvers (which a run given an
+inner_callback takes), the away-step Frank-Wolfe baseline and the
+objective methods all call them.
 """
 
 import numpy as np
@@ -55,6 +56,10 @@ _DEGENERATE_REL = 1e-13
 
 # snap-to-drop tolerance around alpha = -gamma_i
 DROP_TOL = 1e-14
+
+# the line searches' stopping width and evaluation budget (line_min)
+LS_TOL = 1e-12
+LS_MAX_ITER = 200
 
 def is_degenerate(c, scale):
     """Whether a segment with c = ||v - x||^2 counts as degenerate, where
@@ -268,13 +273,6 @@ def kde_columns(X, xsq, J, kappa0, inv2s2):
     return B
 
 
-def kde_slope(u, dvec, q, uj, kappa0, mu_h):
-    """b = <grad f(w), e_j - w> of the kernel-weight objective, where
-    u = K w, q = w'Kw, uj = u_j and dvec = K e_j - u."""
-    ratio = huber_ratio(np.sqrt(np.maximum(q - 2.0 * u + kappa0, 0.0)), mu_h)
-    return (uj - q) * ratio.sum() - np.dot(ratio, dvec)
-
-
 def kde_work(n):
     """The three row sets of the density line search, for n sample points:
     zero-initialised (7, n) arrays S whose rows are
@@ -398,13 +396,15 @@ def kde_third(C, sums, S, out):
 def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
     """Move x by the step alpha toward the coordinate vertex s e_j, in
     place, and with it its cache z toward zv, the cache at the vertex,
-    along w = zv - z.  Returns the new ||x||^2."""
+    along w = zv - z, which it overwrites with alpha w, so the move
+    allocates no n-length array.  Returns the new ||x||^2."""
     if alpha == 1.0:
         z[:] = zv
         x[:] = 0.0
         x[j] = s
         return s * s
-    z += alpha * w
+    w *= alpha
+    z += w
     xj = float(x[j])
     x *= 1.0 - alpha
     x[j] += alpha * s
@@ -415,8 +415,8 @@ def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
 
 def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
     """vertex_move for the kernel-weight objective, toward e_j: the caches
-    are u = K w (kcol = K e_j, dvec = kcol - u) and q = w'Kw.  Returns
-    (q, ||w||^2)."""
+    are u = K w (kcol = K e_j, dvec = kcol - u, which it overwrites) and
+    q = w'Kw.  Returns (q, ||w||^2)."""
     if alpha == 1.0:
         q = kappa0
     else:
@@ -687,15 +687,15 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     The line search's row sets are allocated once per pass (kde_work).
     The start set holds what kde_seg reads at alpha = 0 that does not
     depend on the step's vertex (P, m, the Huber ratios and the far-side
-    factor), so a step builds R and R^2 into it and takes phi'(0),
-    phi''(0) and, where the search evaluates, phi'''(0) from kde_seg0 and
-    kde_third.  line_min evaluates with curvature into the second set and
-    tests its end in the third.  A move to the point that it evaluated
-    last with curvature swaps the first two sets: the evaluation's rows
-    are the new weights' start, up to rounding.  Any other move (after a
-    drop snap or a bisection's midpoint) leaves the start to be rebuilt
-    from u and q (kde_start) where the next search needs it, as it is at
-    the start of each pass.
+    factor), so a step builds R and R^2 into it and takes phi'(0) and
+    phi''(0) from kde_seg0 under either step rule and, where the search
+    evaluates, phi'''(0) from kde_third.  line_min evaluates with
+    curvature into the second set and tests its end in the third.  A move
+    to the point that it evaluated last with curvature swaps the first two
+    sets: the evaluation's rows are the new weights' start, up to
+    rounding.  Any other move (a gradient-rule step, a drop snap or a
+    bisection's midpoint) leaves the start to be rebuilt from u and q
+    (kde_start) where the next step needs it, as at the start of a pass.
 
     Returns (q, sq_w, drift): drift is the larger of
     ||u - K w0||_inf / ||K w0||_inf at the start of the pass and kde_drift
@@ -734,15 +734,14 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             kcol = Kb[idx - p]
             np.subtract(kcol, u, dvec)
             lo, capped = step_interval(away, lam, j, gamma_cap)
+            if not start_ok:
+                kde_start(u, q, kappa0, mu_h, S0)
+                start_ok = True
+            C = q - 2.0 * uj + kappa0
+            d, h, sums = kde_seg0(dvec, 2.0 * (uj - q), C, S0)
             if grad_rule:
-                alpha = grad_step(kde_slope(u, dvec, q, uj, kappa0, mu_h), c,
-                                  L, lo, 1.0)
+                alpha = grad_step(d, c, L, lo, 1.0)
             else:
-                if not start_ok:
-                    kde_start(u, q, kappa0, mu_h, S0)
-                    start_ok = True
-                C = q - 2.0 * uj + kappa0
-                d, h, sums = kde_seg0(dvec, 2.0 * (uj - q), C, S0)
                 # phi'''(0) only for a search that evaluates: from 0 it
                 # searches (0, 1] where d < 0 and [lo, 0) where d > 0
                 t = (kde_third(C, sums, S0, S2[0]) if d < 0.0 or lo < 0.0

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .baselines import BaselineConfig, afw_solve, fista_solve, fw_solve, twocd_solve
 from .objectives import KdeHuber, LeastSquares, Logistic, Quadratic
 from .polytope import L1Ball, StandardSimplex
@@ -304,7 +305,7 @@ def run_experiment(cfg, quiet=False):
         "preset": cfg.preset,
         "config": cfg.to_dict(),
         "rng": RNG_NAME,
-        "version": _pkg_version(),
+        "version": __version__,
         "seeds": seeds,
         "f_star_per_rep": f_stars,
         "solvers": {},
@@ -324,11 +325,3 @@ def run_experiment(cfg, quiet=False):
         json.dump(summary, fh, indent=2)
     return summary
 
-
-def _pkg_version():
-    try:
-        from importlib.metadata import version
-
-        return version("polycd")
-    except Exception:  # pragma: no cover
-        return "unknown"

@@ -9,6 +9,10 @@ A kernel pass of the density objective rebuilds its caches from the kernel
 columns it builds (``_kernels.kde_cycle``), so it needs no refresh.
 ``eval_at``/``grad_at`` are stateless recomputations used by the oracles, so
 they share no code path with the incremental caches.
+
+Each step quantity has one source: the composite losses share one body
+over a few family hooks, and every density step, per step or in a kernel
+pass and under either step rule, starts from ``_kernels.kde_seg0``.
 """
 
 from dataclasses import dataclass
@@ -57,7 +61,8 @@ def grad_step_alpha(b, c, L, lo, hi):
     return _kernels.grad_step(b, c, L, lo, hi)
 
 
-def bisect_line_min(fn, lo, hi, tol=1e-12, max_iter=200, third=None):
+def bisect_line_min(fn, lo, hi, tol=_kernels.LS_TOL,
+                    max_iter=_kernels.LS_MAX_ITER, third=None):
     """Minimize a convex 1D function phi on [lo, hi]; fn(alpha) returns
     (phi'(alpha), phi''(alpha)), and third, if given, is phi'''(0).
 
@@ -151,6 +156,17 @@ class BoundObjective:
             self._L_cached = self.estimate_smoothness()
         return self._L_cached
 
+    def _seg_c(self, i):
+        """(c, scale): c = ||v_i - x||^2 and scale = ||x||^2 + ||v_i||^2."""
+        v = self.poly.vertex(i)
+        dv = v - self.x
+        return float(dv @ dv), float(self.x @ self.x) + float(v @ v)
+
+    def segment_is_degenerate(self, i):
+        # v_i coincides with x up to float cancellation; the solvers skip
+        # such steps (any step size leaves x unchanged)
+        return _kernels.is_degenerate(*self._seg_c(i))
+
     # kernel hooks; overridden where a cycle kernel exists
     def kernel_name(self):
         return None
@@ -161,9 +177,15 @@ class BoundObjective:
 
 
 class _CompositeObjective(BoundObjective):
-    """g(A x) losses: caches z = A x and ||x||^2 for O(n + d) steps."""
+    """g(A x) losses: caches z = A x and ||x||^2 for O(n + d) steps.
 
-    def __init__(self, A, poly, x0=None):
+    A family supplies its loss g (_g_of), the gradient of g at a point
+    (_resid_grad_at), the slope <grad g(z), w> at the cached z
+    (_dir_deriv), the argmin over [lo, hi] of g(z + alpha w) (_argmin),
+    a bound G2 on g'' that sets L = G2 sigma_max(A)^2, and the name of
+    its cycle kernel over coordinate vertices (KERNEL)."""
+
+    def __init__(self, A, poly, x0=None, L=None):
         A = np.ascontiguousarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("A must be 2-dimensional")
@@ -180,6 +202,7 @@ class _CompositeObjective(BoundObjective):
         else:
             # effective data column per listed vertex, A v_i
             self._pv_cols = np.ascontiguousarray((A @ poly.vertex_matrix().T).T)
+        self._L_cached = float(L) if L is not None else None
         self._init_state(poly, x0)
 
     def refresh_cache(self):
@@ -192,32 +215,23 @@ class _CompositeObjective(BoundObjective):
                     float(self.poly.vertex_scales[i]))
         return self._pv_cols[i], 1.0
 
-    def _c_val(self, i):
-        if self._pv_cols is None:
-            j = self.poly.vertex_coords[i]
-            s = self.poly.vertex_scales[i]
-            c = self.sq_x - 2.0 * s * self.x[j] + s * s
-        else:
-            dv = self.poly.vertex(i) - self.x
-            c = float(dv @ dv)
-        return max(c, 0.0)
-
-    def segment_is_degenerate(self, i):
-        # v_i coincides with x up to float cancellation; the solvers skip
-        # such steps (any step size leaves x unchanged)
-        if self._pv_cols is None:
-            j = self.poly.vertex_coords[i]
-            s = self.poly.vertex_scales[i]
-            c = self.sq_x - 2.0 * s * self.x[j] + s * s
-            return _kernels.is_degenerate(c, self.sq_x + s * s)
-        v = self.poly.vertex(i)
-        dv = v - self.x
-        return _kernels.is_degenerate(float(dv @ dv), self.sq_x + float(v @ v))
+    def _seg_c(self, i):
+        if self._pv_cols is not None:
+            return super()._seg_c(i)
+        j = self.poly.vertex_coords[i]
+        s = self.poly.vertex_scales[i]
+        return self.sq_x - 2.0 * s * self.x[j] + s * s, self.sq_x + s * s
 
     def segment_query(self, i):
         col, s = self._col_scale(i)
-        w = s * col - self.z
-        return SegmentQuery(b=self._dir_deriv(w), c=self._c_val(i))
+        return SegmentQuery(b=self._dir_deriv(s * col - self.z),
+                            c=max(self._seg_c(i)[0], 0.0))
+
+    def line_search(self, i, lo, hi, tol=_kernels.LS_TOL,
+                    max_iter=_kernels.LS_MAX_ITER):
+        """argmin over [lo, hi] of f along the segment toward vertex i."""
+        col, s = self._col_scale(i)
+        return self._argmin(s * col - self.z, lo, hi, tol, max_iter)
 
     def apply_step(self, i, alpha):
         if alpha == 0.0:
@@ -241,7 +255,7 @@ class _CompositeObjective(BoundObjective):
         self._bump()
 
     def full_gradient(self):
-        return self.A_cols @ self._resid_grad()
+        return self.A_cols @ self._resid_grad_at(self.z)
 
     def grad_at(self, y):
         return self.A.T @ self._resid_grad_at(self.A @ np.asarray(y, dtype=np.float64))
@@ -259,6 +273,11 @@ class _CompositeObjective(BoundObjective):
         # theta (A e_i - A e_j) whatever the polytope's vertex list
         return self.A_cols[i], self.A_cols[j]
 
+    def pair_line_search(self, i, j, lo, hi):
+        ci, cj = self._pair_cols(i, j)
+        return self._argmin(ci - cj, lo, hi, _kernels.LS_TOL,
+                            _kernels.LS_MAX_ITER)
+
     def apply_pair_step(self, i, j, theta):
         if theta == 0.0:
             self._bump()
@@ -271,25 +290,31 @@ class _CompositeObjective(BoundObjective):
         self.sq_x += 2.0 * theta * (xi - xj) + 2.0 * theta * theta
         self._bump()
 
+    def estimate_smoothness(self):
+        sig = _power_sigma_sq(lambda v: self.A @ v, lambda w: self.A.T @ w, self.d)
+        return max(self.G2 * sig * 1.01, 1e-12)
+
+    def kernel_name(self):
+        return self.KERNEL if self._pv_cols is None else None
+
 
 class LeastSquares(_CompositeObjective):
     """f(x) = ||A x - b||^2 with cached residual products."""
 
+    G2 = 2.0
+    KERNEL = "ls_cycle"
+
     def __init__(self, A, b, poly, x0=None, L=None):
         self.bvec = np.ascontiguousarray(b, dtype=np.float64)
         _require_finite("b", self.bvec)
-        super().__init__(A, poly, x0)
+        super().__init__(A, poly, x0, L)
         if self.bvec.shape != (self.n,):
             raise ValueError("b must have one entry per row of A")
         self._col_terms = None  # (A'b, squared column norms), for ls_cycle
-        self._L_cached = float(L) if L is not None else None
 
     def _g_of(self, z):
         r = z - self.bvec
         return float(r @ r)
-
-    def _resid_grad(self):
-        return 2.0 * (self.z - self.bvec)
 
     def _resid_grad_at(self, z):
         return 2.0 * (z - self.bvec)
@@ -297,33 +322,15 @@ class LeastSquares(_CompositeObjective):
     def _dir_deriv(self, w):
         return 2.0 * (float(w @ self.z) - float(w @ self.bvec))
 
-    def _closed_step(self, w, lo, hi):
-        # argmin of f(z + alpha w) over [lo, hi]; lo when w is flat
+    def _argmin(self, w, lo, hi, tol, max_iter):
+        # closed form: phi(alpha) = f(z + alpha w) has phi'(0) =
+        # _dir_deriv(w) and phi'' = 2 w.w; lo when w is flat
         if hi < lo:
             raise ValueError(f"empty step interval [{lo}, {hi}]")
         den = float(w @ w)
         if den <= 0.0:
             return lo
-        num = float(w @ self.z) - float(w @ self.bvec)
-        # phi(alpha) = f(z + alpha w): phi'(0) = 2 num, phi'' = 2 den
-        return _kernels.grad_step(2.0 * num, den, 2.0, lo, hi)
-
-    def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
-        """argmin over [lo, hi] of f along the segment toward vertex i;
-        closed form for the quadratic loss, lo when the segment is flat."""
-        col, s = self._col_scale(i)
-        return self._closed_step(s * col - self.z, lo, hi)
-
-    def pair_line_search(self, i, j, lo, hi):
-        ci, cj = self._pair_cols(i, j)
-        return self._closed_step(ci - cj, lo, hi)
-
-    def estimate_smoothness(self):
-        sig = _power_sigma_sq(lambda v: self.A @ v, lambda w: self.A.T @ w, self.d)
-        return max(2.0 * sig * 1.01, 1e-12)
-
-    def kernel_name(self):
-        return "ls_cycle" if self._pv_cols is None else None
+        return _kernels.grad_step(self._dir_deriv(w), den, 2.0, lo, hi)
 
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
@@ -341,50 +348,35 @@ class LeastSquares(_CompositeObjective):
 class Logistic(_CompositeObjective):
     """f(x) = sum_i log(1 + exp(-y_i a_i' x)) with cached margins A x."""
 
+    G2 = 0.25
+    KERNEL = "logistic_cycle"
+
     def __init__(self, A, labels, poly, x0=None, L=None):
         self.labels = np.ascontiguousarray(labels, dtype=np.float64)
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +/-1")
-        super().__init__(A, poly, x0)
+        super().__init__(A, poly, x0, L)
         if self.labels.shape != (self.n,):
             raise ValueError("labels must have one entry per row of A")
-        self._L_cached = float(L) if L is not None else None
 
     def _g_of(self, z):
         return float(np.logaddexp(0.0, -self.labels * z).sum())
-
-    def _resid_grad(self):
-        return self._resid_grad_at(self.z)
 
     def _resid_grad_at(self, z):
         return -self.labels * _kernels.sigmoid_neg(self.labels * z)
 
     def _dir_deriv(self, w):
-        return float(self._resid_grad() @ w)
+        return float(self._resid_grad_at(self.z) @ w)
 
-    def _seg_derivs(self, w):
-        # (phi', phi'') of phi(a) = f(z + a w)
+    def _argmin(self, w, lo, hi, tol, max_iter):
+        # bisect_line_min on (phi', phi'') of phi(a) = f(z + a w)
         yw = self.labels * w
         ym = self.labels * self.z
         yw2 = yw * yw
-        return lambda a: _kernels.logistic_seg(
-            _kernels.sigmoid_neg(ym + a * yw), yw, yw2, True)
-
-    def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
-        col, s = self._col_scale(i)
-        return bisect_line_min(self._seg_derivs(s * col - self.z), lo, hi,
-                               tol=tol, max_iter=max_iter)
-
-    def pair_line_search(self, i, j, lo, hi):
-        ci, cj = self._pair_cols(i, j)
-        return bisect_line_min(self._seg_derivs(ci - cj), lo, hi)
-
-    def estimate_smoothness(self):
-        sig = _power_sigma_sq(lambda v: self.A @ v, lambda w: self.A.T @ w, self.d)
-        return max(0.25 * sig * 1.01, 1e-12)
-
-    def kernel_name(self):
-        return "logistic_cycle" if self._pv_cols is None else None
+        return bisect_line_min(
+            lambda a: _kernels.logistic_seg(_kernels.sigmoid_neg(ym + a * yw),
+                                            yw, yw2, True),
+            lo, hi, tol=tol, max_iter=max_iter)
 
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
@@ -492,51 +484,59 @@ class KdeHuber(BoundObjective):
         self.q = float(self.x @ self.u)
         self.sq_x = float(self.x @ self.x)
 
-    def _tsq(self):
-        return np.maximum(self.q - 2.0 * self.u + self.kappa0, 0.0)
+    def _dist(self, u, q):
+        # the distances t_i at the weights w with u = K w and q = w'Kw
+        return np.sqrt(np.maximum(q - 2.0 * u + self.kappa0, 0.0))
+
+    def _caches_at(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        uy = self.matvec(y)
+        return uy, float(y @ uy)
+
+    def _grad(self, u, q):
+        ratio = _kernels.huber_ratio(self._dist(u, q), self.mu_h)
+        return float(ratio.sum()) * u - self.matvec(ratio)
 
     def eval(self):
-        return float(huber(np.sqrt(self._tsq()), self.mu_h).sum())
+        return float(huber(self._dist(self.u, self.q), self.mu_h).sum())
 
     def eval_at(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        uy = self.matvec(y)
-        qy = float(y @ uy)
-        tsq = np.maximum(qy - 2.0 * uy + self.kappa0, 0.0)
-        return float(huber(np.sqrt(tsq), self.mu_h).sum())
+        return float(huber(self._dist(*self._caches_at(y)), self.mu_h).sum())
 
     def grad_at(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        uy = self.matvec(y)
-        qy = float(y @ uy)
-        t = np.sqrt(np.maximum(qy - 2.0 * uy + self.kappa0, 0.0))
-        ratio = _kernels.huber_ratio(t, self.mu_h)
-        return float(ratio.sum()) * uy - self.matvec(ratio)
+        return self._grad(*self._caches_at(y))
 
     def full_gradient(self):
-        ratio = _kernels.huber_ratio(np.sqrt(self._tsq()), self.mu_h)
-        return float(ratio.sum()) * self.u - self.matvec(ratio)
+        return self._grad(self.u, self.q)
 
-    def segment_is_degenerate(self, i):
-        c = self.sq_x - 2.0 * self.x[i] + 1.0
-        return _kernels.is_degenerate(c, self.sq_x + 1.0)
+    def _seg_c(self, i):
+        return self.sq_x - 2.0 * self.x[i] + 1.0, self.sq_x + 1.0
 
-    def segment_query(self, i):
-        b = _kernels.kde_slope(self.u, self._column(i) - self.u, self.q,
-                               self.u[i], self.kappa0, self.mu_h)
-        c = max(self.sq_x - 2.0 * self.x[i] + 1.0, 0.0)
-        return SegmentQuery(b=b, c=c)
-
-    def _line_min(self, ka, kb, b, C, lo, hi, tol=1e-12, max_iter=200):
-        # bisect_line_min along a move on which t_i^2 is the quadratic
-        # T_i(a) = P_i + a R_i + a^2 C, with P = q - 2u + kappa0 and
-        # R = b - 2 (ka - kb), started as the kernel starts: from kde_seg0,
-        # which is kde_seg at 0 bit for bit, and with phi'''(0).  The row
-        # sets are the objective's, so a search allocates no n-length array
-        S0, S1, S2 = self._work
+    def _start(self, ka, kb, b, C):
+        """(phi'(0), phi''(0), sums) of the move with t_i^2 = P_i + a R_i
+        + a^2 C, P = q - 2u + kappa0 and R = b - 2 (ka - kb), from the
+        objective's start set, as each move of kde_cycle starts."""
+        S0 = self._work[0]
         _kernels.kde_start(self.u, self.q, self.kappa0, self.mu_h, S0)
         np.subtract(ka, kb, S0[1])
-        d, h, sums = _kernels.kde_seg0(S0[1], b, C, S0)
+        return _kernels.kde_seg0(S0[1], b, C, S0)
+
+    def _vertex_start(self, i):
+        # _start's arguments for the move toward e_i
+        ui = float(self.u[i])
+        return (self._column(i), self.u, 2.0 * (ui - self.q),
+                self.q - 2.0 * ui + self.kappa0)
+
+    def segment_query(self, i):
+        return SegmentQuery(b=self._start(*self._vertex_start(i))[0],
+                            c=max(self._seg_c(i)[0], 0.0))
+
+    def _line_min(self, ka, kb, b, C, lo, hi, tol=_kernels.LS_TOL,
+                  max_iter=_kernels.LS_MAX_ITER):
+        # bisect_line_min along the move _start describes, with phi'''(0),
+        # in the objective's row sets: it allocates no n-length array
+        S0, S1, S2 = self._work
+        d, h, sums = self._start(ka, kb, b, C)
         third = _kernels.kde_third(C, sums, S0, S2[0])
 
         def fn(a):
@@ -546,16 +546,14 @@ class KdeHuber(BoundObjective):
         return bisect_line_min(fn, lo, hi, tol=tol, max_iter=max_iter,
                                third=third)
 
-    def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
+    def line_search(self, i, lo, hi, tol=_kernels.LS_TOL,
+                    max_iter=_kernels.LS_MAX_ITER):
         if hi < lo:
             raise ValueError(f"empty step interval [{lo}, {hi}]")
-        c = self.sq_x - 2.0 * self.x[i] + 1.0
-        if c <= 0.0:
+        if self._seg_c(i)[0] <= 0.0:
             return lo
-        ui = float(self.u[i])
-        return self._line_min(self._column(i), self.u, 2.0 * (ui - self.q),
-                              self.q - 2.0 * ui + self.kappa0, lo, hi,
-                              tol=tol, max_iter=max_iter)
+        return self._line_min(*self._vertex_start(i), lo, hi, tol=tol,
+                              max_iter=max_iter)
 
     def apply_step(self, i, alpha):
         if alpha != 0.0:
@@ -659,18 +657,13 @@ class Quadratic(BoundObjective):
     def estimate_smoothness(self):
         return self.L
 
-    def segment_is_degenerate(self, i):
-        v = self.poly.vertex(i)
-        dv = v - self.x
-        return _kernels.is_degenerate(float(dv @ dv),
-                                      float(self.x @ self.x) + float(v @ v))
-
     def segment_query(self, i):
         dv = self.poly.vertex(i) - self.x
         b = float((self.g + self.qlin) @ dv)
         return SegmentQuery(b=b, c=float(dv @ dv))
 
-    def line_search(self, i, lo, hi, tol=1e-12, max_iter=200):
+    def line_search(self, i, lo, hi, tol=_kernels.LS_TOL,
+                    max_iter=_kernels.LS_MAX_ITER):
         # exact: the gradient rule with the segment's curvature and L = 1
         dv = self.poly.vertex(i) - self.x
         b = float((self.g + self.qlin) @ dv)

@@ -16,7 +16,6 @@ trajectories.
 """
 
 from dataclasses import dataclass
-import math
 import time
 
 import numpy as np
@@ -46,8 +45,8 @@ class SolveConfig:
     lam0: np.ndarray | None = None  # explicit start weights (away solver)
     gamma_cap: float = 1e12
     drop_tol: float = _kernels.DROP_TOL  # snap-to-drop tolerance around -gamma
-    ls_tol: float = 1e-12
-    ls_max_iter: int = 200
+    ls_tol: float = _kernels.LS_TOL
+    ls_max_iter: int = _kernels.LS_MAX_ITER
 
     def __post_init__(self):
         if self.step_rule not in _RULES:
@@ -79,15 +78,6 @@ class AwayState:
     @property
     def support(self):
         return np.flatnonzero(self.lam > 0.0)
-
-
-def away_gamma(lam_i):
-    """Largest feasible backward step lam_i / (1 - lam_i); +inf at lam_i = 1."""
-    if not 0.0 <= lam_i <= 1.0:
-        raise ValueError(f"weight {lam_i} outside [0, 1]")
-    if lam_i >= 1.0:
-        return math.inf
-    return lam_i / (1.0 - lam_i)
 
 
 def weight_refresh(state, x, poly, tol=1e-6):

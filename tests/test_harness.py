@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import polycd
 from polycd.harness import (ExperimentConfig, SolverCell, compute_gap,
                             emit_plot_data, run_experiment, run_solver_cell,
                             _Bundle)
@@ -75,7 +76,10 @@ def test_run_experiment_single_solver_gap_zero(tmp_path):
     cell = summary["solvers"]["polycdwa"]
     assert cell["mean_gap"] == 0.0  # alone, it defines f_star
     assert (tmp_path / "out" / "trace_polycdwa_rep0.csv").exists()
-    assert (tmp_path / "out" / "summary.json").exists()
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    # the package's version, also when it runs from a checkout with src on
+    # the path and nothing installed
+    assert summary["version"] == written["version"] == polycd.__version__
 
 
 def test_run_experiment_repetitions_and_files(tmp_path):

@@ -155,6 +155,10 @@ def test_kde_seg_matches_reference_formula():
     obj = KdeHuber(rng.standard_normal((n, 2)) * 1.5, 1.0, 0.4)
     obj.reset(rng.dirichlet(np.full(n, 0.3)))
     obj.line_search(j, -0.2, 1.0)
+    # caches, a column, its direction and weights for one move of each kind
+    u, kcol, dvec, wv = (rng.random(n) for _ in range(4))
+    sq_w = float(wv @ wv)
+    u0, d0 = u.copy(), dvec.copy()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -166,10 +170,15 @@ def test_kde_seg_matches_reference_formula():
         sums = _kernels.kde_seg0(S1[1], 0.2, C, S1)[2]
         _kernels.kde_third(C, sums, S1, S2[0])
         obj.line_search(j, -0.2, 1.0)
+        # the moves scale the direction they are given in place
+        _kernels.kde_move(u, kcol, dvec, wv, j, 0.3, 0.5, sq_w, 1.0)
+        _kernels.vertex_move(wv, j, -2.0, 0.4, sq_w, u, kcol, dvec)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+    # with the products and sums of the update written out of place
+    assert np.array_equal(u, (u0 + 0.3 * d0) + 0.4 * (0.3 * d0))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -206,6 +215,12 @@ def test_away_update_drops_scales_and_keeps():
     assert _kernels.step_interval(False, lam, 0, 1e12) == (0.0, False)
     lo, capped = _kernels.step_interval(True, lam, 0, 1e12)
     assert lo == -0.2 / 0.8 and not capped
+    # gamma_i = lam_i / (1 - lam_i): 0 at lam_i = 0 and 1/3 at 0.25; at
+    # lam_i = 1 it is unbounded, so the cap binds
+    assert _kernels.step_interval(True, [0.0], 0, 1e12) == (0.0, False)
+    lo_q, capped_q = _kernels.step_interval(True, [0.25], 0, 1e12)
+    assert lo_q == -1.0 / 3.0 and not capped_q
+    assert _kernels.step_interval(True, [1.0], 0, 1e12) == (-1e12, True)
     # a step within DROP_TOL of an uncapped lo is the drop step lo: the
     # weight becomes an exact zero and the others scale by 1 - lo
     for alpha in (lo, lo + 0.5 * tol, lo - 0.5 * tol):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
                     StandardSimplex, _kernels, bisect_line_min,
-                    grad_step_alpha)
+                    grad_step_alpha, objectives)
 from polycd.problems import KdeSpec, gen_kde
 from polycd.verify import DenseKdeHuber, finite_diff_gradient, golden_section_min
 
@@ -130,6 +130,30 @@ def test_segment_query_matches_full_gradient():
             q = obj.segment_query(i)
             want = float(g @ (poly.vertex(i) - obj.x))
             assert q.b == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_kde_segment_query_slope_is_the_line_search_start(monkeypatch):
+    # the gradient rule and the line search read phi'(0) from one source:
+    # segment_query(i).b is, bit for bit, the slope at 0 that the per-step
+    # search starts from, and it is <grad f(w), e_i - w>
+    spec = KdeSpec(n=200, seed=5)
+    X, _ = gen_kde(spec)
+    obj = KdeHuber(X, spec.sigma_kernel, spec.mu_huber)
+    obj.reset(np.random.default_rng(8).dirichlet(np.full(200, 0.5)))
+    starts = []
+    search = objectives.bisect_line_min
+
+    def spy(fn, lo, hi, **kw):
+        starts.append(fn(0.0)[0])
+        return search(fn, lo, hi, **kw)
+    monkeypatch.setattr(objectives, "bisect_line_min", spy)
+    g = obj.full_gradient()
+    for i in range(200):
+        b = obj.segment_query(i).b
+        obj.line_search(i, 0.0, 1.0)
+        assert len(starts) == i + 1 and b == starts[-1]
+        want = float(g[i] - g @ obj.x)
+        assert abs(b - want) <= 1e-12 * abs(want)
 
 
 # -- apply_step ------------------------------------------------------------

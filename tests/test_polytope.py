@@ -235,3 +235,20 @@ def test_constants_bundle():
     assert c.psi == pytest.approx(np.sqrt(1.5), rel=1e-8)
     c2 = L1Ball(4, 2.0).constants()
     assert c2.psi is None and c2.D == 4.0
+
+
+def test_explicit_vertices_project_and_contains_match_l1_ball():
+    # the listed-vertex projection (a weight-space QP) and membership test
+    # against the l1 ball's closed forms, on points well inside, well
+    # outside and within 1e-6 of the boundary on either side
+    ball = L1Ball(6, 1.3)
+    listed = ExplicitVertices(ball.vertex_matrix())
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    for k in range(20):
+        y = rng.standard_normal(6)
+        y *= (0.3, 3.0, 1.0 - 1e-6, 1.0 + 1e-6)[k % 4] * 1.3 / np.abs(y).sum()
+        worst = max(worst, np.max(np.abs(listed.project(y)
+                                         - project_l1_ball(y, 1.3))))
+        assert listed.contains(y) == ball.contains(y) == (k % 4 in (0, 2))
+    assert worst <= 1e-12

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, ExplicitVertices,
                     KdeHuber, L1Ball, LeastSquares, Logistic, PolytopeError, Quadratic,
                     SolveConfig,
-                    StandardSimplex, AwayState, away_gamma,
+                    StandardSimplex, AwayState,
                     check_linear_bound, check_sublinear_bound, polycd_solve,
                     polycdwa_solve, weight_refresh)
 from polycd import _kernels
@@ -162,14 +161,6 @@ def test_feasibility_along_run():
 
 
 # -- away machinery -----------------------------------------------------------
-
-
-def test_away_gamma_values():
-    assert away_gamma(0.0) == 0.0
-    assert away_gamma(0.25) == pytest.approx(1.0 / 3.0)
-    assert math.isinf(away_gamma(1.0))
-    with pytest.raises(ValueError):
-        away_gamma(1.5)
 
 
 def test_polycdwa_two_point_hand_example():

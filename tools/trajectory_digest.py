@@ -3,8 +3,11 @@ to check that a change leaves every trajectory bitwise unchanged.
 
 The cyclic cases are polycd and polycdwa with both step rules on a lasso, a
 logistic and a KDE instance, each on the kernel path and on the per-step
-path (which a no-op inner_callback selects).  A digest covers the bytes of
-the f-trace, the final x and, for polycdwa, the final weights.
+path (which a no-op inner_callback selects).  The same lasso and logistic
+data also run over the l1 ball given as a vertex list (ExplicitVertices),
+which no kernel serves, so those cases take the per-step path only.  A
+digest covers the bytes of the f-trace, the final x and, for polycdwa, the
+final weights.
 
 The baseline cases are FW, AFW, FISTA and 2cd on the same instances (2cd on
 the lifted simplex form of the l1-ball problems), each with the default
@@ -36,9 +39,9 @@ import sys
 
 import numpy as np
 
-from polycd import (GRAD_1D, LINE_SEARCH, KdeHuber, L1Ball, LeastSquares,
-                    Logistic, SolveConfig, StandardSimplex, polycd_solve,
-                    polycdwa_solve)
+from polycd import (GRAD_1D, LINE_SEARCH, ExplicitVertices, KdeHuber, L1Ball,
+                    LeastSquares, Logistic, SolveConfig, StandardSimplex,
+                    polycd_solve, polycdwa_solve)
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
 from polycd.problems import (KdeSpec, LassoSpec, LogisticSpec, gen_kde,
@@ -59,22 +62,30 @@ BASELINE_CONFIGS = (
 )
 
 
+def listed_ball(C):
+    """The l1 ball of radius C in R^200 as a vertex list."""
+    return ExplicitVertices(L1Ball(200, C).vertex_matrix())
+
+
 def instances():
-    """(name, objective factory, lifted-simplex objective factory)."""
+    """(name, objective factory, lifted-simplex objective factory,
+    listed-vertex objective factory or None)."""
     A, b, _, C = gen_lasso(LassoSpec(n=200, d=200, r=20, seed=1))
     yield ("lasso", lambda: LeastSquares(A, b, L1Ball(200, C)),
            lambda: LeastSquares(np.hstack([A, -A]) * C, b,
-                                StandardSimplex(400)))
+                                StandardSimplex(400)),
+           lambda: LeastSquares(A, b, listed_ball(C)))
     A2, labels, _, C2 = gen_logistic(LogisticSpec(n=200, d=200, r=20, seed=2))
     yield ("logistic", lambda: Logistic(A2, labels, L1Ball(200, C2)),
            lambda: Logistic(np.hstack([A2, -A2]) * C2, labels,
-                            StandardSimplex(400)))
+                            StandardSimplex(400)),
+           lambda: Logistic(A2, labels, listed_ball(C2)))
     spec = KdeSpec(n=600, seed=3)
     X, _ = gen_kde(spec)
 
     def kde():
         return KdeHuber(X, spec.sigma_kernel, spec.mu_huber)
-    yield "kde", kde, kde
+    yield "kde", kde, kde, None
 
 
 def print_case(fields, digest, f):
@@ -101,13 +112,23 @@ def cyclic_case(name, obj, solve, rule, passes, use_k):
 def cyclic_cases(insts):
     cases = itertools.product(insts, (polycd_solve, polycdwa_solve),
                               (LINE_SEARCH, GRAD_1D), (True, False))
-    for (name, make, _), solve, rule, use_k in cases:
+    for (name, make, _, _), solve, rule, use_k in cases:
         cyclic_case(name, make(), solve, rule, PASSES, use_k)
+
+
+def listed_cases(insts):
+    """The composite instances over the l1 ball as a vertex list, on the
+    per-step path (no kernel serves listed vertices)."""
+    cases = itertools.product([i for i in insts if i[3] is not None],
+                              (polycd_solve, polycdwa_solve),
+                              (LINE_SEARCH, GRAD_1D))
+    for (name, _, _, make_listed), solve, rule in cases:
+        cyclic_case(f"{name}-ev", make_listed(), solve, rule, PASSES, False)
 
 
 def baseline_cases(insts):
     cases = itertools.product(insts, BASELINES, BASELINE_CONFIGS)
-    for (name, make, make_lifted), (label, solve), (cname, kw) in cases:
+    for (name, make, make_lifted, _), (label, solve), (cname, kw) in cases:
         obj = make_lifted() if label == "2cd" else make()
         x, trace = solve(obj, obj.poly, BaselineConfig(**kw))
         rows = np.array([(r.t, r.f_value, r.inner_steps, r.nnz)
@@ -179,6 +200,7 @@ def main():
         return
     insts = list(instances())
     cyclic_cases(insts)
+    listed_cases(insts)
     baseline_cases(insts)
     kde_away_case()
 
