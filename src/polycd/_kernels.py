@@ -397,7 +397,8 @@ def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
     """Move x by the step alpha toward the coordinate vertex s e_j, in
     place, and with it its cache z toward zv, the cache at the vertex,
     along w = zv - z, which it overwrites with alpha w, so the move
-    allocates no n-length array.  Returns the new ||x||^2."""
+    allocates no n-length array.  Returns the new ||x||^2.  A full step
+    copies zv, since z + (zv - z) need not round to zv."""
     if alpha == 1.0:
         z[:] = zv
         x[:] = 0.0
@@ -416,13 +417,11 @@ def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
 def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
     """vertex_move for the kernel-weight objective, toward e_j: the caches
     are u = K w (kcol = K e_j, dvec = kcol - u, which it overwrites) and
-    q = w'Kw.  Returns (q, ||w||^2)."""
-    if alpha == 1.0:
-        q = kappa0
-    else:
-        q = ((1.0 - alpha) ** 2 * q
-             + 2.0 * alpha * (1.0 - alpha) * float(u[j])
-             + alpha * alpha * kappa0)
+    q = w'Kw; at alpha = 1 the update of q gives kappa0 exactly.  Returns
+    (q, ||w||^2)."""
+    q = ((1.0 - alpha) ** 2 * q
+         + 2.0 * alpha * (1.0 - alpha) * float(u[j])
+         + alpha * alpha * kappa0)
     return q, vertex_move(wv, j, 1.0, alpha, sq_w, u, kcol, dvec)
 
 
@@ -459,7 +458,9 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
     as scalars.  A step can move the iterate only where w.(z - b) < 0 or,
     in away mode, where lam_i != 0; every other step is an exact no-op, so
     the pass scans ahead block by block to the next such step and touches
-    the arrays only where alpha != 0.
+    the arrays only where alpha != 0.  A full step alpha = 1 is the same
+    update: beta = 0 zeroes xi, whose rescale zeroes x before x_j = s, and
+    z and the scalars become the vertex's exactly.
     """
     M = order.shape[0]
     J = vcoord[order]
@@ -520,28 +521,19 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
                 alpha = away_update(lam, i, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
-            if alpha == 1.0:
-                z[:] = s * col
-                x[:] = 0.0
-                x[j] = s
+            beta = 1.0 - alpha
+            z *= beta
+            z += (alpha * s) * col
+            xi *= beta
+            if not 1e-100 < xi < 1e100:
+                x *= xi
                 xi = 1.0
-                sq_x = s * s
-                zz = s * s * cs
-                zb = sb
-            else:
-                beta = 1.0 - alpha
-                z *= beta
-                z += (alpha * s) * col
-                xi *= beta
-                if not 1e-100 < xi < 1e100:
-                    x *= xi
-                    xi = 1.0
-                x[j] += alpha * s / xi
-                sq_x = (beta * beta * sq_x + 2.0 * alpha * beta * s * xj
-                        + alpha * alpha * s * s)
-                zz = (beta * beta * zz + 2.0 * alpha * beta * s * g
-                      + alpha * alpha * s * s * cs)
-                zb = beta * zb + alpha * sb
+            x[j] += alpha * s / xi
+            sq_x = (beta * beta * sq_x + 2.0 * alpha * beta * s * xj
+                    + alpha * alpha * s * s)
+            zz = (beta * beta * zz + 2.0 * alpha * beta * s * g
+                  + alpha * alpha * s * s * cs)
+            zb = beta * zb + alpha * sb
         p = q
     if xi != 1.0:
         x *= xi

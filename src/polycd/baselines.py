@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _kernels
 from .polytope import StandardSimplex
-from .solvers import AwayState, TraceRecord, _nnz, weight_refresh
+from .solvers import (AwayState, TraceRecord, _nnz, require_ints,
+                      weight_refresh)
 
 
 @dataclass
@@ -32,6 +33,7 @@ class BaselineConfig:
     time_budget: float | None = None  # wall-clock cap in seconds
 
     def __post_init__(self):
+        require_ints(self, "max_iter", "window", "rng_seed", "record_every")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.record_every < 1:

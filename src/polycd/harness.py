@@ -22,7 +22,7 @@ from .polytope import L1Ball, StandardSimplex
 from .problems import (RNG_NAME, KdeSpec, LassoSpec, LogisticSpec, gen_kde,
                        gen_lasso, gen_logistic)
 from .solvers import (LINE_SEARCH, SolveConfig, _nnz, polycd_solve,
-                      polycdwa_solve)
+                      polycdwa_solve, require_ints)
 
 PRESETS = ("lasso", "logistic", "kde", "custom-simplex-quadratic")
 SOLVER_NAMES = ("polycd", "polycdwa", "fw", "afw", "fista", "2cd")
@@ -69,6 +69,7 @@ class SolverCell:
     def __post_init__(self):
         if self.name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {self.name!r}; known: {SOLVER_NAMES}")
+        require_ints(self, "max_outer", "max_iter", "window", "rng_seed")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if self.max_iter is not None and self.max_iter < 1:

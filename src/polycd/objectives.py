@@ -4,13 +4,14 @@ so that a segment query toward any vertex costs O(n + d).
 Every objective keeps its iterate ``x`` plus objective-specific caches (the
 product A x for the composite losses, the kernel products for the density
 objective) that are updated incrementally by ``apply_step`` and rebuilt from
-scratch every ``refresh_every`` steps to keep floating-point drift bounded.
+scratch every ``REFRESH_EVERY`` steps to keep floating-point drift bounded.
 A kernel pass of the density objective rebuilds its caches from the kernel
 columns it builds (``_kernels.kde_cycle``), so it needs no refresh.
 ``eval_at``/``grad_at`` are stateless recomputations used by the oracles, so
 they share no code path with the incremental caches.
 
-Each step quantity has one source: the composite losses share one body
+Each step quantity and update has one source: ``BoundObjective`` applies
+every step over a family's cache moves, the composite losses share one body
 over a few family hooks, and every density step, per step or in a kernel
 pass and under either step rule, starts from ``_kernels.kde_seg0``.
 """
@@ -21,6 +22,9 @@ import numpy as np
 
 from . import _kernels
 from .polytope import StandardSimplex
+
+# steps between two rebuilds of an objective's caches
+REFRESH_EVERY = 1000
 
 # rows of the kernel matrix that KdeHuber.matvec builds at a time
 KDE_MATVEC_BLOCK = 128
@@ -120,9 +124,11 @@ def _require_finite(name, arr):
 
 
 class BoundObjective:
-    """Shared iterate/cache bookkeeping for all objective families."""
+    """Shared iterate/cache bookkeeping for all objective families.
 
-    refresh_every = 1000
+    A zero step only counts toward the refresh; any other step calls the
+    family's _move, or for a pair move its _pair_move, which moves the
+    caches before x_i, x_j and ||x||^2 (sq_x) are written here."""
 
     def _init_state(self, poly, x0):
         self.poly = poly
@@ -145,9 +151,26 @@ class BoundObjective:
 
     def _bump(self, k=1):
         self._steps += k
-        if self.refresh_every and self._steps - self._last_refresh >= self.refresh_every:
+        if self._steps - self._last_refresh >= REFRESH_EVERY:
             self.refresh_cache()
             self._last_refresh = self._steps
+
+    def apply_step(self, i, alpha):
+        """Move x by the step alpha toward vertex i."""
+        if alpha != 0.0:
+            self._move(i, alpha)
+        self._bump()
+
+    def apply_pair_step(self, i, j, theta):
+        """Move x by theta (e_i - e_j), a coordinate-pair move on a simplex
+        domain (the two-coordinate baseline)."""
+        if theta != 0.0:
+            self._pair_move(i, j, theta)
+            xi, xj = self.x[i], self.x[j]
+            self.x[i] += theta
+            self.x[j] -= theta
+            self.sq_x += 2.0 * theta * (xi - xj) + 2.0 * theta * theta
+        self._bump()
 
     @property
     def L(self):
@@ -160,7 +183,7 @@ class BoundObjective:
         """(c, scale): c = ||v_i - x||^2 and scale = ||x||^2 + ||v_i||^2."""
         v = self.poly.vertex(i)
         dv = v - self.x
-        return float(dv @ dv), float(self.x @ self.x) + float(v @ v)
+        return float(dv @ dv), self.sq_x + float(v @ v)
 
     def segment_is_degenerate(self, i):
         # v_i coincides with x up to float cancellation; the solvers skip
@@ -233,10 +256,7 @@ class _CompositeObjective(BoundObjective):
         col, s = self._col_scale(i)
         return self._argmin(s * col - self.z, lo, hi, tol, max_iter)
 
-    def apply_step(self, i, alpha):
-        if alpha == 0.0:
-            self._bump()
-            return
+    def _move(self, i, alpha):
         col, s = self._col_scale(i)
         zv = s * col
         if self._pv_cols is None:
@@ -252,7 +272,6 @@ class _CompositeObjective(BoundObjective):
                 self.z += alpha * (zv - self.z)
                 self.x += alpha * (v - self.x)
             self.sq_x = float(self.x @ self.x)
-        self._bump()
 
     def full_gradient(self):
         return self.A_cols @ self._resid_grad_at(self.z)
@@ -266,29 +285,18 @@ class _CompositeObjective(BoundObjective):
     def eval(self):
         return self._g_of(self.z)
 
-    # coordinate-pair moves on a simplex domain (used by the 2-coordinate
-    # baseline): x <- x + theta * (e_i - e_j)
-    def _pair_cols(self, i, j):
-        # the move acts on the coordinates x_i, x_j, so its image is
-        # theta (A e_i - A e_j) whatever the polytope's vertex list
-        return self.A_cols[i], self.A_cols[j]
+    # coordinate-pair moves x <- x + theta (e_i - e_j) act on the
+    # coordinates x_i, x_j, so their image is theta (A e_i - A e_j)
+    # whatever the polytope's vertex list
+    def _pair_dir(self, i, j):
+        return self.A_cols[i] - self.A_cols[j]
 
     def pair_line_search(self, i, j, lo, hi):
-        ci, cj = self._pair_cols(i, j)
-        return self._argmin(ci - cj, lo, hi, _kernels.LS_TOL,
+        return self._argmin(self._pair_dir(i, j), lo, hi, _kernels.LS_TOL,
                             _kernels.LS_MAX_ITER)
 
-    def apply_pair_step(self, i, j, theta):
-        if theta == 0.0:
-            self._bump()
-            return
-        ci, cj = self._pair_cols(i, j)
-        self.z += theta * (ci - cj)
-        xi, xj = self.x[i], self.x[j]
-        self.x[i] += theta
-        self.x[j] -= theta
-        self.sq_x += 2.0 * theta * (xi - xj) + 2.0 * theta * theta
-        self._bump()
+    def _pair_move(self, i, j, theta):
+        self.z += theta * self._pair_dir(i, j)
 
     def estimate_smoothness(self):
         sig = _power_sigma_sq(lambda v: self.A @ v, lambda w: self.A.T @ w, self.d)
@@ -324,13 +332,8 @@ class LeastSquares(_CompositeObjective):
 
     def _argmin(self, w, lo, hi, tol, max_iter):
         # closed form: phi(alpha) = f(z + alpha w) has phi'(0) =
-        # _dir_deriv(w) and phi'' = 2 w.w; lo when w is flat
-        if hi < lo:
-            raise ValueError(f"empty step interval [{lo}, {hi}]")
-        den = float(w @ w)
-        if den <= 0.0:
-            return lo
-        return _kernels.grad_step(self._dir_deriv(w), den, 2.0, lo, hi)
+        # _dir_deriv(w) and phi'' = 2 w.w
+        return grad_step_alpha(self._dir_deriv(w), float(w @ w), 2.0, lo, hi)
 
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
@@ -555,13 +558,11 @@ class KdeHuber(BoundObjective):
         return self._line_min(*self._vertex_start(i), lo, hi, tol=tol,
                               max_iter=max_iter)
 
-    def apply_step(self, i, alpha):
-        if alpha != 0.0:
-            kcol = self._column(i)
-            self.q, self.sq_x = _kernels.kde_move(
-                self.u, kcol, kcol - self.u, self.x, i, alpha, self.q,
-                self.sq_x, self.kappa0)
-        self._bump()
+    def _move(self, i, alpha):
+        kcol = self._column(i)
+        self.q, self.sq_x = _kernels.kde_move(
+            self.u, kcol, kcol - self.u, self.x, i, alpha, self.q, self.sq_x,
+            self.kappa0)
 
     def pair_line_search(self, i, j, lo, hi):
         ki = self._column(i)
@@ -570,20 +571,12 @@ class KdeHuber(BoundObjective):
         return self._line_min(ki, kj, 2.0 * (self.u[i] - self.u[j]), curv,
                               lo, hi)
 
-    def apply_pair_step(self, i, j, theta):
-        if theta == 0.0:
-            self._bump()
-            return
+    def _pair_move(self, i, j, theta):
         ki = self._column(i)
         kj = self._column(j)
         curv = ki[i] - 2.0 * ki[j] + kj[j]
         self.q += 2.0 * theta * (self.u[i] - self.u[j]) + theta * theta * curv
         self.u += theta * (ki - kj)
-        xi, xj = self.x[i], self.x[j]
-        self.x[i] += theta
-        self.x[j] -= theta
-        self.sq_x += 2.0 * theta * (xi - xj) + 2.0 * theta * theta
-        self._bump()
 
     def estimate_smoothness(self):
         # each huber-of-distance term is 1-smooth in the K^(1/2) metric, so
@@ -640,6 +633,7 @@ class Quadratic(BoundObjective):
 
     def refresh_cache(self):
         self.g = self.Q @ self.x
+        self.sq_x = float(self.x @ self.x)
 
     def eval(self):
         return float(0.5 * (self.x @ self.g) + self.qlin @ self.x + self.c0)
@@ -670,10 +664,7 @@ class Quadratic(BoundObjective):
         curv = float((self._QV[i] - self.g) @ dv)
         return grad_step_alpha(b, curv, 1.0, lo, hi)
 
-    def apply_step(self, i, alpha):
-        if alpha == 0.0:
-            self._bump()
-            return
+    def _move(self, i, alpha):
         if alpha == 1.0:
             self.x = self.poly.vertex(i)
             self.g = self._QV[i].copy()
@@ -681,18 +672,12 @@ class Quadratic(BoundObjective):
             v = self.poly.vertex(i)
             self.x += alpha * (v - self.x)
             self.g += alpha * (self._QV[i] - self.g)
-        self._bump()
+        self.sq_x = float(self.x @ self.x)
 
     def pair_line_search(self, i, j, lo, hi):
         b = float(self.g[i] - self.g[j] + self.qlin[i] - self.qlin[j])
         curv = float(self.Q[i, i] - 2.0 * self.Q[i, j] + self.Q[j, j])
         return grad_step_alpha(b, curv, 1.0, lo, hi)
 
-    def apply_pair_step(self, i, j, theta):
-        if theta == 0.0:
-            self._bump()
-            return
-        self.x[i] += theta
-        self.x[j] -= theta
+    def _pair_move(self, i, j, theta):
         self.g += theta * (self.Q[:, i] - self.Q[:, j])
-        self._bump()

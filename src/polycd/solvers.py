@@ -16,6 +16,7 @@ trajectories.
 """
 
 from dataclasses import dataclass
+import operator
 import time
 
 import numpy as np
@@ -31,6 +32,19 @@ NNZ_TOL = 1e-10  # |x_k| above this counts as a nonzero in the traces
 
 class ConsistencyError(RuntimeError):
     pass
+
+
+def require_ints(cfg, *names):
+    """ValueError, naming the field, unless each of the fields names of cfg
+    that is not None holds an integer (Python or numpy)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass
@@ -51,9 +65,11 @@ class SolveConfig:
     def __post_init__(self):
         if self.step_rule not in _RULES:
             raise ValueError(f"step_rule must be one of {_RULES}")
+        require_ints(self, "max_outer", "start_vertex", "ls_max_iter")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.rel_improve_tol < 0:
+        # not <: a NaN tolerance is rejected too
+        if not self.rel_improve_tol >= 0:
             raise ValueError("rel_improve_tol must be nonnegative")
         # not <=: a NaN cap is rejected too
         if not self.gamma_cap > 0:

@@ -286,6 +286,17 @@ def test_config_rejects_bad_record_every_and_window(field, value):
         BaselineConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("max_iter", 2.5), ("window", 2.5),
+                                          ("record_every", 2.5),
+                                          ("rng_seed", 0.5)])
+def test_config_rejects_non_integer_counts(field, value):
+    # max_iter=2.5 and window=2.5 raised TypeError inside the run, and
+    # record_every=2.5 recorded every 5th iteration
+    with pytest.raises(ValueError, match=field):
+        BaselineConfig(**{field: value})
+    BaselineConfig(**{field: np.int64(3)})
+
+
 def test_time_budget_cap():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((60, 40))

@@ -54,6 +54,19 @@ def test_solver_cell_rejects_budget_below_one(field, value):
         SolverCell(name="fw", **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("max_outer", 2.5),
+                                          ("max_iter", 2.5), ("window", 2.5),
+                                          ("rng_seed", 1.5)])
+def test_solver_cell_rejects_non_integer_counts(field, value):
+    # a bench file's {"name": "polycd", "max_outer": 2.5} got past the cell
+    # and showed up only as a TypeError among the run's errors
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict({"preset": "lasso",
+                                    "problem": {"n": 10, "d": 5, "r": 2},
+                                    "solvers": [{"name": "polycd",
+                                                 field: value}]})
+
+
 def test_solver_cell_budget_none_means_default():
     bundle = _Bundle("lasso", {"n": 30, "d": 6, "r": 2, "snr": 1.0}, 0)
     for max_iter, last in ((None, bundle.twocd_budget), (3, 3)):

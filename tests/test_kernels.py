@@ -417,3 +417,22 @@ def test_kde_run_cycle_raises_on_a_drifted_cache():
     with pytest.raises(CacheConsistencyError):
         obj.run_cycle(_kernels.kde_cycle, order, lam, False, True, 1e12,
                       _kernels.DROP_TOL, 1e-12, 200)
+
+
+def test_kde_move_full_step_lands_on_the_vertex():
+    # at alpha = 1 the general update of q gives kappa0 exactly, and
+    # vertex_move copies the vertex's column and weights
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 2))
+    xsq = np.sum(X * X, axis=1)
+    kappa0, inv2s2 = 0.3, 0.5
+    K = _kernels.kde_columns(X, xsq, np.arange(40), kappa0, inv2s2)
+    w = rng.dirichlet(np.ones(40))
+    u = K @ w
+    j = 17
+    kcol = K[j].copy()
+    q, sq_w = _kernels.kde_move(u, kcol, kcol - u, w, j, 1.0, float(w @ u),
+                                float(w @ w), kappa0)
+    assert q == kappa0 and sq_w == 1.0
+    assert u.tobytes() == kcol.tobytes()
+    assert w.tobytes() == np.eye(40)[j].tobytes()

@@ -489,3 +489,121 @@ def test_logistic_screen_is_bitwise_neutral(monkeypatch, rule, away):
         for key, got in runs.items():
             for name, u, v in zip(("x", "lam", "f-trace"), ref, got):
                 assert np.array_equal(u, v), (key, name)
+
+
+def _kernel_and_per_step(make, solve, cfg):
+    """The runs of solve on fresh objectives from make, on the kernel path
+    and on the per-step path (a no-op callback selects it)."""
+    runs = []
+    for callback in (None, lambda t, i, a: None):
+        obj = make()
+        runs.append(solve(obj, obj.poly, cfg, inner_callback=callback))
+    return runs
+
+
+def _f_trace(out):
+    return np.array([r.f_value for r in out[-1]])
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 4, 5])
+def test_full_step_to_the_minimizing_vertex_on_both_paths(seed):
+    # b = A v_5 puts the minimizer at v_5, and the line search's step toward
+    # it is a full step: the kernel takes it by its general update, which
+    # zeroes x through its rescale, and the per-step path by vertex_move
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((30, 12))
+    ball = L1Ball(12, 1.7)
+    v = ball.vertex(5)
+    for solve in (polycd_solve, polycdwa_solve):
+        kern, step = _kernel_and_per_step(
+            lambda: LeastSquares(A, A @ v, ball), solve,
+            SolveConfig(max_outer=1, rel_improve_tol=0.0))
+        for out in (kern, step):
+            assert np.array_equal(out[0], v), solve.__name__
+            if solve is polycdwa_solve:
+                assert np.array_equal(out[1].lam, np.eye(ball.M)[5])
+        assert np.array_equal(kern[0], step[0])
+        assert np.max(np.abs(_f_trace(kern) - _f_trace(step))) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cancelled_closed_form_matches_the_per_step_path(seed):
+    # A e_3 = A e_1, so from weights 1/2 on C e_1 and C e_3 (vertices 2 and
+    # 6) the step toward vertex 2 has w = 0, whose w.w the kernel's scalar
+    # form loses to cancellation and recomputes (_LS_CANCEL).  x and the
+    # weights are not unique along e_1 - e_3, so only f and A x are compared.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((20, 6))
+    A[:, 3] = A[:, 1]
+    A[:, 5] = 0.0
+    b = 2.0 * A[:, 1] + 0.01 * rng.standard_normal(20)
+    ball = L1Ball(6, 2.0)
+    lam0 = np.zeros(ball.M)
+    lam0[[2, 6]] = 0.5
+    order = np.r_[2, 6, np.delete(np.arange(ball.M), [2, 6])]
+    kern, step = _kernel_and_per_step(
+        lambda: LeastSquares(A, b, ball), polycdwa_solve,
+        SolveConfig(max_outer=5, rel_improve_tol=0.0, lam0=lam0,
+                    visit_order=order))
+    assert np.max(np.abs(_f_trace(kern) - _f_trace(step))) <= 1e-9
+    assert np.max(np.abs(A @ kern[0] - A @ step[0])) <= 1e-9
+
+
+def _start_families():
+    rng = np.random.default_rng(37)
+    A = rng.standard_normal((40, 12))
+    b = rng.standard_normal(40)
+    labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    points = rng.standard_normal((30, 2)) * 2.0
+    ball = L1Ball(12, 2.0)
+    return {"lasso": lambda: LeastSquares(A, b, ball),
+            "logistic": lambda: Logistic(A, labels, ball),
+            "kde": lambda: KdeHuber(points, 1.0, 0.4)}
+
+
+@pytest.mark.parametrize("family", ["lasso", "logistic", "kde"])
+def test_vertex_lam0_follows_the_start_vertex_trajectory(family):
+    make = _start_families()[family]
+    runs = []
+    for start in ({"start_vertex": 5}, {"lam0": np.eye(make().poly.M)[5]}):
+        obj = make()
+        out = polycdwa_solve(obj, obj.poly,
+                             SolveConfig(max_outer=8, rel_improve_tol=0.0,
+                                         **start))
+        runs.append((_f_trace(out), out[0], out[1].lam))
+    for name, u, v in zip(("f-trace", "x", "lam"), *runs):
+        assert u.tobytes() == v.tobytes(), name
+
+
+@pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
+@pytest.mark.parametrize("family", ["lasso", "logistic", "kde"])
+def test_weights_lam0_starts_at_their_combination(family, rule):
+    make = _start_families()[family]
+    obj = make()
+    lam0 = np.random.default_rng(41).dirichlet(np.ones(obj.poly.M))
+    f0 = obj.eval_at(obj.poly.combination(lam0))
+    kern, step = _kernel_and_per_step(
+        make, polycdwa_solve,
+        SolveConfig(step_rule=rule, max_outer=8, rel_improve_tol=0.0,
+                    lam0=lam0))
+    fk, fs = _f_trace(kern), _f_trace(step)
+    assert fk[0] == f0 and fs[0] == f0
+    assert len(fk) == len(fs) == 9
+    assert np.max(np.abs(fk - fs) / np.maximum(np.abs(fk), 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_outer", 2.5), ("max_outer", "10"), ("start_vertex", 1.0),
+    ("ls_max_iter", 2.5), ("rel_improve_tol", np.nan)])
+def test_config_rejects_non_integer_counts_and_a_nan_tolerance(field, value):
+    # max_outer=2.5 raised TypeError from range inside the solve, and a NaN
+    # rel_improve_tol silently switched the stop rule off
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = SolveConfig(max_outer=np.int64(2), start_vertex=np.int32(1))
+    obj, ball = motivating_objective()
+    _, trace = polycd_solve(obj, ball, cfg)
+    assert len(trace) <= 3

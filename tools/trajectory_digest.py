@@ -16,6 +16,15 @@ window_tol=1e-6, record_every=3.  A digest covers (t, f, inner_steps, nnz)
 of every record and the final x.  Each line ends with the case's final f
 (repr), so a changed digest shows how far the trajectory moved.
 
+Two crafted lasso families run polycd and polycdwa with the line search
+on both paths.  In the full-step cases (n=30, d=12, seeds 0-5, 3 passes)
+b = A v_5 on L1Ball(12, 1.7), so the step toward v_5 can be a full step.
+In the duplicate-column cases (seeds 0-4, 5 passes, polycdwa only)
+A[:, 3] = A[:, 1] and A[:, 5] = 0 on L1Ball(6, 2), and the run starts at
+weights 1/2 on vertices 2 and 6 (C e_1 and C e_3, whose images agree),
+visiting them first: the step toward vertex 2 then has w = 0, which the
+kernel's closed form meets through cancellation.
+
 The last case is the kde-away benchmark's shape: polycdwa with the line
 search on the kernel path, on gen_kde(n=1000) seed 0, for 5 passes.
 
@@ -25,7 +34,7 @@ Run it on two checkouts, then compare the outputs:
     PYTHONPATH=src python3 tools/trajectory_digest.py before.txt after.txt
 
 The second form prints each case whose digest differs, with the relative
-change of its final f, each case that only the second output has (new),
+change of its final f (the absolute change where the first f is 0), each case that only the second output has (new),
 the number of cases unchanged and the largest relative change.  It exits
 with status 1 when that change exceeds F_CHANGE_LIMIT (1e-11), or when a
 case of the first output is missing from the second.  A change that only
@@ -93,11 +102,12 @@ def print_case(fields, digest, f):
     sys.stdout.flush()
 
 
-def cyclic_case(name, obj, solve, rule, passes, use_k):
-    """Run one cyclic solve and print its digest line."""
+def cyclic_case(name, obj, solve, rule, passes, use_k, **cfg):
+    """Run one cyclic solve, with further SolveConfig fields cfg, and print
+    its digest line."""
     out = solve(obj, obj.poly,
                 SolveConfig(step_rule=rule, max_outer=passes,
-                            rel_improve_tol=0.0),
+                            rel_improve_tol=0.0, **cfg),
                 inner_callback=None if use_k else lambda t, i, a: None)
     f = np.array([r.f_value for r in out[-1]])
     h = hashlib.sha256(f.tobytes())
@@ -139,6 +149,28 @@ def baseline_cases(insts):
                     f"{len(trace):8d}"), h, trace[-1].f_value)
 
 
+def crafted_cases():
+    """The full-step and duplicate-column lasso cases, on both paths."""
+    for seed, solve, use_k in itertools.product(
+            range(6), (polycd_solve, polycdwa_solve), (True, False)):
+        A = np.random.default_rng(seed).standard_normal((30, 12))
+        poly = L1Ball(12, 1.7)
+        cyclic_case(f"full{seed}", LeastSquares(A, A @ poly.vertex(5), poly),
+                    solve, LINE_SEARCH, 3, use_k)
+    lam0 = np.zeros(12)
+    lam0[[2, 6]] = 0.5
+    order = np.r_[2, 6, np.delete(np.arange(12), [2, 6])]
+    for seed, use_k in itertools.product(range(5), (True, False)):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((20, 6))
+        A[:, 3] = A[:, 1]
+        A[:, 5] = 0.0
+        b = 2.0 * A[:, 1] + 0.01 * rng.standard_normal(20)
+        cyclic_case(f"dup{seed}", LeastSquares(A, b, L1Ball(6, 2.0)),
+                    polycdwa_solve, LINE_SEARCH, 5, use_k, lam0=lam0,
+                    visit_order=order)
+
+
 def kde_away_case():
     """The kde-away benchmark's solve at its size, for fewer passes, so
     that the kernel pass's cache rebuild and row-set swaps are digested
@@ -177,7 +209,8 @@ def compare(before, after):
         if dig_old == dig_new:
             same += 1
             continue
-        rel = abs(f1 - f0) / abs(f0)
+        # absolute where the first f is 0, as at a crafted exact minimizer
+        rel = abs(f1 - f0) / abs(f0) if f0 else abs(f1)
         worst = max(worst, rel)
         print(f"{case}: f {f0!r} -> {f1!r}, relative change {rel:.2e}")
     missing = [case for case in old if case not in new]
@@ -202,6 +235,7 @@ def main():
     cyclic_cases(insts)
     listed_cases(insts)
     baseline_cases(insts)
+    crafted_cases()
     kde_away_case()
 
 
