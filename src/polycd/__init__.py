@@ -34,6 +34,7 @@ from .solvers import (
     check_sublinear_bound,
     polycd_solve,
     polycdwa_solve,
+    start_weights,
     weight_refresh,
 )
 
@@ -47,5 +48,6 @@ __all__ = [
     "TraceRecord", "UnsupportedSizeError", "VertexPolytope",
     "active_backend", "bisect_line_min", "check_linear_bound",
     "check_sublinear_bound", "grad_step_alpha", "polycd_solve",
-    "polycdwa_solve", "project_l1_ball", "project_simplex", "weight_refresh",
+    "polycdwa_solve", "project_l1_ball", "project_simplex", "start_weights",
+    "weight_refresh",
 ]

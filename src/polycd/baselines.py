@@ -40,6 +40,11 @@ class BaselineConfig:
             raise ValueError("record_every must be >= 1")
         if self.window is not None and self.window < 1:
             raise ValueError("window must be >= 1 or None")
+        # not <: a NaN, which switched its stop rule off, is rejected too
+        if not self.window_tol >= 0:
+            raise ValueError("window_tol must be nonnegative")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time_budget must be nonnegative or None")
 
 
 class _Run:
@@ -91,19 +96,21 @@ class _Run:
 
 
 def _start(obj, poly, cfg):
+    """(poly, cfg, lam): the defaults filled in, and the objective's start
+    weights obj.start_weights(), where every baseline starts."""
     poly = poly if poly is not None else obj.poly
     if poly is not obj.poly:
         raise ValueError("objective is bound to a different polytope")
     cfg = cfg if cfg is not None else BaselineConfig()
-    return poly, cfg
+    return poly, cfg, obj.start_weights()
 
 
 def fw_solve(obj, poly=None, cfg=None):
     """Vanilla Frank-Wolfe: per iteration pick the vertex minimizing the
     linearized objective (ties broken by lowest index), then exact line
     search on the segment toward it."""
-    poly, cfg = _start(obj, poly, cfg)
-    obj.reset(poly.vertex(0))
+    poly, cfg, lam = _start(obj, poly, cfg)
+    obj.reset(poly.combination(lam))
     run = _Run(cfg, obj.eval, obj.x)
     for k in run.iterations():
         g = obj.full_gradient()
@@ -129,10 +136,8 @@ def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
     # not <=: a NaN cap is rejected too
     if not gamma_cap > 0:
         raise ValueError("gamma_cap must be positive")
-    poly, cfg = _start(obj, poly, cfg)
-    obj.reset(poly.vertex(0))
-    lam = np.zeros(poly.M)
-    lam[0] = 1.0
+    poly, cfg, lam = _start(obj, poly, cfg)
+    obj.reset(poly.combination(lam))
     state = AwayState(lam=lam)
     run = _Run(cfg, obj.eval, obj.x)
     for k in run.iterations():
@@ -165,9 +170,9 @@ def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
 def fista_solve(obj, poly=None, cfg=None):
     """Accelerated projected gradient with fixed step 1/L and the classical
     extrapolation sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2."""
-    poly, cfg = _start(obj, poly, cfg)
+    poly, cfg, lam = _start(obj, poly, cfg)
     L = obj.L
-    x = poly.vertex(0)
+    x = poly.combination(lam)
     y = x.copy()
     tk = 1.0
     run = _Run(cfg, lambda: obj.eval_at(x), x)
@@ -208,17 +213,17 @@ def twocd_solve(obj, poly=None, cfg=None, nnz_fn=None):
     draw a distinct coordinate pair (i, j) uniformly and minimize along
     x + theta (e_i - e_j) for theta in [-x_i, x_j] (exact line search,
     closed form for quadratics and safeguarded Newton otherwise).  On a
-    one-coordinate simplex no pair exists and the start vertex is returned.
+    one-coordinate simplex no pair exists and the start point is returned.
 
     The customary budget for this method is max_iter = 100 * dimension.  It
     applies no stagnation window: cfg.window and cfg.window_tol are ignored.
     """
-    poly, cfg = _start(obj, poly, cfg)
+    poly, cfg, lam = _start(obj, poly, cfg)
     if not isinstance(poly, StandardSimplex):
         raise ValueError("two-coordinate descent needs a simplex domain "
                          "(lift l1-ball problems first)")
     d = poly.d
-    obj.reset(poly.vertex(0))
+    obj.reset(poly.combination(lam))
     rng = np.random.default_rng(cfg.rng_seed)
     run = _Run(cfg, obj.eval, obj.x, nnz_fn if nnz_fn is not None else _nnz,
                windowed=False)

@@ -136,9 +136,14 @@ class BoundObjective:
         self._last_refresh = 0
         self.reset(x0)
 
+    def start_weights(self):
+        """The vertex weights of the default start of every solver and of
+        reset() without a point: vertex 0."""
+        return self.poly.vertex_weights(0)
+
     def reset(self, x0=None):
         if x0 is None:
-            x0 = self.poly.vertex(0)
+            x0 = self.poly.combination(self.start_weights())
         self.x = np.array(x0, dtype=np.float64)
         if self.x.shape != (self.poly.d,):
             raise ValueError("start point dimension mismatch")
@@ -529,6 +534,11 @@ class KdeHuber(BoundObjective):
         ui = float(self.u[i])
         return (self._column(i), self.u, 2.0 * (ui - self.q),
                 self.q - 2.0 * ui + self.kappa0)
+
+    def start_weights(self):
+        """The ordinary KDE weights 1/n.  The robust KDE reweights them, and
+        Kim & Scott (JMLR 2012) start their KIRWLS iteration there."""
+        return np.full(self.n, 1.0 / self.n)
 
     def segment_query(self, i):
         return SegmentQuery(b=self._start(*self._vertex_start(i))[0],

@@ -109,6 +109,13 @@ class VertexPolytope:
         self._check_index(i)
         return self._vertex_dense(i)
 
+    def vertex_weights(self, i):
+        """The weights e_i, an (M,) array, of vertex i alone."""
+        self._check_index(i)
+        lam = np.zeros(self.M)
+        lam[i] = 1.0
+        return lam
+
     def _check_index(self, i):
         if not 0 <= i < self.M:
             raise PolytopeError(f"vertex index {i} out of range [0, {self.M})")

@@ -54,9 +54,11 @@ class SolveConfig:
     # stop when (f(x^t) - f(x^{t+1})) / max(|f(x^t)|, 1) falls below this
     rel_improve_tol: float = 1e-8
     visit_order: np.ndarray | None = None  # permutation of range(M); None = cyclic
-    start_vertex: int = 0
-    x0: np.ndarray | None = None  # explicit start (plain solver only)
-    lam0: np.ndarray | None = None  # explicit start weights (away solver)
+    # the start: x0 (plain solver only), else the weights start_weights
+    # picks from lam0, start_vertex and the objective's default
+    start_vertex: int | None = None
+    x0: np.ndarray | None = None
+    lam0: np.ndarray | None = None
     gamma_cap: float = 1e12
     drop_tol: float = _kernels.DROP_TOL  # snap-to-drop tolerance around -gamma
     ls_tol: float = _kernels.LS_TOL
@@ -128,6 +130,22 @@ def _resolve_order(M, visit_order):
     return order
 
 
+def start_weights(obj, cfg):
+    """The vertex weights a cyclic solve starts at: cfg.lam0, else the
+    vertex cfg.start_vertex, else the objective's own default
+    obj.start_weights()."""
+    poly = obj.poly
+    if cfg.lam0 is not None:
+        lam = np.array(cfg.lam0, dtype=np.float64)
+        if (lam.shape != (poly.M,) or not np.isfinite(lam).all()
+                or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-10):
+            raise ValueError("lam0 must be a point of the weight simplex")
+        return lam
+    if cfg.start_vertex is not None:
+        return poly.vertex_weights(cfg.start_vertex)
+    return obj.start_weights()
+
+
 def _inner_step(obj, i, lo, cfg):
     """Choose the step toward vertex i on [lo, 1] and return it (not applied)."""
     if cfg.step_rule == GRAD_1D:
@@ -143,29 +161,20 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
     M = poly.M
     order = _resolve_order(M, cfg.visit_order)
 
-    if away:
-        if cfg.lam0 is not None:
-            lam = np.array(cfg.lam0, dtype=np.float64)
-            if (lam.shape != (M,) or not np.isfinite(lam).all()
-                    or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-10):
-                raise ValueError("lam0 must be a point of the weight simplex")
-            obj.reset(poly.combination(lam))
-        else:
-            v = poly.vertex(cfg.start_vertex)
-            lam = np.zeros(M)
-            lam[cfg.start_vertex] = 1.0
-            obj.reset(v)
-        state = AwayState(lam=lam)
+    if away or cfg.x0 is None:
+        lam = start_weights(obj, cfg)
+        x0 = poly.combination(lam)
     else:
-        lam = np.empty(0)
-        state = None
         x0 = cfg.x0
         # the tolerance scales with the point, as its rounding error does
-        if x0 is not None and not (
-                np.shape(x0) == (poly.d,) and np.isfinite(x0).all()
+        if not (np.shape(x0) == (poly.d,) and np.isfinite(x0).all()
                 and poly.contains(x0, tol=1e-9 * (1.0 + np.linalg.norm(x0)))):
             raise ValueError("x0 must be a finite point of the polytope")
-        obj.reset(x0 if x0 is not None else poly.vertex(cfg.start_vertex))
+    obj.reset(x0)
+    if away:
+        state = AwayState(lam=lam)
+    else:
+        state, lam = None, np.empty(0)
 
     # the per-step path serves objectives without a cycle kernel and runs
     # that report each step to inner_callback

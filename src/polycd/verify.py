@@ -189,6 +189,12 @@ class DenseKdeHuber(KdeHuber):
         self._K = kappa0 * np.exp(-sq / (2.0 * bandwidth ** 2))
         super().__init__(points, bandwidth, huber_mu, poly=poly, x0=x0, L=L)
 
+    def start_weights(self):
+        """Vertex 0: reference_solve_kde's AFW localizes the active set by
+        growing it from one vertex, and from the weights 1/n it would keep
+        all n."""
+        return self.poly.vertex_weights(0)
+
     def matvec(self, v):
         return self._K @ np.asarray(v, dtype=np.float64)
 

@@ -12,7 +12,7 @@ import pytest
 from polycd import (GRAD_1D, LINE_SEARCH, KdeHuber, L1Ball, LeastSquares,
                     Logistic, Quadratic, SolveConfig, StandardSimplex,
                     check_linear_bound, check_sublinear_bound, grad_step_alpha,
-                    polycd_solve, polycdwa_solve)
+                    polycd_solve, polycdwa_solve, start_weights)
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
 from polycd.harness import compute_gap
@@ -192,14 +192,14 @@ def test_criterion_4_cross_solver_consistency():
 # -- criterion 5: weight bookkeeping invariants ---------------------------------
 
 
-def _replay_and_check(make_obj, poly, cfg, start_vertex=0):
+def _replay_and_check(make_obj, poly, cfg):
     """Run the away solver on the per-step path, replay the weight updates
-    independently, and verify the simplex/reconstruction invariants at every
-    outer boundary (the refresh cadence).  Returns the inner-step count."""
+    independently from the weights the solve starts at (start_weights), and
+    verify the simplex/reconstruction invariants at every outer boundary
+    (the refresh cadence).  Returns the inner-step count."""
     M = poly.M
     obj = make_obj()
-    lam = np.zeros(M)
-    lam[start_vertex] = 1.0
+    lam = start_weights(obj, cfg)
     steps = {"n": 0}
     boundary_checks = []
     order_len = M
@@ -245,10 +245,14 @@ def test_criterion_5_weight_invariants():
                                SolveConfig(step_rule=GRAD_1D, max_outer=150,
                                            rel_improve_tol=0.0))
 
+    # from the default weights 1/n and from an explicit vertex
     X, _ = gen_kde(KdeSpec(n=150, d=2, seed=1))
     simp = StandardSimplex(150)
     total += _replay_and_check(lambda: KdeHuber(X, 1.0, 0.4, simp), simp,
                                SolveConfig(max_outer=150, rel_improve_tol=0.0))
+    total += _replay_and_check(lambda: KdeHuber(X, 1.0, 0.4, simp), simp,
+                               SolveConfig(max_outer=150, rel_improve_tol=0.0,
+                                           start_vertex=0))
 
     # merely convex quadratic: the sublinear tail keeps every sweep busy
     quad = random_quadratic(40, 123, mu=0.0)

@@ -227,10 +227,14 @@ def test_twocd_descends_and_stays_feasible():
 
 def test_kde_baselines_build_each_column_once(monkeypatch):
     # a line search and the step it chooses share their kernel columns:
-    # one column per FW or AFW iteration, at most two per 2cd pair search
+    # one column per FW or AFW iteration, at most two per 2cd pair search.
+    # From the default weights 1/n AFW may revisit a vertex whose column
+    # is still cached, so the runs start at vertex 0.
     pts = np.random.default_rng(9).standard_normal((30, 2)) * 2.0
     built, searches = [], []
     column, pair_search = KdeHuber.kernel_column, KdeHuber.pair_line_search
+    monkeypatch.setattr(KdeHuber, "start_weights",
+                        lambda self: self.poly.vertex_weights(0))
     monkeypatch.setattr(KdeHuber, "kernel_column",
                         lambda self, j: built.append(j) or column(self, j))
     monkeypatch.setattr(KdeHuber, "pair_line_search",
@@ -295,6 +299,14 @@ def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=field):
         BaselineConfig(**{field: value})
     BaselineConfig(**{field: np.int64(3)})
+
+
+@pytest.mark.parametrize("field", ["window_tol", "time_budget"])
+def test_config_rejects_a_nan_stop_setting(field):
+    # a NaN window_tol or time_budget silently switched its stop rule off:
+    # FW ran all of max_iter
+    with pytest.raises(ValueError, match=field):
+        BaselineConfig(**{field: np.nan})
 
 
 def test_time_budget_cap():

@@ -54,6 +54,14 @@ def test_solver_cell_rejects_budget_below_one(field, value):
         SolverCell(name="fw", **{field: value})
 
 
+@pytest.mark.parametrize("field", ["rel_improve_tol", "window_tol"])
+def test_solver_cell_rejects_a_nan_tolerance(field):
+    # a NaN rel_improve_tol failed only in the run, reported among
+    # summary["errors"]; a NaN window_tol switched the window off
+    with pytest.raises(ValueError, match=field):
+        SolverCell(name="polycd", **{field: np.nan})
+
+
 @pytest.mark.parametrize("field, value", [("max_outer", 2.5),
                                           ("max_iter", 2.5), ("window", 2.5),
                                           ("rng_seed", 1.5)])

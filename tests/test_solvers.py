@@ -8,8 +8,10 @@ from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, ExplicitVertices,
                     SolveConfig,
                     StandardSimplex, AwayState,
                     check_linear_bound, check_sublinear_bound, polycd_solve,
-                    polycdwa_solve, weight_refresh)
+                    polycdwa_solve, start_weights, weight_refresh)
 from polycd import _kernels
+from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
+                              fw_solve, twocd_solve)
 from polycd.verify import reference_solve
 
 
@@ -590,6 +592,56 @@ def test_weights_lam0_starts_at_their_combination(family, rule):
     assert fk[0] == f0 and fs[0] == f0
     assert len(fk) == len(fs) == 9
     assert np.max(np.abs(fk - fs) / np.maximum(np.abs(fk), 1.0)) <= 1e-9
+
+
+def test_kde_solvers_start_at_the_ordinary_kde_weights():
+    # KdeHuber's default start is the weights 1/n; all six solvers take it
+    make = _start_families()["kde"]
+    obj = make()
+    assert np.array_equal(obj.x, np.full(obj.n, 1.0 / obj.n))
+    f0 = [obj.eval()]
+    for solve in (polycd_solve, polycdwa_solve):
+        obj = make()
+        f0.append(solve(obj, obj.poly, SolveConfig(max_outer=1))[-1][0]
+                  .f_value)
+    for solve in (fw_solve, afw_solve, fista_solve, twocd_solve):
+        obj = make()
+        f0.append(solve(obj, obj.poly, BaselineConfig(max_iter=1))[-1][0]
+                  .f_value)
+    assert f0 == [f0[0]] * 7, f0
+
+
+@pytest.mark.parametrize("family", ["lasso", "logistic", "kde"])
+def test_start_vertex_and_lam0_start_where_they_say(family):
+    make = _start_families()[family]
+    poly = make().poly
+    lam0 = np.random.default_rng(43).dirichlet(np.ones(poly.M))
+    for start, lam in (({"start_vertex": 3}, poly.vertex_weights(3)),
+                       ({"lam0": lam0}, lam0)):
+        cfg = SolveConfig(max_outer=1, **start)
+        assert np.array_equal(start_weights(make(), cfg), lam)
+        f0 = make().eval_at(poly.combination(lam))
+        for solve in (polycd_solve, polycdwa_solve):
+            obj = make()
+            assert solve(obj, obj.poly, cfg)[-1][0].f_value == f0, start
+
+
+@pytest.mark.parametrize("family", ["lasso", "logistic"])
+def test_lasso_and_logistic_start_at_vertex_0_by_default(family):
+    make = _start_families()[family]
+    obj = make()
+    assert np.array_equal(obj.start_weights(), obj.poly.vertex_weights(0))
+    assert obj.x.tobytes() == obj.poly.vertex(0).tobytes()
+    for solve in (polycd_solve, polycdwa_solve):
+        runs = []
+        for start in ({}, {"start_vertex": 0}):
+            obj = make()
+            out = solve(obj, obj.poly, SolveConfig(max_outer=8,
+                                                   rel_improve_tol=0.0,
+                                                   **start))
+            runs.append((_f_trace(out), out[0]))
+        for name, u, v in zip(("f-trace", "x"), *runs):
+            assert u.tobytes() == v.tobytes(), (solve.__name__, name)
 
 
 @pytest.mark.parametrize("field, value", [
