@@ -14,10 +14,11 @@ line_min, which starts at the current point alpha = 0 and can take its
 first step to third order; defaults LS_TOL and LS_MAX_ITER), the segment
 derivatives of the logistic and kernel-density losses and their values at
 alpha = 0 (logistic_start, kde_start, kde_seg0, kde_third, which serve
-both step rules), and the move of the iterate toward a coordinate vertex.
-The kernels, the per-step path of the solvers (which a run given an
-inner_callback takes), the away-step Frank-Wolfe baseline and the
-objective methods all call them.
+both step rules), the move of the iterate toward a coordinate vertex and
+its scalar updates (step_sq), and the range of a scale a pass carries
+unapplied (scale_in_range).  The kernels, the per-step path of the
+solvers (which a run given an inner_callback takes), the away-step
+Frank-Wolfe baseline and the objective methods all call them.
 """
 
 import numpy as np
@@ -286,8 +287,9 @@ def kde_work(n):
         S[6]  G_i = (r_i - floor(r_i)) / m_i, the far-side factor
 
     A start set holds these rows at alpha = 0 for the current weights
-    (kde_start, then R and R^2 from kde_seg0).  An evaluation at alpha
-    reads P, R, 1 and R^2 from the start set and writes T, m, r and G into
+    (kde_start or the last step's evaluation, then R and R^2 from
+    kde_seg0).  An evaluation at alpha reads P, R, 1 and R^2 from the
+    start set and writes T, m, r and G into
     another set: T is the one product [1, alpha, alpha^2 C] [P; R; 1], and
     the sums are the one 2 x 3 product [r; G] [R; 1; R^2]' (kde_sums).
     The third set is scratch: end tests evaluate into it."""
@@ -366,15 +368,18 @@ def kde_start(u, q, kappa0, mu_h, S):
     np.divide(G, m, G)
 
 
-def kde_seg0(dvec, b, C, S):
+def kde_seg0(dvec, b, C, S, from_p=False):
     """(phi'(0), phi''(0), sums) of the move from the start set S whose
-    T'(0) is R = b - 2 dvec: writes R and R^2 into S and reads the
-    derivatives from sums = kde_sums(S, S).  At alpha = 0 an evaluation's
-    T row is P, so the derivatives equal kde_seg(0.0, S, ..., C, mu_h,
-    True) bit for bit; kde_third takes its sum G.R from the same product.
-    dvec may be the R row of S itself."""
+    T'(0) is R = b - 2 dvec (from_p: R = (dvec - P) + b, P the row of S):
+    writes R and R^2 into S and reads the derivatives from sums =
+    kde_sums(S, S).  At alpha = 0 an evaluation's T row is P, so they
+    equal kde_seg(0.0, S, ..., C, mu_h, True) bit for bit; kde_third takes
+    its sum G.R from the same product.  dvec may be the R row of S."""
     R = S[1]
-    np.multiply(dvec, -2.0, R)
+    if from_p:
+        np.subtract(dvec, S[0], R)
+    else:
+        np.multiply(dvec, -2.0, R)
     np.add(R, b, R)
     np.multiply(R, R, S[3])
     sums = kde_sums(S, S)
@@ -393,6 +398,15 @@ def kde_third(C, sums, S, out):
     return -1.5 * C * float(sums[1, 0]) + 0.375 * float(np.dot(out, S[3]))
 
 
+def step_sq(sq, s, cross, end, alpha):
+    """The square norm of (1 - alpha) a + alpha b, in some inner product,
+    from sq = |a|^2, s cross = a.b and s end = |b|^2.  A step toward s e_j
+    gives ||x||^2 from (||x||^2, s, x_j, s) and, for the density, w'Kw
+    from (w'Kw, 1, (K w)_j, kappa0), which alpha = 1 makes kappa0."""
+    return ((1.0 - alpha) ** 2 * sq + 2.0 * alpha * (1.0 - alpha) * s * cross
+            + alpha * alpha * s * end)
+
+
 def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
     """Move x by the step alpha toward the coordinate vertex s e_j, in
     place, and with it its cache z toward zv, the cache at the vertex,
@@ -409,20 +423,21 @@ def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
     xj = float(x[j])
     x *= 1.0 - alpha
     x[j] += alpha * s
-    return ((1.0 - alpha) ** 2 * sq_x
-            + 2.0 * alpha * (1.0 - alpha) * s * xj
-            + alpha * alpha * s * s)
+    return step_sq(sq_x, s, xj, s, alpha)
 
 
 def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
     """vertex_move for the kernel-weight objective, toward e_j: the caches
     are u = K w (kcol = K e_j, dvec = kcol - u, which it overwrites) and
-    q = w'Kw; at alpha = 1 the update of q gives kappa0 exactly.  Returns
-    (q, ||w||^2)."""
-    q = ((1.0 - alpha) ** 2 * q
-         + 2.0 * alpha * (1.0 - alpha) * float(u[j])
-         + alpha * alpha * kappa0)
+    q = w'Kw.  Returns (q, ||w||^2)."""
+    q = step_sq(q, 1.0, float(u[j]), kappa0, alpha)
     return q, vertex_move(wv, j, 1.0, alpha, sq_w, u, kcol, dvec)
+
+
+def scale_in_range(b):
+    """Whether a scale b that a pass carries unapplied may stay so, where
+    products with it neither overflow nor underflow: 0 and NaN may not."""
+    return 1e-100 < abs(b) < 1e100
 
 
 # Length of the scan-ahead blocks of ls_cycle and logistic_cycle.  One
@@ -525,7 +540,7 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
             z *= beta
             z += (alpha * s) * col
             xi *= beta
-            if not 1e-100 < xi < 1e100:
+            if not scale_in_range(xi):
                 x *= xi
                 xi = 1.0
             x[j] += alpha * s / xi
@@ -658,6 +673,16 @@ def kde_drift(P, u, q, kappa0):
     return float(np.max(np.abs(P - ((q + kappa0) - 2.0 * u)))) / (q + kappa0)
 
 
+def kde_write_back(u, wv, J, Kb, cb, beta):
+    """u = beta (u + sum_s cb_s K e_{J_s}), by one gemv of the columns
+    Kb = -2 K e_j (j in J), and w = beta (w + sum_s cb_s e_{J_s}); cb = 0."""
+    u += np.dot(-0.5 * cb, Kb)
+    u *= beta
+    wv[J] += cb
+    wv *= beta
+    cb[:] = 0.0
+
+
 def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
               L, kappa0, inv2s2, mu_h, q, sq_w, gamma_cap, drop_tol,
               ls_tol, ls_max_iter):
@@ -665,45 +690,38 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
 
     wv holds the weights, u caches K wv and q caches wv' K wv; kernel-matrix
     columns are recomputed from the sample points X (row square norms in
-    xsq), LS_BLOCK visit positions at a time with one kde_columns call, so
-    K itself is never materialized.  order is a permutation of the sample
-    indices.  A step reads its scalars as Python floats.
+    xsq), LS_BLOCK visit positions at a time with one kde_columns call
+    that scales them by -2 (exactly), so K itself is never materialized.
+    order is a permutation of the sample indices.
 
-    The pass rebuilds the caches from the columns it builds anyway: each
-    block adds its columns weighted by the weights w0 the pass started
-    from, and every column is built once, so the blocks sum to K w0.  At
-    the end u becomes K w0 plus the change the steps made to u, and q and
-    ||w||^2 are recomputed from u and the weights.  The same sum measures
-    how far u had drifted from K w0 when the pass began.
+    A move carries q, ||w||^2 and the start set (kde_work) with its row
+    P = q - 2u + kappa0, built by kde_start as the pass begins.  Its slope
+    row is R = (2 kappa0 - P_j) - 2 K e_j - P, with C = P_j and
+    u_j = (q + kappa0 - P_j) / 2.  The next start is the search's last
+    curvature evaluation where the step is that point, else one kde_seg
+    at the step (without G under the gradient rule); the first two row
+    sets then swap.  u and w are carried per block as beta (their value
+    at the block's start + sum_s cb_s column_s), beta the product of the
+    moves' 1 - alpha, and written back (kde_write_back) when the block
+    ends or before beta leaves scale_in_range; a full step writes
+    u = K e_j and w = e_j exactly.  lam stays eager (away_update).
 
-    The line search's row sets are allocated once per pass (kde_work).
-    The start set holds what kde_seg reads at alpha = 0 that does not
-    depend on the step's vertex (P, m, the Huber ratios and the far-side
-    factor), so a step builds R and R^2 into it and takes phi'(0) and
-    phi''(0) from kde_seg0 under either step rule and, where the search
-    evaluates, phi'''(0) from kde_third.  line_min evaluates with
-    curvature into the second set and tests its end in the third.  A move
-    to the point that it evaluated last with curvature swaps the first two
-    sets: the evaluation's rows are the new weights' start, up to
-    rounding.  Any other move (a gradient-rule step, a drop snap or a
-    bisection's midpoint) leaves the start to be rebuilt from u and q
-    (kde_start) where the next step needs it, as at the start of a pass.
-
-    Returns (q, sq_w, drift): drift is the larger of
-    ||u - K w0||_inf / ||K w0||_inf at the start of the pass and kde_drift
-    of the start set's P row against the caches the steps carried, where
-    that set holds for the weights the pass ends at.
+    The blocks also rebuild the caches: each adds its columns weighted by
+    the weights w0 the pass started from, so they sum to K w0, and at the
+    end u becomes K w0 plus the change the moves made to u, and q and
+    ||w||^2 are recomputed.  Returns (q, sq_w, drift): drift is the larger
+    of ||u - K w0||_inf / ||K w0||_inf at the start of the pass and
+    kde_drift of the carried P against the carried q and written-back u.
     """
     M = order.shape[0]
     n = u.shape[0]
     q = float(q)
     sq_w = float(sq_w)
-    dvec = np.empty(n)  # K e_j - u, built in place
     S0, S1, S2 = kde_work(n)
     w0 = wv.copy()
     u0 = u.copy()
     kw = np.zeros(n)  # K w0, block by block
-    start_ok = False  # S0 is the start set of the current weights
+    kde_start(u, q, kappa0, mu_h, S0)
     at = None  # the alpha of S1's rows if a curvature evaluation wrote them
 
     def seg(a, curv):
@@ -715,22 +733,21 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
 
     for p in range(0, M, LS_BLOCK):
         J = order[p:p + LS_BLOCK]
-        Kb = kde_columns(X, xsq, J, kappa0, inv2s2)
-        kw += np.dot(w0[J], Kb)
-        for idx in range(p, p + J.shape[0]):
-            j = order[idx]
-            uj = float(u[j])
-            c = sq_w - 2.0 * float(wv[j]) + 1.0
+        Kb = kde_columns(X, xsq, J, -2.0 * kappa0, inv2s2)
+        kw += np.dot(-0.5 * w0[J], Kb)
+        cb = np.zeros(J.shape[0])
+        beta = 1.0
+        for k in range(J.shape[0]):
+            j = J[k]
+            # no earlier move of the block went toward e_j
+            wj = beta * float(wv[j])
+            c = sq_w - 2.0 * wj + 1.0
             if is_degenerate(c, sq_w + 1.0):
                 continue
-            kcol = Kb[idx - p]
-            np.subtract(kcol, u, dvec)
+            C = float(S0[0, j])
             lo, capped = step_interval(away, lam, j, gamma_cap)
-            if not start_ok:
-                kde_start(u, q, kappa0, mu_h, S0)
-                start_ok = True
-            C = q - 2.0 * uj + kappa0
-            d, h, sums = kde_seg0(dvec, 2.0 * (uj - q), C, S0)
+            d, h, sums = kde_seg0(Kb[k], 2.0 * kappa0 - C, C, S0, True)
+            at = None
             if grad_rule:
                 alpha = grad_step(d, c, L, lo, 1.0)
             else:
@@ -738,19 +755,31 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                 # searches (0, 1] where d < 0 and [lo, 0) where d > 0
                 t = (kde_third(C, sums, S0, S2[0]) if d < 0.0 or lo < 0.0
                      else None)
-                at = None
                 alpha = line_min(seg, lo, 1.0, 0.0, d, h, ls_tol,
                                  ls_max_iter, t)
             if away:
                 alpha = away_update(lam, j, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
-            q, sq_w = kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0)
-            if alpha == at:
-                S0, S1 = S1, S0
-            else:
-                start_ok = False
-    drift = kde_drift(S0[0], u, q, kappa0) if start_ok else 0.0
+            q = step_sq(q, 1.0, 0.5 * ((q + kappa0) - C), kappa0, alpha)
+            sq_w = step_sq(sq_w, 1.0, wj, 1.0, alpha)
+            if alpha != at:
+                kde_seg(alpha, S0, S1, C, mu_h, not grad_rule)
+            S0, S1 = S1, S0
+            if alpha == 1.0:
+                np.multiply(Kb[k], -0.5, u)
+                wv[:] = 0.0
+                wv[j] = 1.0
+                cb[:] = 0.0
+                beta = 1.0
+                continue
+            if not scale_in_range(beta * (1.0 - alpha)):
+                kde_write_back(u, wv, J, Kb, cb, beta)
+                beta = 1.0
+            beta *= 1.0 - alpha
+            cb[k] = alpha / beta
+        kde_write_back(u, wv, J, Kb, cb, beta)
+    drift = kde_drift(S0[0], u, q, kappa0)
     # np.maximum, unlike max, keeps a NaN
     drift = float(np.maximum(
         float(np.max(np.abs(u0 - kw))) / float(np.max(kw)), drift))

@@ -32,8 +32,9 @@ KDE_MATVEC_BLOCK = 128
 # how far, relative to the terms they are built from, what kde_cycle
 # carries may drift from its rebuild: the cache u = K w at the start of a
 # pass from the K w that the pass sums from its own kernel columns, and
-# the squared distances carried from move to move from their rebuild from
-# the caches by the end of the pass (_kernels.kde_drift)
+# the squared distances P carried from move to move (with q and ||w||^2)
+# by the end of the pass from their rebuild from q and the u that the
+# pass carries per block and writes back with w (_kernels.kde_drift)
 KDE_DRIFT_TOL = 1e-10
 
 
@@ -134,6 +135,7 @@ class BoundObjective:
         self.poly = poly
         self._steps = 0
         self._last_refresh = 0
+        self._rebuilt_at = None  # the bytes of the x of reset's last rebuild
         self.reset(x0)
 
     def start_weights(self):
@@ -142,14 +144,22 @@ class BoundObjective:
         return self.poly.vertex_weights(0)
 
     def reset(self, x0=None):
+        """Start at x0 (default: the combination of start_weights()).  The
+        caches are rebuilt unless no step was taken since their last
+        rebuild here, at x0 bit for bit, and x still holds x0."""
         if x0 is None:
             x0 = self.poly.combination(self.start_weights())
-        self.x = np.array(x0, dtype=np.float64)
-        if self.x.shape != (self.poly.d,):
+        x = np.array(x0, dtype=np.float64)
+        if x.shape != (self.poly.d,):
             raise ValueError("start point dimension mismatch")
+        keep = (self._steps == 0
+                and self._rebuilt_at == x.tobytes() == self.x.tobytes())
+        self.x = x
         self._steps = 0
         self._last_refresh = 0
-        self.refresh_cache()
+        if not keep:
+            self.refresh_cache()
+            self._rebuilt_at = x.tobytes()
 
     def refresh_cache(self):
         raise NotImplementedError

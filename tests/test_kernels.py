@@ -436,3 +436,80 @@ def test_kde_move_full_step_lands_on_the_vertex():
     assert q == kappa0 and sq_w == 1.0
     assert u.tobytes() == kcol.tobytes()
     assert w.tobytes() == np.eye(40)[j].tobytes()
+
+
+def _scripted_pass(monkeypatch, seed, steps):
+    """One polycdwa pass under the gradient rule on 40 gen_kde points from
+    Dirichlet weights, on the kernel path and on the per-step path: the
+    first steps are the given ones, scripted through grad_step, which both
+    paths call, and the rest are the rule's own.  Returns the kernel
+    objective, each path's (f-trace, x, lam), the per-step path's steps
+    and the scale beta of each kde_write_back of the kernel pass."""
+    from polycd import GRAD_1D, KdeHuber, SolveConfig, polycdwa_solve
+    from polycd.problems import KdeSpec, gen_kde
+
+    X = gen_kde(KdeSpec(n=100, seed=seed))[0][:40]
+    lam0 = np.random.default_rng(seed).dirichlet(np.ones(40))
+    grad_step = _kernels.grad_step
+    write_back = _kernels.kde_write_back
+    script, backs = [], []
+
+    def scripted(b, c, L, lo, hi):
+        return script.pop() if script else grad_step(b, c, L, lo, hi)
+
+    def logged(*args):
+        backs.append(args[5])
+        write_back(*args)
+    monkeypatch.setattr(_kernels, "grad_step", scripted)
+    monkeypatch.setattr(_kernels, "kde_write_back", logged)
+    cfg = SolveConfig(step_rule=GRAD_1D, max_outer=1, rel_improve_tol=0.0,
+                      lam0=lam0)
+    runs, alphas = [], []
+    for use_k in (True, False):
+        script[:] = steps[::-1]
+        obj = KdeHuber(X, 1.0, 0.4)
+        x, state, trace = polycdwa_solve(
+            obj, obj.poly, cfg,
+            inner_callback=None if use_k else lambda t, i, a: alphas.append(a))
+        runs.append((np.array([r.f_value for r in trace]), x, state.lam))
+        if use_k:
+            obj_k = obj
+    assert alphas[:len(steps)] == steps
+    # the caches of the weights the pass ended at, and the tolerance of
+    # test_kernel_path_matches_generic_path between the two paths
+    ref = KdeHuber.matvec(obj_k, obj_k.x)
+    assert np.max(np.abs(obj_k.u - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for name, a, b in zip(("f-trace", "x", "lam"), *runs):
+        scale = np.maximum(np.abs(a), 1.0)
+        assert np.max(np.abs(a - b) / scale) <= 1e-9, name
+    return obj_k, alphas, backs
+
+
+def _carried_scale(steps):
+    """beta = prod (1 - alpha) over the steps, as kde_cycle carries it."""
+    beta = 1.0
+    for alpha in steps:
+        beta *= 1.0 - alpha
+    return beta
+
+
+def test_kde_cycle_full_step_mid_block_writes_the_vertex(monkeypatch):
+    # a full step between carried moves of the first block writes
+    # u = K e_j and w = e_j and drops what the block carried before it:
+    # the block's write-back applies only the moves after it
+    obj, alphas, backs = _scripted_pass(monkeypatch, 4,
+                                        [0.3, 0.4, 1.0, 0.25, 0.5])
+    assert len(backs) == 2
+    # the per-step path's steps, which round a little differently
+    assert backs[0] == pytest.approx(_carried_scale(alphas[3:32]), rel=1e-12)
+
+
+def test_kde_cycle_flushes_a_scale_out_of_range_mid_block(monkeypatch):
+    # steps of 1 - 2^-20 make the carried scale beta = prod (1 - alpha)
+    # 2^-340 < 1e-100 at the 17th move of the first block: the moves so
+    # far are written back there at beta = 2^-320, and the block goes on
+    # from beta = 1, so its write-back comes from 2^-80 after the 20th
+    obj, alphas, backs = _scripted_pass(monkeypatch, 5,
+                                        [1.0 - 2.0 ** -20] * 20)
+    assert len(backs) == 3 and backs[0] == 2.0 ** -320
+    assert backs[1] == pytest.approx(_carried_scale(alphas[16:32]), rel=1e-12)

@@ -201,6 +201,93 @@ def test_cache_consistency_after_many_steps():
         assert np.max(np.abs(z_inc - z_new)) <= 1e-6 * scale
 
 
+# -- reset -----------------------------------------------------------------
+
+
+def _reset_families():
+    """(name, factory(**kwargs)) of a lasso and a KDE objective."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((30, 20))
+    b = rng.standard_normal(30)
+    X = rng.standard_normal((50, 2)) * 2.0
+    return (("lasso", lambda **kw: LeastSquares(A, b, L1Ball(20, 1.5), **kw)),
+            ("kde", lambda **kw: KdeHuber(X, 1.0, 0.4, **kw)))
+
+
+def _cache_bytes(obj):
+    names = ("u", "q", "sq_x") if isinstance(obj, KdeHuber) else ("z", "sq_x")
+    return [np.asarray(getattr(obj, name)).tobytes() for name in names]
+
+
+def _log_calls(monkeypatch, obj, events):
+    """Log "refresh" for each refresh_cache call of obj and "step" for each
+    apply_step or run_cycle call, then make the call."""
+    for name, tag in (("refresh_cache", "refresh"), ("apply_step", "step"),
+                      ("run_cycle", "step")):
+        def logged(*args, orig=getattr(obj, name), tag=tag):
+            events.append(tag)
+            return orig(*args)
+        monkeypatch.setattr(obj, name, logged)
+
+
+@pytest.mark.parametrize("family", ["lasso", "kde"])
+@pytest.mark.parametrize("solver", ["polycdwa", "fw", "afw"])
+def test_solve_at_the_default_start_reuses_the_constructor_caches(
+        monkeypatch, family, solver):
+    from polycd import SolveConfig, polycdwa_solve
+    from polycd.baselines import BaselineConfig, afw_solve, fw_solve
+
+    obj = dict(_reset_families())[family]()
+    events = []
+    _log_calls(monkeypatch, obj, events)
+    if solver == "polycdwa":
+        polycdwa_solve(obj, obj.poly, SolveConfig(max_outer=2))
+    else:
+        solve = fw_solve if solver == "fw" else afw_solve
+        solve(obj, obj.poly, BaselineConfig(max_iter=5))
+    assert "step" in events
+    assert events.index("step") == 0, events[:3]
+
+
+@pytest.mark.parametrize("family", ["lasso", "kde"])
+def test_reset_rebuilds_the_caches_unless_nothing_moved(monkeypatch, family):
+    make = dict(_reset_families())[family]
+    obj = make()
+    x0 = obj.x.copy()
+    x1 = obj.poly.combination(
+        np.random.default_rng(1).dirichlet(np.ones(obj.poly.M)))
+    fresh = {key: _cache_bytes(make(x0=x)) for key, x in (("x0", x0),
+                                                          ("x1", x1))}
+    kname = obj.kernel_name()
+    order = np.arange(obj.poly.M, dtype=np.int64)
+
+    def run_pass(o):
+        o.run_cycle(_kernels.kernel(kname), order, np.empty(0), False,
+                    False, 1e12, _kernels.DROP_TOL, 1e-12, 200)
+
+    def write_x(o):
+        o.x[0] += 0.25
+
+    cases = (("nothing", lambda o: None, "x0", 0),
+             ("apply_step", lambda o: o.apply_step(3, 0.3), "x0", 1),
+             ("zero step", lambda o: o.apply_step(3, 0.0), "x0", 1),
+             ("run_cycle", run_pass, "x0", 1),
+             ("x written in place", write_x, "x0", 1),
+             ("another x0", lambda o: None, "x1", 1))
+    for what, act, at, rebuilds in cases:
+        obj = make()
+        events = []
+        act(obj)
+        _log_calls(monkeypatch, obj, events)
+        obj.reset(x0 if at == "x0" else x1)
+        assert events.count("refresh") == rebuilds, what
+        assert _cache_bytes(obj) == fresh[at], what
+        assert obj.x.tobytes() == (x0 if at == "x0" else x1).tobytes()
+        # and a second reset at the same point keeps what the first built
+        obj.reset(obj.x.copy())
+        assert events.count("refresh") == rebuilds, what
+
+
 # -- line search -----------------------------------------------------------
 
 

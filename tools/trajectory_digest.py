@@ -25,8 +25,9 @@ weights 1/2 on vertices 2 and 6 (C e_1 and C e_3, whose images agree),
 visiting them first: the step toward vertex 2 then has w = 0, which the
 kernel's closed form meets through cancellation.
 
-The last case is the kde-away benchmark's shape: polycdwa with the line
-search on the kernel path, on gen_kde(n=1000) seed 0, for 5 passes.
+The last cases are the kde-away benchmark's shape: polycdwa on the kernel
+path, on gen_kde(n=1000) seed 0, for 5 passes, with the line search and
+with the gradient rule.
 
 Run it on two checkouts, then compare the outputs:
 
@@ -171,14 +172,17 @@ def crafted_cases():
                     visit_order=order)
 
 
-def kde_away_case():
+def kde_away_cases():
     """The kde-away benchmark's solve at its size, for fewer passes, so
-    that the kernel pass's cache rebuild and row-set swaps are digested
-    where the benchmark runs them."""
+    that the kernel pass's cache rebuild, row-set swaps and block
+    write-backs are digested where the benchmark runs them, under both
+    step rules."""
     spec = KdeSpec(n=1000, seed=0)
     X, _ = gen_kde(spec)
-    cyclic_case("kde-away", KdeHuber(X, spec.sigma_kernel, spec.mu_huber),
-                polycdwa_solve, LINE_SEARCH, 5, True)
+    for rule in (LINE_SEARCH, GRAD_1D):
+        cyclic_case("kde-away",
+                    KdeHuber(X, spec.sigma_kernel, spec.mu_huber),
+                    polycdwa_solve, rule, 5, True)
 
 
 def read_cases(path):
@@ -236,7 +240,7 @@ def main():
     listed_cases(insts)
     baseline_cases(insts)
     crafted_cases()
-    kde_away_case()
+    kde_away_cases()
 
 
 if __name__ == "__main__":
