@@ -14,8 +14,9 @@ line_min, which starts at the current point alpha = 0 and can take its
 first step to third order; defaults LS_TOL and LS_MAX_ITER), the segment
 derivatives of the logistic and kernel-density losses and their values at
 alpha = 0 (logistic_start, kde_start, kde_seg0, kde_third, which serve
-both step rules), the move of the iterate toward a coordinate vertex and
-its scalar updates (step_sq), and the range of a scale a pass carries
+both step rules) or along a logistic move (logistic_at), the move of the
+iterate toward a coordinate vertex (coord_move, with a cache vertex_move)
+and its scalar updates (step_sq), and the range of a scale a pass carries
 unapplied (scale_in_range).  The kernels, the per-step path of the
 solvers (which a run given an inner_callback takes), the away-step
 Frank-Wolfe baseline and the objective methods all call them.
@@ -228,8 +229,12 @@ def line_min(seg, lo, hi, x0, d, h, tol, max_iter, t=None):
 
 
 def sigmoid_neg(m):
-    """1 / (1 + exp(m)), saturating instead of overflowing."""
-    return 1.0 / (1.0 + np.exp(np.minimum(m, 700.0)))
+    """1 / (1 + exp(m)) for an array m, saturating instead of overflowing,
+    computed in the one new array it returns."""
+    e = np.minimum(m, 700.0)
+    np.exp(e, e)
+    e += 1.0
+    return np.divide(1.0, e, e)
 
 
 def logistic_start(ym, curv):
@@ -237,7 +242,21 @@ def logistic_start(ym, curv):
     and, if curv, sg = sig (1 - sig) (else None), the weights of phi' and
     phi'' at alpha = 0 that every step from z shares (logistic_seg)."""
     sig = sigmoid_neg(ym)
-    return sig, sig * (1.0 - sig) if curv else None
+    if not curv:
+        return sig, None
+    sg = 1.0 - sig
+    sg *= sig
+    return sig, sg
+
+
+def logistic_at(ym, yw, a, curv):
+    """(m, sig, sg) at alpha = a along the move with yw = y w from the
+    margins ym = y z: m = ym + a yw and its logistic_start rows.  Labels
+    are +-1, so m is y (z + fl(a w)), the margins of the moved z, bit for
+    bit up to the sign of an exact zero, which no sigmoid or sum reads."""
+    m = a * yw
+    m += ym
+    return (m, *logistic_start(m, curv))
 
 
 def logistic_seg(sig, yw, yw2, curv, sg=None):
@@ -407,23 +426,30 @@ def step_sq(sq, s, cross, end, alpha):
             + alpha * alpha * s * end)
 
 
-def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
+def coord_move(x, j, s, alpha, sq_x):
     """Move x by the step alpha toward the coordinate vertex s e_j, in
-    place, and with it its cache z toward zv, the cache at the vertex,
-    along w = zv - z, which it overwrites with alpha w, so the move
-    allocates no n-length array.  Returns the new ||x||^2.  A full step
-    copies zv, since z + (zv - z) need not round to zv."""
+    place, and return the new ||x||^2.  A full step writes the vertex."""
     if alpha == 1.0:
-        z[:] = zv
         x[:] = 0.0
         x[j] = s
         return s * s
-    w *= alpha
-    z += w
     xj = float(x[j])
     x *= 1.0 - alpha
     x[j] += alpha * s
     return step_sq(sq_x, s, xj, s, alpha)
+
+
+def vertex_move(x, j, s, alpha, sq_x, z, zv, w):
+    """coord_move, and with it the cache z of x toward zv, the cache at the
+    vertex, along w = zv - z, which it overwrites with alpha w, so the move
+    allocates no n-length array.  A full step copies zv, since
+    z + (zv - z) need not round to zv."""
+    if alpha == 1.0:
+        z[:] = zv
+    else:
+        w *= alpha
+        z += w
+    return coord_move(x, j, s, alpha, sq_x)
 
 
 def kde_move(u, kcol, dvec, wv, j, alpha, q, sq_w, kappa0):
@@ -557,8 +583,9 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
 
 def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                    grad_rule, away, L, sq_x, gamma_cap, drop_tol,
-                   ls_tol, ls_max_iter):
+                   ls_tol, ls_max_iter, col_l1):
     """One outer pass on f(x) = sum_i log(1 + exp(-y_i a_i' x)); z caches A x.
+    col_l1 holds the l1 norms of the data columns A_cols.
 
     Along the step toward vertex s e_j, phi'(0) = z.(sig y) - s col.(sig y)
     with sig = 1 / (1 + exp(y z)).  A step can move the iterate only where
@@ -570,15 +597,20 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     alpha = 0 step, so the iterates are bit for bit those of a visit to
     every vertex.  The screen is recomputed after each step that moves.
 
-    sig at the current z, and sig (1 - sig) for the line search, are
-    computed once per move (logistic_start) and serve the screen, the
-    gradient rule and the line search's start at alpha = 0, where phi'(0)
-    and phi''(0) are two dot products.  So a visit that does not move
-    costs a few array operations, a fraction of a rescan.  A block is
-    therefore screened only when at most a third of the previous block's
-    positions were candidates (a nonzero weight or a positive step): in a
-    denser block the rescans, one per move, cost more than the visits
-    they save.
+    The pass carries the margins ym = y z in place of z and writes z = y ym
+    back when it ends; labels are +-1, so yw = y (s col - z) = s y col - ym
+    and a move's ym + fl(alpha yw) are y times the values z would take.
+    sig at the current z, and sig (1 - sig) for the line search
+    (logistic_start), serve the screen, the gradient rule and the line
+    search's start at alpha = 0, where phi'(0) and phi''(0) are two dot
+    products.  A move whose step is the search's last curvature evaluation
+    takes that evaluation's (ym, sig, sig (1 - sig)) as the next start
+    (logistic_at); a full step (ym = s y col) and every other move
+    recompute them.  So a visit that does not move costs a few array
+    operations, a fraction of a rescan.  A block is therefore screened only
+    when at most a third of the previous block's positions were candidates
+    (a nonzero weight or a positive step): in a denser block the rescans,
+    one per move, cost more than the visits they save.
     """
     M = order.shape[0]
     J = vcoord[order]
@@ -587,6 +619,15 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     tie = 4.0 * (z.shape[0] + 2)
     ym = ylab * z
     sig, sg = logistic_start(ym, not grad_rule)
+    last = None  # (alpha, ym, sig, sg) of the search's last curvature point
+
+    def seg(a, curv):
+        nonlocal last
+        at = logistic_at(ym, yw, a, curv)
+        if curv:
+            last = (a, *at)
+        return logistic_seg(at[1], yw, yw2, curv, at[2])
+
     # the screen's sy and zs hold for the current z while scr_ok
     scr_ok = False
     ncand = 0  # candidates of the previous block
@@ -600,7 +641,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
         if screen:
             Ab = A_cols[J[p:q]]
             # the |s| ||col||_1 part of each position's margin
-            cm = (tie * _EPS) * np.abs(S[p:q]) * np.abs(Ab).sum(axis=1)
+            cm = (tie * _EPS) * np.abs(S[p:q]) * col_l1[J[p:q]]
             if away:
                 # the block's steps only rescale the weights ahead of them,
                 # so this holds every weight that is nonzero at its visit
@@ -613,9 +654,10 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                     if not scr_ok:
                         sy = sig * ylab
                         # phi'(0) less the ||z||_1 part of the margin; the
-                        # 5e-324 covers products that underflow
-                        zs = np.dot(z, sy) - tie * (_EPS * np.abs(z).sum()
-                                                    + 5e-324)
+                        # 5e-324 covers products that underflow.  z.sy and
+                        # ym.sig are sums of the same products
+                        zs = np.dot(ym, sig) - tie * (_EPS * np.abs(ym).sum()
+                                                      + 5e-324)
                         scr_ok = True
                     phi = zs - S[pos:q] * np.dot(Ab[pos - p:], sy)
                     # not >=: a NaN stays a candidate
@@ -636,32 +678,39 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             c = sq_x - 2.0 * s * xj + s * s
             if is_degenerate(c, sq_x + s * s):
                 continue
-            sc = s * A_cols[j]
-            w = sc - z
-            yw = ylab * w
+            ysc = ylab * A_cols[j]
+            ysc *= s
+            yw = ysc - ym
             lo, capped = step_interval(away, lam, i, gamma_cap)
             if grad_rule:
                 alpha = grad_step(-np.dot(sig, yw), c, L, lo, 1.0)
             else:
                 yw2 = yw * yw
-                # the search starts at alpha = 0, where ym + 0 yw is ym
                 d, h = logistic_seg(sig, yw, yw2, True, sg)
-                alpha = line_min(
-                    lambda a, curv: logistic_seg(sigmoid_neg(ym + a * yw),
-                                                 yw, yw2, curv),
-                    lo, 1.0, 0.0, d, h, ls_tol, ls_max_iter)
+                last = None
+                alpha = line_min(seg, lo, 1.0, 0.0, d, h, ls_tol, ls_max_iter)
             if lo != 0.0 or alpha > 0.0:
                 ncand += 1
             if away:
                 alpha = away_update(lam, i, alpha, lo, capped, drop_tol)
             if alpha == 0.0:
                 continue
-            sq_x = vertex_move(x, j, s, alpha, sq_x, z, sc, w)
-            ym = ylab * z
-            sig, sg = logistic_start(ym, not grad_rule)
+            sq_x = coord_move(x, j, s, alpha, sq_x)
+            # a full step takes the vertex's margins ysc, which ym + yw
+            # need not round to
+            if alpha != 1.0 and last is not None and alpha == last[0]:
+                _, ym, sig, sg = last
+            else:
+                if alpha == 1.0:
+                    ym = ysc
+                else:
+                    yw *= alpha
+                    ym += yw
+                sig, sg = logistic_start(ym, not grad_rule)
             scr_ok = False
             rescan = screen
         p = q
+    np.multiply(ylab, ym, z)
     return sq_x
 
 

@@ -219,9 +219,10 @@ class _CompositeObjective(BoundObjective):
 
     A family supplies its loss g (_g_of), the gradient of g at a point
     (_resid_grad_at), the slope <grad g(z), w> at the cached z
-    (_dir_deriv), the argmin over [lo, hi] of g(z + alpha w) (_argmin),
-    a bound G2 on g'' that sets L = G2 sigma_max(A)^2, and the name of
-    its cycle kernel over coordinate vertices (KERNEL)."""
+    (_dir_deriv), the argmin over [lo, hi] of g(z + alpha w) along the move
+    `key` names, a vertex i or a pair (i, j) (_argmin), a bound G2 on g''
+    that sets L = G2 sigma_max(A)^2, and the name of its cycle kernel over
+    coordinate vertices (KERNEL)."""
 
     def __init__(self, A, poly, x0=None, L=None):
         A = np.ascontiguousarray(A, dtype=np.float64)
@@ -269,7 +270,7 @@ class _CompositeObjective(BoundObjective):
                     max_iter=_kernels.LS_MAX_ITER):
         """argmin over [lo, hi] of f along the segment toward vertex i."""
         col, s = self._col_scale(i)
-        return self._argmin(s * col - self.z, lo, hi, tol, max_iter)
+        return self._argmin(s * col - self.z, lo, hi, tol, max_iter, i)
 
     def _move(self, i, alpha):
         col, s = self._col_scale(i)
@@ -288,8 +289,12 @@ class _CompositeObjective(BoundObjective):
                 self.x += alpha * (v - self.x)
             self.sq_x = float(self.x @ self.x)
 
+    def _resid_grad(self):
+        # the gradient of g at the cached z
+        return self._resid_grad_at(self.z)
+
     def full_gradient(self):
-        return self.A_cols @ self._resid_grad_at(self.z)
+        return self.A_cols @ self._resid_grad()
 
     def grad_at(self, y):
         return self.A.T @ self._resid_grad_at(self.A @ np.asarray(y, dtype=np.float64))
@@ -308,7 +313,7 @@ class _CompositeObjective(BoundObjective):
 
     def pair_line_search(self, i, j, lo, hi):
         return self._argmin(self._pair_dir(i, j), lo, hi, _kernels.LS_TOL,
-                            _kernels.LS_MAX_ITER)
+                            _kernels.LS_MAX_ITER, (i, j))
 
     def _pair_move(self, i, j, theta):
         self.z += theta * self._pair_dir(i, j)
@@ -345,7 +350,7 @@ class LeastSquares(_CompositeObjective):
     def _dir_deriv(self, w):
         return 2.0 * (float(w @ self.z) - float(w @ self.bvec))
 
-    def _argmin(self, w, lo, hi, tol, max_iter):
+    def _argmin(self, w, lo, hi, tol, max_iter, key):
         # closed form: phi(alpha) = f(z + alpha w) has phi'(0) =
         # _dir_deriv(w) and phi'' = 2 w.w
         return grad_step_alpha(self._dir_deriv(w), float(w @ w), 2.0, lo, hi)
@@ -364,7 +369,14 @@ class LeastSquares(_CompositeObjective):
 
 
 class Logistic(_CompositeObjective):
-    """f(x) = sum_i log(1 + exp(-y_i a_i' x)) with cached margins A x."""
+    """f(x) = sum_i log(1 + exp(-y_i a_i' x)) with cached margins A x.
+
+    It also keeps ym = y z and sig = sigmoid_neg(ym) at the cached z, once
+    read: the gradient, the segment slopes and the start of each line
+    search read them.  As in logistic_cycle, a move by the step at which
+    its line search evaluated last takes that evaluation's (ym, sig),
+    except a full step, which copies the vertex's column into z; any other
+    change to z drops them."""
 
     G2 = 0.25
     KERNEL = "logistic_cycle"
@@ -376,6 +388,18 @@ class Logistic(_CompositeObjective):
         super().__init__(A, poly, x0, L)
         if self.labels.shape != (self.n,):
             raise ValueError("labels must have one entry per row of A")
+        self._col_l1 = None  # the column l1 norms, for logistic_cycle
+
+    def refresh_cache(self):
+        super().refresh_cache()
+        self._ms = None  # (ym, sig) at z, once read
+        self._last = None  # (key, alpha, ym, sig) of the last evaluation
+
+    def _margins(self):
+        if self._ms is None:
+            ym = self.labels * self.z
+            self._ms = ym, _kernels.sigmoid_neg(ym)
+        return self._ms
 
     def _g_of(self, z):
         return float(np.logaddexp(0.0, -self.labels * z).sum())
@@ -383,26 +407,52 @@ class Logistic(_CompositeObjective):
     def _resid_grad_at(self, z):
         return -self.labels * _kernels.sigmoid_neg(self.labels * z)
 
-    def _dir_deriv(self, w):
-        return float(self._resid_grad_at(self.z) @ w)
+    def _resid_grad(self):
+        return -self.labels * self._margins()[1]
 
-    def _argmin(self, w, lo, hi, tol, max_iter):
+    def _dir_deriv(self, w):
+        return float(self._resid_grad() @ w)
+
+    def _argmin(self, w, lo, hi, tol, max_iter, key):
         # bisect_line_min on (phi', phi'') of phi(a) = f(z + a w)
+        ym, sig = self._margins()
         yw = self.labels * w
-        ym = self.labels * self.z
         yw2 = yw * yw
-        return bisect_line_min(
-            lambda a: _kernels.logistic_seg(_kernels.sigmoid_neg(ym + a * yw),
-                                            yw, yw2, True),
-            lo, hi, tol=tol, max_iter=max_iter)
+
+        def fn(a):
+            if a == 0.0:
+                m, sa, sga = ym, sig, None
+            else:
+                m, sa, sga = _kernels.logistic_at(ym, yw, a, True)
+            self._last = key, a, m, sa
+            return _kernels.logistic_seg(sa, yw, yw2, True, sga)
+        return bisect_line_min(fn, lo, hi, tol=tol, max_iter=max_iter)
+
+    def _adopt(self, key, step, exact):
+        # after z moved by step along the move key, as z + fl(step w) where
+        # exact: the margins of the last evaluation if it was there
+        last, self._last = self._last, None
+        self._ms = (last[2:] if exact and last is not None
+                    and last[:2] == (key, step) else None)
+
+    def _move(self, i, alpha):
+        super()._move(i, alpha)
+        self._adopt(i, alpha, alpha != 1.0)
+
+    def _pair_move(self, i, j, theta):
+        super()._pair_move(i, j, theta)
+        self._adopt((i, j), theta, True)
 
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
+        if self._col_l1 is None:
+            self._col_l1 = np.abs(self.A_cols).sum(axis=1)
         L = self.L if grad_rule else 1.0
         self.sq_x = fn(self.A_cols, self.labels, self.z, self.x, lam, order,
                        self.poly.vertex_coords, self.poly.vertex_scales,
                        grad_rule, away, L, self.sq_x, gamma_cap, drop_tol,
-                       ls_tol, ls_max_iter)
+                       ls_tol, ls_max_iter, self._col_l1)
+        self._ms = self._last = None
         self._bump(len(order))
 
 

@@ -799,6 +799,94 @@ def test_kde_tsq_nonnegative_invariant():
         assert tsq_raw.min() >= -1e-12
 
 
+# -- the logistic margins cache ----------------------------------------------
+
+
+def _check_logistic_cache(obj, what, sig=_kernels.sigmoid_neg):
+    # full_gradient and every segment slope, bit for bit their formulas on
+    # the current z
+    g = -obj.labels * sig(obj.labels * obj.z)
+    assert obj.full_gradient().tobytes() == (obj.A_cols @ g).tobytes(), what
+    poly = obj.poly
+    for i in range(poly.M):
+        w = (float(poly.vertex_scales[i]) * obj.A_cols[poly.vertex_coords[i]]
+             - obj.z)
+        assert obj.segment_query(i).b == float(g @ w), (what, i)
+
+
+def test_logistic_margins_cache_follows_every_change_of_z(monkeypatch):
+    # feature 2 separates the labels with a margin, so from x0 the line
+    # search toward C e_2 (vertex 4) ends with its end test at alpha = 1,
+    # where the margins y (z + 1 w) that it evaluated give another gradient
+    # than those of the vertex, y (C A e_2)
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((30, 6))
+    labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    A[:, 2] = labels * (2.0 + np.abs(rng.standard_normal(30)))
+    x0 = np.random.default_rng(0).standard_normal(6)
+    x0 *= 5.0 / np.abs(x0).sum()
+    obj = Logistic(A, labels, L1Ball(6, 20.0), x0=x0)
+    ym, yv = labels * obj.z, labels * (20.0 * A[:, 2])
+    assert not np.array_equal(
+        A.T @ _kernels.sigmoid_neg(ym + 1.0 * (yv - ym)),
+        A.T @ _kernels.sigmoid_neg(yv))
+    calls = []
+    sigmoid = _kernels.sigmoid_neg
+    monkeypatch.setattr(_kernels, "sigmoid_neg",
+                        lambda m: calls.append(1) or sigmoid(m))
+
+    def adopted(act):
+        # act moves z by the step its search evaluated last, so the next
+        # reads compute no sigmoid
+        act()
+        calls.clear()
+        obj.full_gradient()
+        obj.segment_query(0)
+        return not calls
+
+    _check_logistic_cache(obj, "fresh")
+    assert obj.line_search(4, 0.0, 1.0) == 1.0
+    obj.apply_step(4, 1.0)
+    _check_logistic_cache(obj, "full step")
+    obj.full_gradient()
+    obj.reset(obj.poly.project(rng.standard_normal(6)))
+    _check_logistic_cache(obj, "reset to a new point")
+    alpha = obj.line_search(0, 0.0, 1.0)
+    assert 0.0 < alpha < 1.0
+    assert adopted(lambda: obj.apply_step(0, alpha))
+    _check_logistic_cache(obj, "search, then its step")
+    alpha = obj.line_search(1, 0.0, 1.0)
+    assert alpha != 0.0
+    obj.apply_step(1, 0.5 * alpha)
+    _check_logistic_cache(obj, "search, then another step")
+    # the first pair whose search ends inside its interval; on the ball a
+    # pair move need not stay feasible, which the caches do not rely on
+    for i, j in itertools.permutations(range(6), 2):
+        theta = obj.pair_line_search(i, j, -1.0, 1.0)
+        if -1.0 < theta < 1.0:
+            break
+    assert adopted(lambda: obj.apply_pair_step(i, j, theta))
+    _check_logistic_cache(obj, "pair search, then its step")
+    # a step other than the one the search returns
+    assert obj.pair_line_search(i, j, -1.0, 1.0) != 0.25
+    obj.apply_pair_step(i, j, 0.25)
+    _check_logistic_cache(obj, "pair search, then another step")
+    # the next step refreshes the caches, after taking the search's rows
+    monkeypatch.setattr(objectives, "REFRESH_EVERY",
+                        obj._steps + 1 - obj._last_refresh)
+    alpha = obj.line_search(2, 0.0, 1.0)
+    assert alpha != 0.0
+    obj.apply_step(2, alpha)
+    assert obj._last_refresh == obj._steps
+    _check_logistic_cache(obj, "refresh")
+    monkeypatch.undo()
+    obj.full_gradient()
+    obj.run_cycle(_kernels.kernel(obj.kernel_name()),
+                  np.arange(obj.poly.M), np.empty(0), False, False, 1e12,
+                  _kernels.DROP_TOL, _kernels.LS_TOL, _kernels.LS_MAX_ITER)
+    _check_logistic_cache(obj, "run_cycle")
+
+
 # -- pair moves (two-coordinate machinery) -----------------------------------
 
 

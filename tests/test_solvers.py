@@ -551,6 +551,52 @@ def test_cancelled_closed_form_matches_the_per_step_path(seed):
     assert np.max(np.abs(A @ kern[0] - A @ step[0])) <= 1e-9
 
 
+def _separable_logistic(seed):
+    """Labels that feature 2 separates with a margin of 2, on the l1 ball of
+    radius 20, with weights 1/3 on vertices 0, 1 and 5 (-C e_2) and a visit
+    order that starts at vertex 5."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((40, 6))
+    labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    A[:, 2] = labels * (2.0 + np.abs(rng.standard_normal(40)))
+    lam0 = np.zeros(12)
+    lam0[[0, 1, 5]] = 1.0 / 3.0
+    order = np.r_[5, np.delete(np.arange(12), 5)]
+    return A, labels, L1Ball(6, 20.0), lam0, order
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_logistic_full_step_and_drop_on_both_paths(seed):
+    # the away step from vertex 5 drops it (its search ends at the interval
+    # end, which it evaluates without curvature), and the step toward
+    # vertex 4 (C e_2) is a full step mid-pass; the kernel recomputes its
+    # start after both.  The callback replays pass 1's weights to see them.
+    A, labels, ball, lam0, order = _separable_logistic(seed)
+    lam = lam0.copy()
+    events = []
+
+    def replay(t, i, alpha):
+        if t == 1:
+            lo, capped = _kernels.step_interval(True, lam, i, 1e12)
+            if alpha == 1.0:
+                events.append(("full", i))
+            elif alpha == lo != 0.0 and not capped:
+                events.append(("drop", i))
+            _kernels.away_update(lam, i, alpha, lo, capped, _kernels.DROP_TOL)
+
+    cfg = SolveConfig(max_outer=5, rel_improve_tol=0.0, lam0=lam0,
+                      visit_order=order)
+    kern = polycdwa_solve(Logistic(A, labels, ball), ball, cfg)
+    step = polycdwa_solve(Logistic(A, labels, ball), ball, cfg,
+                          inner_callback=replay)
+    assert events == [("drop", 5), ("full", 4)]
+    for name, u, v in (("x", kern[0], step[0]),
+                       ("lam", kern[1].lam, step[1].lam),
+                       ("f-trace", _f_trace(kern), _f_trace(step))):
+        scale = np.maximum(np.abs(u), 1.0)
+        assert np.max(np.abs(u - v) / scale) <= 1e-9, name
+
+
 def _start_families():
     rng = np.random.default_rng(37)
     A = rng.standard_normal((40, 12))

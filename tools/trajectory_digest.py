@@ -25,6 +25,14 @@ weights 1/2 on vertices 2 and 6 (C e_1 and C e_3, whose images agree),
 visiting them first: the step toward vertex 2 then has w = 0, which the
 kernel's closed form meets through cancellation.
 
+A crafted logistic family (seeds 0-2, 5 passes) runs polycd and polycdwa
+with both step rules on both paths.  Feature 2 separates the labels with a
+margin of 2 on L1Ball(6, 20), and the run starts at weights 1/3 on
+vertices 0, 1 and 5 (-C e_2), visiting vertex 5 first.  Under the line
+search the away step from vertex 5 drops it, and the step toward vertex 4
+(C e_2) is a full step mid-pass, so the cases digest the moves whose next
+start the logistic kernel recomputes.
+
 The last cases are the kde-away benchmark's shape: polycdwa on the kernel
 path, on gen_kde(n=1000) seed 0, for 5 passes, with the line search and
 with the gradient rule.
@@ -172,6 +180,23 @@ def crafted_cases():
                     visit_order=order)
 
 
+def separable_logistic_cases():
+    """The crafted logistic cases: a drop and a full step in pass 1."""
+    lam0 = np.zeros(12)
+    lam0[[0, 1, 5]] = 1.0 / 3.0
+    order = np.r_[5, np.delete(np.arange(12), 5)]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((40, 6))
+        labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        A[:, 2] = labels * (2.0 + np.abs(rng.standard_normal(40)))
+        for solve, rule, use_k in itertools.product(
+                (polycd_solve, polycdwa_solve), (LINE_SEARCH, GRAD_1D),
+                (True, False)):
+            cyclic_case(f"sep{seed}", Logistic(A, labels, L1Ball(6, 20.0)),
+                        solve, rule, 5, use_k, lam0=lam0, visit_order=order)
+
+
 def kde_away_cases():
     """The kde-away benchmark's solve at its size, for fewer passes, so
     that the kernel pass's cache rebuild, row-set swaps and block
@@ -240,6 +265,7 @@ def main():
     listed_cases(insts)
     baseline_cases(insts)
     crafted_cases()
+    separable_logistic_cases()
     kde_away_cases()
 
 
