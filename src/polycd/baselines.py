@@ -105,27 +105,51 @@ def _start(obj, poly, cfg):
     return poly, cfg, obj.start_weights()
 
 
-def fw_solve(obj, poly=None, cfg=None):
-    """Vanilla Frank-Wolfe: per iteration pick the vertex minimizing the
-    linearized objective (ties broken by lowest index), then exact line
-    search on the segment toward it."""
+def _fw_loop(obj, poly, cfg, away, gamma_cap=_kernels.GAMMA_CAP):
+    """The loop of fw_solve and, with away steps, afw_solve.  The two
+    differ only in the choice of direction, the weight update and the
+    weight refresh, which plain Frank-Wolfe skips."""
     poly, cfg, lam = _start(obj, poly, cfg)
     obj.reset(poly.combination(lam))
+    state = AwayState(lam=lam)
     run = _Run(cfg, obj.eval, obj.x)
     for k in run.iterations():
         g = obj.full_gradient()
         scores = poly.vertex_scores(g)
-        v_idx = int(scores.argmin())
-        fw_gap = float(g @ obj.x) - float(scores[v_idx])
+        v = int(scores.argmin())
+        gx = float(g @ obj.x)
+        fw_gap = gx - float(scores[v])
         if fw_gap <= cfg.fw_gap_tol:
             break
-        obj.apply_step(v_idx, obj.line_search(v_idx, 0.0, 1.0))
+        # a toward step is never a drop: it counts as capped
+        lo, hi, capped = 0.0, 1.0, True
+        if away:
+            v_aw = int(np.argmax(np.where(lam > 0.0, scores, -np.inf)))
+            fw_slope = float(scores[v]) - gx      # <g, v_fw - x> <= 0
+            aw_slope = gx - float(scores[v_aw])   # <g, x - v_aw> <= 0
+            if not (fw_slope <= aw_slope or lam[v_aw] >= 1.0):
+                v, hi = v_aw, 0.0
+                lo, capped = _kernels.step_interval(True, lam, v, gamma_cap)
+        alpha = obj.line_search(v, lo, hi)
+        if away:
+            alpha = _kernels.away_update(lam, v, alpha, lo, capped,
+                                         _kernels.DROP_TOL)
+        obj.apply_step(v, alpha)
+        if away:
+            weight_refresh(state, obj.x, poly, tol=1e-8)
         if run.stop_after(k, obj.eval, obj.x):
             break
     return obj.x.copy(), run.trace
 
 
-def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
+def fw_solve(obj, poly=None, cfg=None):
+    """Vanilla Frank-Wolfe: per iteration pick the vertex minimizing the
+    linearized objective (ties broken by lowest index), then exact line
+    search on the segment toward it."""
+    return _fw_loop(obj, poly, cfg, False)
+
+
+def afw_solve(obj, poly=None, cfg=None, gamma_cap=_kernels.GAMMA_CAP):
     """Away-step Frank-Wolfe with exact line search and weight maintenance.
 
     Per iteration the steeper of the toward-vertex and away-from-vertex
@@ -136,35 +160,7 @@ def afw_solve(obj, poly=None, cfg=None, gamma_cap=1e12):
     # not <=: a NaN cap is rejected too
     if not gamma_cap > 0:
         raise ValueError("gamma_cap must be positive")
-    poly, cfg, lam = _start(obj, poly, cfg)
-    obj.reset(poly.combination(lam))
-    state = AwayState(lam=lam)
-    run = _Run(cfg, obj.eval, obj.x)
-    for k in run.iterations():
-        g = obj.full_gradient()
-        scores = poly.vertex_scores(g)
-        v_fw = int(np.argmin(scores))
-        gx = float(g @ obj.x)
-        fw_gap = gx - float(scores[v_fw])
-        if fw_gap <= cfg.fw_gap_tol:
-            break
-        away_scores = np.where(lam > 0.0, scores, -np.inf)
-        v_aw = int(np.argmax(away_scores))
-        fw_slope = float(scores[v_fw]) - gx      # <g, v_fw - x> <= 0
-        aw_slope = gx - float(scores[v_aw])      # <g, x - v_aw> <= 0
-        if fw_slope <= aw_slope or lam[v_aw] >= 1.0:
-            # a toward step is never a drop: it counts as capped
-            v, lo, hi, capped = v_fw, 0.0, 1.0, True
-        else:
-            v, hi = v_aw, 0.0
-            lo, capped = _kernels.step_interval(True, lam, v, gamma_cap)
-        alpha = _kernels.away_update(lam, v, obj.line_search(v, lo, hi), lo,
-                                     capped, _kernels.DROP_TOL)
-        obj.apply_step(v, alpha)
-        weight_refresh(state, obj.x, poly, tol=1e-8)
-        if run.stop_after(k, obj.eval, obj.x):
-            break
-    return obj.x.copy(), run.trace
+    return _fw_loop(obj, poly, cfg, True, gamma_cap)
 
 
 def fista_solve(obj, poly=None, cfg=None):

@@ -52,35 +52,31 @@ def project_l1_ball(y, radius):
     return np.sign(y) * w
 
 
-def _accel_pg_qp(B, n_p, tol=1e-12, max_iter=200_000):
-    """min_{p in simplex, q in simplex} ||B @ [p; q]||^2 by accelerated
-    projected gradient with monotone restarts.  Returns the optimal value's
-    square root, i.e. the distance between the two vertex hulls whose
-    (signed) vertex coordinates are stacked in B's columns."""
-    m = B.shape[1]
+def _simplex_qp(B, y, sizes, tol, max_iter=200_000):
+    """argmin ||B @ u - y||^2 over u in a product of simplices, one for each
+    block of consecutive entries of u with the given sizes, by accelerated
+    projected gradient with monotone restarts."""
     G = 2.0 * (B.T @ B)
+    c = -2.0 * (B.T @ y)
     L = np.linalg.norm(G, 2)
-    if L <= 0:
-        return 0.0
-    step = 1.0 / L
+    ends = np.cumsum(sizes)[:-1]
 
     def proj(u):
-        out = np.empty_like(u)
-        out[:n_p] = project_simplex(u[:n_p])
-        out[n_p:] = project_simplex(u[n_p:])
-        return out
+        return np.concatenate([project_simplex(p) for p in np.split(u, ends)])
 
-    u = proj(np.full(m, 0.5))
+    u = proj(np.full(B.shape[1], 0.5))
+    if L <= 0:
+        return u
+    step = 1.0 / L
     v = u.copy()
     theta = 1.0
-    f_u = u @ G @ u / 2.0
+    f_u = u @ G @ u / 2.0 + c @ u
     for _ in range(max_iter):
-        g = G @ v
-        u_new = proj(v - step * g)
-        f_new = u_new @ G @ u_new / 2.0
+        u_new = proj(v - step * (G @ v + c))
+        f_new = u_new @ G @ u_new / 2.0 + c @ u_new
         if f_new > f_u:  # restart momentum, fall back to a plain PG step
-            u_new = proj(u - step * (G @ u))
-            f_new = u_new @ G @ u_new / 2.0
+            u_new = proj(u - step * (G @ u + c))
+            f_new = u_new @ G @ u_new / 2.0 + c @ u_new
             theta = 1.0
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         v = u_new + ((theta - 1.0) / theta_new) * (u_new - u)
@@ -89,10 +85,9 @@ def _accel_pg_qp(B, n_p, tol=1e-12, max_iter=200_000):
         u, f_u = u_new, f_new
         if moved <= tol:
             # stationarity of the projected-gradient map at u itself
-            if np.max(np.abs(u - proj(u - step * (G @ u)))) <= tol:
+            if np.max(np.abs(u - proj(u - step * (G @ u + c)))) <= tol:
                 break
-    r = B @ u
-    return float(np.sqrt(max(r @ r, 0.0)))
+    return u
 
 
 class VertexPolytope:
@@ -192,7 +187,9 @@ class VertexPolytope:
         for T in faces:
             U = [i for i in range(self.M) if i not in T]
             B = np.hstack([V[list(T)].T, -V[U].T])
-            best = min(best, _accel_pg_qp(B, len(T), tol=1e-10))
+            r = B @ _simplex_qp(B, np.zeros(self.d), (len(T), len(U)),
+                                tol=1e-10)
+            best = min(best, float(np.sqrt(max(r @ r, 0.0))))
         if not best > 0:
             raise PolytopeError("degenerate polytope: zero facial distance")
         return float(best)
@@ -368,18 +365,4 @@ class ExplicitVertices(VertexPolytope):
     def project(self, y):
         """Projection via the weight-space QP min_{lam in simplex} ||V' lam - y||^2."""
         y = np.asarray(y, dtype=np.float64)
-        G = 2.0 * (self.V @ self.V.T)
-        c = -2.0 * (self.V @ y)
-        L = np.linalg.norm(G, 2)
-        if L <= 0:
-            return self.V[0].copy()
-        lam = np.full(self.M, 1.0 / self.M)
-        step = 1.0 / L
-        for _ in range(100_000):
-            g = G @ lam + c
-            new = project_simplex(lam - step * g)
-            if np.max(np.abs(new - lam)) <= 1e-13:
-                lam = new
-                break
-            lam = new
-        return self.V.T @ lam
+        return self.V.T @ _simplex_qp(self.V.T, y, (self.M,), tol=1e-13)

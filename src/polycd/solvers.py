@@ -59,7 +59,7 @@ class SolveConfig:
     start_vertex: int | None = None
     x0: np.ndarray | None = None
     lam0: np.ndarray | None = None
-    gamma_cap: float = 1e12
+    gamma_cap: float = _kernels.GAMMA_CAP
     drop_tol: float = _kernels.DROP_TOL  # snap-to-drop tolerance around -gamma
     ls_tol: float = _kernels.LS_TOL
     ls_max_iter: int = _kernels.LS_MAX_ITER
@@ -260,8 +260,16 @@ class BoundReport:
         return self.bounds - self.gaps
 
 
-def _slack(f_star):
-    return 1e-12 * max(1.0, abs(f_star))
+def _bound_report(recs, f_star, bound):
+    """The BoundReport of the records recs against bound(ts), with a
+    relative slack of 1e-9 and an absolute one of 1e-12 max(1, |f_star|)."""
+    ts = np.array([r.t for r in recs])
+    gaps = np.array([r.f_value - f_star for r in recs])
+    bounds = bound(ts)
+    viol = gaps > bounds * (1.0 + 1e-9) + 1e-12 * max(1.0, abs(f_star))
+    first = int(ts[viol][0]) if viol.any() else None
+    return BoundReport(ok=not viol.any(), ts=ts, gaps=gaps, bounds=bounds,
+                       first_violation=first)
 
 
 def check_sublinear_bound(trace, f_star, M, L, D, rule):
@@ -273,13 +281,7 @@ def check_sublinear_bound(trace, f_star, M, L, D, rule):
         raise ValueError("trace has no records with t >= 1")
     gap1 = trace[1].f_value - f_star if trace[0].t == 0 else recs[0].f_value - f_star
     const = max(gap1, K * M * L * D * D)
-    ts = np.array([r.t for r in recs])
-    gaps = np.array([r.f_value - f_star for r in recs])
-    bounds = const / ts
-    viol = gaps > bounds * (1.0 + 1e-9) + _slack(f_star)
-    first = int(ts[viol][0]) if viol.any() else None
-    return BoundReport(ok=not viol.any(), ts=ts, gaps=gaps, bounds=bounds,
-                       first_violation=first)
+    return _bound_report(recs, f_star, lambda ts: const / ts)
 
 
 def check_linear_bound(trace, f_star, M, L, D, mu, psi, rule):
@@ -294,10 +296,4 @@ def check_linear_bound(trace, f_star, M, L, D, mu, psi, rule):
     if trace[0].t != 0:
         raise ValueError("trace must start at t = 0")
     gap0 = trace[0].f_value - f_star
-    ts = np.array([r.t for r in trace])
-    gaps = np.array([r.f_value - f_star for r in trace])
-    bounds = gap0 * rho ** ts
-    viol = gaps > bounds * (1.0 + 1e-9) + _slack(f_star)
-    first = int(ts[viol][0]) if viol.any() else None
-    return BoundReport(ok=not viol.any(), ts=ts, gaps=gaps, bounds=bounds,
-                       first_violation=first)
+    return _bound_report(trace, f_star, lambda ts: gap0 * rho ** ts)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, ExplicitVertices,
 from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
+from polycd.objectives import REFRESH_EVERY
 from polycd.verify import reference_solve
 
 
@@ -401,6 +403,14 @@ def test_kernel_path_matches_generic_path():
                 scale = np.maximum(np.abs(u), 1.0)
                 assert np.max(np.abs(u - v) / scale, initial=0.0) <= 1e-9, (
                     case, name)
+                # the logistic paths round every move alike, so they agree
+                # bitwise (LeastSquares and KdeHuber differ near 1e-16 and
+                # 1e-13).  Only below REFRESH_EVERY steps: the per-step
+                # path rebuilds its margins every REFRESH_EVERY steps, the
+                # kernel path at the end of each pass
+                if isinstance(obj, Logistic):
+                    assert 20 * ball.M < REFRESH_EVERY
+                    assert np.array_equal(u, v), (case, name)
 
 
 def test_composite_objectives_over_listed_vertices_match_the_l1_ball():
@@ -595,6 +605,21 @@ def test_logistic_full_step_and_drop_on_both_paths(seed):
                        ("f-trace", _f_trace(kern), _f_trace(step))):
         scale = np.maximum(np.abs(u), 1.0)
         assert np.max(np.abs(u - v) / scale) <= 1e-9, name
+    # bitwise with either solver and step rule, as in
+    # test_kernel_path_matches_generic_path: both paths take a full step's
+    # margins from the vertex, and the 5 * 12 steps stay below
+    # REFRESH_EVERY
+    for solve, rule in itertools.product((polycd_solve, polycdwa_solve),
+                                         (LINE_SEARCH, GRAD_1D)):
+        kern, step = _kernel_and_per_step(
+            lambda: Logistic(A, labels, ball), solve,
+            dataclasses.replace(cfg, step_rule=rule))
+        pairs = [("x", kern[0], step[0]),
+                 ("f-trace", _f_trace(kern), _f_trace(step))]
+        if solve is polycdwa_solve:
+            pairs.append(("lam", kern[1].lam, step[1].lam))
+        for name, u, v in pairs:
+            assert np.array_equal(u, v), (solve.__name__, rule, name)
 
 
 def _start_families():

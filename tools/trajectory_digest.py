@@ -14,7 +14,10 @@ the lifted simplex form of the l1-ball problems), each with the default
 config, with window=None, record_every=7, and with window=20,
 window_tol=1e-6, record_every=3.  A digest covers (t, f, inner_steps, nnz)
 of every record and the final x.  Each line ends with the case's final f
-(repr), so a changed digest shows how far the trajectory moved.
+(repr), so a changed digest shows how far the trajectory moved.  AFW also
+runs with the default config and a cap on the away step that binds
+(gamma_cap=0.05 on lasso and logistic, 1e-3 on KDE), so its capped steps
+are digested too.
 
 Two crafted lasso families run polycd and polycdwa with the line search
 on both paths.  In the full-step cases (n=30, d=12, seeds 0-5, 3 passes)
@@ -78,6 +81,10 @@ BASELINE_CONFIGS = (
     ("every7", {"window": None, "record_every": 7}),
     ("window20", {"window": 20, "window_tol": 1e-6, "record_every": 3}),
 )
+
+# the away-step cap of the capped AFW cases, by instance, small enough to
+# bind: the KDE run starts at weights 1/600, whose gamma_i is 1/599
+CAPPED_AFW = {"lasso": 0.05, "logistic": 0.05, "kde": 1e-3}
 
 
 def listed_ball(C):
@@ -145,17 +152,31 @@ def listed_cases(insts):
         cyclic_case(f"{name}-ev", make_listed(), solve, rule, PASSES, False)
 
 
+def baseline_case(name, label, cname, obj, solve, cfg, **kw):
+    """Run one baseline solve, with further keyword arguments kw, and print
+    its digest line."""
+    x, trace = solve(obj, obj.poly, cfg, **kw)
+    rows = np.array([(r.t, r.f_value, r.inner_steps, r.nnz)
+                     for r in trace], dtype=np.float64)
+    h = hashlib.sha256(rows.tobytes())
+    h.update(x.tobytes())
+    print_case((f"{name:8s}", f"{label:14s}", f"{cname:11s}",
+                f"{len(trace):8d}"), h, trace[-1].f_value)
+
+
 def baseline_cases(insts):
     cases = itertools.product(insts, BASELINES, BASELINE_CONFIGS)
     for (name, make, make_lifted, _), (label, solve), (cname, kw) in cases:
         obj = make_lifted() if label == "2cd" else make()
-        x, trace = solve(obj, obj.poly, BaselineConfig(**kw))
-        rows = np.array([(r.t, r.f_value, r.inner_steps, r.nnz)
-                         for r in trace], dtype=np.float64)
-        h = hashlib.sha256(rows.tobytes())
-        h.update(x.tobytes())
-        print_case((f"{name:8s}", f"{label:14s}", f"{cname:11s}",
-                    f"{len(trace):8d}"), h, trace[-1].f_value)
+        baseline_case(name, label, cname, obj, solve, BaselineConfig(**kw))
+
+
+def capped_afw_cases(insts):
+    """AFW with a binding cap CAPPED_AFW on each instance, so that capped
+    away steps, which are never drops, are digested."""
+    for name, make, _, _ in insts:
+        baseline_case(name, "afw-capped", "default", make(), afw_solve,
+                      BaselineConfig(), gamma_cap=CAPPED_AFW[name])
 
 
 def crafted_cases():
@@ -264,6 +285,7 @@ def main():
     cyclic_cases(insts)
     listed_cases(insts)
     baseline_cases(insts)
+    capped_afw_cases(insts)
     crafted_cases()
     separable_logistic_cases()
     kde_away_cases()
