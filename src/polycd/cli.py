@@ -3,7 +3,6 @@
 Subcommands:
   solve          one problem instance, one solver, prints the result
   bench          full multi-solver comparison driven by a JSON config
-  verify         run the condensed property suite (pass/fail per property)
   gen            generate and dump a synthetic dataset
 """
 
@@ -68,18 +67,6 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_verify(args):
-    from .verify import run_verification
-
-    checks = run_verification(verbose=True, seed=args.seed)
-    bad = [name for name, ok, _ in checks if not ok]
-    print(f"\n{len(checks) - len(bad)}/{len(checks)} properties passed")
-    if bad:
-        print("failed:", ", ".join(bad))
-        return 1
-    return 0
-
-
 def _cmd_gen(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,7 +96,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="polycd",
         description="cyclic vertex descent solvers over vertex-enumerated "
-                    "polytopes, with benchmark and verification harnesses")
+                    "polytopes, with a benchmark harness")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("solve", help="run one solver on one instance")
@@ -131,10 +118,6 @@ def main(argv=None):
     p = sub.add_parser("bench", help="full comparison from a JSON config")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="dump a synthetic dataset")
     _add_problem_flags(p)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineConfig, afw_solve, fista_solve, fw_solve, twocd_solve
-from .objectives import KdeHuber, LeastSquares, Logistic, Quadratic
+from .objectives import (KdeHuber, LeastSquares, Logistic, Quadratic,
+                         smoothness_override)
 from .polytope import L1Ball, StandardSimplex
 from .problems import (RNG_NAME, KdeSpec, LassoSpec, LogisticSpec, gen_kde,
                        gen_lasso, gen_logistic)
@@ -78,6 +79,7 @@ class SolverCell:
         for name in ("rel_improve_tol", "window_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        smoothness_override(self.smoothness, "smoothness")
         if self.label is None:
             self.label = self.name
 
@@ -107,6 +109,11 @@ class ExperimentConfig:
                         f"problem ({self.preset})")
         self.solvers = [s if isinstance(s, SolverCell) else SolverCell.from_dict(s)
                         for s in self.solvers]
+        if (self.preset == "custom-simplex-quadratic"
+                and any(s.smoothness is not None for s in self.solvers)):
+            raise ValueError("smoothness cannot be overridden for the "
+                             "custom-simplex-quadratic preset: Quadratic "
+                             "computes L exactly")
         labels = [s.label for s in self.solvers]
         if len(set(labels)) != len(labels):
             raise ValueError("solver labels must be unique (set label explicitly)")
@@ -180,6 +187,7 @@ class _Bundle:
             Q = B.T @ B / d + mu * np.eye(d)
             qlin = rng.standard_normal(d)
             poly = self.poly = self.lifted_poly = StandardSimplex(d)
+            # L is exact here; ExperimentConfig rejects an override
             self._make = lambda L=None: Quadratic(Q, qlin, poly=poly)
             self._make_lifted = self._make
             self.dim = d

@@ -124,6 +124,19 @@ def _require_finite(name, arr):
             raise ValueError(f"{name} has non-finite entries")
 
 
+def smoothness_override(L, name="L"):
+    """float(L), or None where L is None and the family's bound is to be
+    estimated; ValueError naming the override unless it is finite and
+    positive (a zero, negative or infinite L freezes the step rule, and a
+    NaN one poisons the weights)."""
+    if L is None:
+        return None
+    L = float(L)
+    if not 0.0 < L < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {L!r}")
+    return L
+
+
 class BoundObjective:
     """Shared iterate/cache bookkeeping for all objective families.
 
@@ -241,7 +254,7 @@ class _CompositeObjective(BoundObjective):
         else:
             # effective data column per listed vertex, A v_i
             self._pv_cols = np.ascontiguousarray((A @ poly.vertex_matrix().T).T)
-        self._L_cached = float(L) if L is not None else None
+        self._L_cached = smoothness_override(L)
         self._init_state(poly, x0)
 
     def refresh_cache(self):
@@ -513,7 +526,7 @@ class KdeHuber(BoundObjective):
             poly = StandardSimplex(self.n)
         if not (isinstance(poly, StandardSimplex) and poly.d == self.n):
             raise ValueError("weight vector must live on the simplex of the samples")
-        self._L_cached = float(L) if L is not None else None
+        self._L_cached = smoothness_override(L)
         self._cols = {}
         self._work = _kernels.kde_work(self.n)  # the per-step searches' rows
         self._init_state(poly, x0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, afw_solve
 from .objectives import KdeHuber, kde_scales
-from .polytope import L1Ball, StandardSimplex, project_simplex
+from .polytope import L1Ball, StandardSimplex
 
 
 def finite_diff_gradient(obj, x, h=1e-5):
@@ -89,12 +89,12 @@ def certify_fw_gap(obj, poly, x):
     return float(g @ x - scores.min())
 
 
-def reference_solve(obj, poly=None, tol=1e-12, max_iter=1_000_000,
-                    grid_check=None):
+def reference_solve(obj, poly=None, tol=1e-12, max_iter=1_000_000):
     """Projected gradient with fixed step 1/L run to a small relative
-    residual; the returned certificate bounds the remaining gap.  For tiny
-    ambient dimensions the result is additionally cross-checked against an
-    exhaustive refined grid (on by default where supported).
+    residual; the returned certificate bounds the remaining gap.  On a
+    simplex of dimension <= 3 or an l1 ball of dimension <= 2 the result is
+    also cross-checked against an exhaustive refined grid, and an
+    AssertionError reports a grid point better than the resolution allows.
     """
     poly = poly if poly is not None else obj.poly
     L = obj.L
@@ -109,10 +109,8 @@ def reference_solve(obj, poly=None, tol=1e-12, max_iter=1_000_000,
         if res <= tol:
             break
     f = float(obj.eval_at(x))
-    if grid_check is None:
-        grid_check = ((isinstance(poly, StandardSimplex) and poly.d <= 3)
-                      or (isinstance(poly, L1Ball) and poly.d <= 2))
-    if grid_check:
+    if ((isinstance(poly, StandardSimplex) and poly.d <= 3)
+            or (isinstance(poly, L1Ball) and poly.d <= 2)):
         f_grid = grid_search_min(obj, poly)
         # the grid never beats a converged reference by more than its resolution
         if f_grid < f - 1e-6 * max(1.0, abs(f)):
@@ -437,183 +435,3 @@ def check_reduction_identity(grad_seq, x_seq, z):
                               for k in range(i, j + 1)))
                 worst = max(worst, abs(lhs2 - rhs2))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# pass/fail property report (the CLI `verify` subcommand)
-# ---------------------------------------------------------------------------
-
-
-def run_verification(verbose=True, seed=0):
-    """Run a condensed property suite and return [(name, ok, detail), ...].
-
-    The pytest suite is the authoritative gate; this is the quick in-process
-    report for installed copies.
-    """
-    from .objectives import (LeastSquares, Logistic, Quadratic,
-                             grad_step_alpha)
-    from .problems import LassoSpec, LogisticSpec, gen_lasso, gen_logistic
-    from .solvers import (GRAD_1D, LINE_SEARCH, SolveConfig,
-                          check_linear_bound, check_sublinear_bound,
-                          polycd_solve, polycdwa_solve)
-    from .baselines import fista_solve
-
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def record(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-        if verbose:
-            mark = "PASS" if ok else "FAIL"
-            extra = f"  ({detail})" if detail else ""
-            print(f"[{mark}] {name}{extra}")
-
-    # projections satisfy the variational inequality against the vertices
-    ok = True
-    for _ in range(20):
-        y = rng.standard_normal(8) * 3
-        p = project_simplex(y)
-        ok &= p.min() >= -1e-12 and abs(p.sum() - 1) <= 1e-10
-        ok &= all((y - p) @ (np.eye(8)[i] - p) <= 1e-9 for i in range(8))
-    record("simplex projection optimality", ok)
-
-    # facial distances on tiny sets against the exhaustive split oracle
-    def simplex_psi_oracle(M):
-        return min(np.sqrt(1.0 / k + 1.0 / (M - k)) for k in range(1, M))
-
-    ok = True
-    for dd in (2, 3, 4):
-        got = StandardSimplex(dd).facial_distance()
-        ok &= abs(got - simplex_psi_oracle(dd)) <= 1e-8
-    record("facial distance (simplex 2..4)", ok)
-
-    # finite-difference gradients
-    spec = LassoSpec(n=40, d=15, r=4, snr=2.0, seed=seed)
-    A, b, _, C = gen_lasso(spec)
-    ball = L1Ball(15, C)
-    ls = LeastSquares(A, b, ball)
-    x = ball.project(rng.standard_normal(15))
-    g = ls.grad_at(x)
-    fd = finite_diff_gradient(ls, x)
-    record("least-squares gradient vs finite differences",
-           np.linalg.norm(g - fd) <= 1e-4 * max(1.0, np.linalg.norm(g)))
-
-    lspec = LogisticSpec(n=40, d=15, r=4, seed=seed)
-    A2, labs, _, C2 = gen_logistic(lspec)
-    lg = Logistic(A2, labs, L1Ball(15, C2))
-    g = lg.grad_at(x)
-    fd = finite_diff_gradient(lg, x)
-    record("logistic gradient vs finite differences",
-           np.linalg.norm(g - fd) <= 1e-4 * max(1.0, np.linalg.norm(g)))
-
-    pts = rng.standard_normal((30, 2)) * 2
-    kde = KdeHuber(pts, 1.0, 0.4)
-    w = project_simplex(rng.random(30))
-    g = kde.grad_at(w)
-    fd = finite_diff_gradient(kde, w)
-    record("kde gradient vs finite differences",
-           np.linalg.norm(g - fd) <= 1e-3 * max(1.0, np.linalg.norm(g)))
-
-    # Newton line search against the golden-section oracle
-    lg.reset(lg.poly.vertex(2))
-    ok = True
-    for i in (0, 3, 7):
-        a_bis = lg.line_search(i, 0.0, 1.0)
-        x0 = lg.x.copy()
-        v = lg.poly.vertex(i)
-        a_gold = golden_section_min(lambda a: lg.eval_at(x0 + a * (v - x0)),
-                                    0.0, 1.0, tol=1e-10)
-        ok &= abs(a_bis - a_gold) <= 1e-7
-    record("safeguarded Newton line search vs golden section", ok)
-
-    # 1D gradient rule against a grid oracle on its own model
-    ok = True
-    for _ in range(30):
-        bq = rng.standard_normal() * 4
-        cq = abs(rng.standard_normal()) + 0.1
-        Lq = abs(rng.standard_normal()) + 0.5
-        a_rule = grad_step_alpha(bq, cq, Lq, 0.0, 1.0)
-        a_grid = grid_line_min(lambda a: a * bq + 0.5 * Lq * a * a * cq,
-                               0.0, 1.0, levels=4)
-        ok &= abs(a_rule - a_grid) <= 1e-6
-    record("1D gradient rule vs grid oracle", ok)
-
-    # simplex decomposition identity
-    ok = True
-    for _ in range(200):
-        aa = project_simplex(rng.standard_normal(6))
-        bb = project_simplex(rng.standard_normal(6))
-        p, q, eta = simplex_decompose(aa, bb)
-        ok &= np.max(np.abs((aa - bb) - 0.5 * eta * (p - q))) <= 1e-14
-        ok &= set(np.flatnonzero(p > 0)) <= set(np.flatnonzero(aa > 0))
-    record("simplex vector decomposition", ok)
-
-    # sequence recursion bound: holds on 1/k, premise failure detected
-    good = check_sequence_lemma([1.0 / k for k in range(1, 200)], 1.0)
-    bad = check_sequence_lemma([1.0, 1.0, 1.0], 1.0)
-    record("sequence recursion lemma checker",
-           good.status == "ok" and bad.status == "premise")
-
-    # telescoping identities on random quadratic sequences
-    simplex4 = StandardSimplex(4)
-    Braw = rng.standard_normal((6, 4))
-    quad = Quadratic(Braw.T @ Braw, rng.standard_normal(4), poly=simplex4)
-    gs, xs = reduction_sequences_from_steps(quad, simplex4, 5, rng)
-    err = check_reduction_identity(gs, xs, simplex4.vertex(0))
-    record("telescoping reduction identities", err <= 1e-10, f"err={err:.2e}")
-
-    # sublinear rate bound on random convex quadratics
-    ok = True
-    for trial in range(4):
-        M = 5
-        Braw = rng.standard_normal((3, M))
-        Q = Braw.T @ Braw  # rank-deficient: convex but not strongly
-        quad = Quadratic(Q, rng.standard_normal(M), poly=StandardSimplex(M))
-        ref = reference_solve(quad, tol=1e-13, max_iter=300_000)
-        D = StandardSimplex(M).diameter()
-        for rule in (LINE_SEARCH, GRAD_1D):
-            quad.reset()
-            _, tr = polycd_solve(quad, None,
-                                 SolveConfig(step_rule=rule, max_outer=40,
-                                             rel_improve_tol=0.0))
-            rep = check_sublinear_bound(tr, ref.f, M, quad.L, D, rule)
-            ok &= rep.ok
-    record("sublinear rate bound suite (sample)", ok)
-
-    # linear rate bound on strongly convex quadratics
-    ok = True
-    psi3 = StandardSimplex(3).facial_distance()
-    for trial in range(3):
-        Braw = rng.standard_normal((6, 3))
-        Q = Braw.T @ Braw + 0.5 * np.eye(3)
-        quad = Quadratic(Q, rng.standard_normal(3), poly=StandardSimplex(3))
-        ref = reference_solve(quad, tol=1e-13, max_iter=300_000)
-        D = StandardSimplex(3).diameter()
-        for rule in (LINE_SEARCH, GRAD_1D):
-            quad.reset()
-            _, _, tr = polycdwa_solve(quad, None,
-                                      SolveConfig(step_rule=rule, max_outer=40,
-                                                  rel_improve_tol=0.0))
-            rep = check_linear_bound(tr, ref.f, 3, quad.L, D, quad.mu, psi3, rule)
-            ok &= rep.ok
-    record("linear rate bound suite (sample)", ok)
-
-    # small cross-solver consistency probe
-    spec = LassoSpec(n=60, d=30, r=5, snr=1.0, seed=seed + 1)
-    A, b, _, C = gen_lasso(spec)
-    ballc = L1Ball(30, C)
-    f_hats = []
-    o = LeastSquares(A, b, ballc)
-    _, _, tr = polycdwa_solve(o, ballc, SolveConfig(max_outer=200,
-                                                    rel_improve_tol=1e-14))
-    f_hats.append(min(r.f_value for r in tr))
-    o = LeastSquares(A, b, ballc)
-    _, tr = fista_solve(o, ballc, BaselineConfig(max_iter=4000, window=200,
-                                                 window_tol=1e-14))
-    f_hats.append(min(r.f_value for r in tr))
-    f_star = min(f_hats)
-    dev = max((f - f_star) / max(abs(f_star), 1.0) for f in f_hats)
-    record("cross-solver agreement (small instance)", dev <= 1e-6,
-           f"max rel gap={dev:.2e}")
-
-    return checks

@@ -20,9 +20,10 @@ def test_solve_subcommand_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "res" / "trace_polycdwa_rep0.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--max-outer", "--max-iter"])
+@pytest.mark.parametrize("flag", ["--max-outer", "--max-iter", "--smoothness"])
 def test_solve_rejects_zero_budget(tmp_path, flag):
-    # --max-outer 0 used to exit 0 with the solver reported as failed
+    # --max-outer 0 used to exit 0 with the solver reported as failed, and
+    # --smoothness 0 divided by zero partway through a pass
     with pytest.raises(ValueError, match=flag[2:].replace("-", "_")):
         main(["solve", "--preset", "lasso", "--n", "20", "--d", "10",
               "--r", "2", "--solver", "fw", flag, "0",
@@ -112,23 +113,3 @@ def test_default_flags_problem_section(monkeypatch, preset, problem):
                         lambda cfg: seen.append(cfg.problem) or {"solvers": {}})
     assert main(["solve", "--preset", preset]) == 0
     assert seen == [problem]
-
-
-def test_verify_subcommand_runs_the_property_suite(capsys):
-    assert main(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("[PASS]") for line in lines) == 13
-    assert "13/13 properties passed" in lines
-
-
-def test_verify_subcommand_wiring(monkeypatch, capsys):
-    import polycd.verify as V
-
-    monkeypatch.setattr(V, "run_verification",
-                        lambda verbose=True, seed=0: [("stub", True, "")])
-    assert main(["verify"]) == 0
-    monkeypatch.setattr(V, "run_verification",
-                        lambda verbose=True, seed=0: [("stub", False, "bad")])
-    assert main(["verify"]) == 1
-    out = capsys.readouterr().out
-    assert "failed: stub" in out

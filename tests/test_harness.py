@@ -75,6 +75,15 @@ def test_solver_cell_rejects_non_integer_counts(field, value):
                                                  field: value}]})
 
 
+def test_quadratic_preset_rejects_a_smoothness_override():
+    # Quadratic computes L exactly, and the override used to be dropped
+    with pytest.raises(ValueError, match="smoothness"):
+        ExperimentConfig.from_dict({"preset": "custom-simplex-quadratic",
+                                    "problem": {"d": 5},
+                                    "solvers": [{"name": "polycd",
+                                                 "smoothness": 10.0}]})
+
+
 def test_solver_cell_budget_none_means_default():
     bundle = _Bundle("lasso", {"n": 30, "d": 6, "r": 2, "snr": 1.0}, 0)
     for max_iter, last in ((None, bundle.twocd_budget), (3, 3)):

@@ -738,6 +738,19 @@ def test_estimate_smoothness_zero_matrix_floor():
     assert obj.L == pytest.approx(1e-12)
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("make", [
+    lambda L: LeastSquares(np.eye(3), np.zeros(3), StandardSimplex(3), L=L),
+    lambda L: Logistic(np.eye(3), np.ones(3), L1Ball(3, 1.0), L=L),
+    lambda L: KdeHuber(np.eye(3), 1.0, 0.4, L=L),
+], ids=["lasso", "logistic", "kde"])
+def test_smoothness_override_must_be_finite_and_positive(make, L):
+    # L = 0 divided by zero partway through a pass, L < 0 and L = inf froze
+    # the run at its start, and L = nan collapsed polycdwa's weights
+    with pytest.raises(ValueError, match="L must be finite and positive"):
+        make(L)
+
+
 def test_estimate_smoothness_upper_bounds_dense_eig():
     rng = np.random.default_rng(22)
     A = rng.standard_normal((50, 20))

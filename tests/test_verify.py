@@ -26,7 +26,7 @@ def random_quadratic(M, seed, mu=0.0):
 
 def test_reference_solve_symmetric_optimum():
     obj = LeastSquares(np.eye(3), np.zeros(3), StandardSimplex(3))
-    ref = reference_solve(obj, tol=1e-13, max_iter=200_000, grid_check=True)
+    ref = reference_solve(obj, tol=1e-13, max_iter=200_000)
     assert ref.f == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert ref.converged
     assert ref.fw_gap <= 1e-10
@@ -35,9 +35,21 @@ def test_reference_solve_symmetric_optimum():
 def test_reference_solve_motivating_problem():
     ball = L1Ball(2, 1.0)
     obj = LeastSquares(np.eye(2), np.array([2.0, 2.0]), ball)
-    ref = reference_solve(obj, tol=1e-13, max_iter=300_000, grid_check=True)
+    ref = reference_solve(obj, tol=1e-13, max_iter=300_000)
     assert ref.f == pytest.approx(4.5, abs=1e-9)
     assert np.allclose(ref.x, [0.5, 0.5], atol=1e-7)
+
+
+@pytest.mark.parametrize("A, b, poly", [
+    (np.eye(3), np.zeros(3), StandardSimplex(3)),
+    (np.eye(2), np.array([2.0, 2.0]), L1Ball(2, 1.0)),
+], ids=["simplex3", "l1ball2"])
+def test_reference_solve_grid_cross_check_catches_an_unconverged_point(A, b, poly):
+    # one projected-gradient step leaves f above the optimum by more than
+    # the grid's resolution, which the cross-check on these tiny polytopes
+    # must report
+    with pytest.raises(AssertionError, match="grid search found a better point"):
+        reference_solve(LeastSquares(A, b, poly), max_iter=1)
 
 
 def test_reference_solve_beats_random_envelope():
