@@ -4,9 +4,10 @@ so that a segment query toward any vertex costs O(n + d).
 Every objective keeps its iterate ``x`` plus objective-specific caches (the
 product A x for the composite losses, the kernel products for the density
 objective) that are updated incrementally by ``apply_step`` and rebuilt from
-scratch every ``REFRESH_EVERY`` steps to keep floating-point drift bounded.
-A kernel pass of the density objective rebuilds its caches from the kernel
-columns it builds (``_kernels.kde_cycle``), so it needs no refresh.
+scratch by one rule on both cyclic paths, which keeps floating-point drift
+bounded: at the first pass end (a multiple of M steps) at least
+``REFRESH_EVERY`` steps after the last rebuild.  A density kernel pass
+rebuilds them from its kernel columns (``_kernels.kde_cycle``).
 ``eval_at``/``grad_at`` are stateless recomputations used by the oracles, so
 they share no code path with the incremental caches.
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .polytope import StandardSimplex
 
-# steps between two rebuilds of an objective's caches
+# the fewest steps between two rebuilds of an objective's caches
 REFRESH_EVERY = 1000
 
 # rows of the kernel matrix that KdeHuber.matvec builds at a time
@@ -142,12 +143,13 @@ class BoundObjective:
 
     A zero step only counts toward the refresh; any other step calls the
     family's _move, or for a pair move its _pair_move, which moves the
-    caches before x_i, x_j and ||x||^2 (sq_x) are written here."""
+    caches before x_i, x_j and ||x||^2 (sq_x) are written here.  _steps
+    counts the steps since the last rebuild, which _bump makes at the first
+    pass end (a multiple of M) from REFRESH_EVERY steps on."""
 
     def _init_state(self, poly, x0):
         self.poly = poly
         self._steps = 0
-        self._last_refresh = 0
         self._rebuilt_at = None  # the bytes of the x of reset's last rebuild
         self.reset(x0)
 
@@ -157,19 +159,19 @@ class BoundObjective:
         return self.poly.vertex_weights(0)
 
     def reset(self, x0=None):
-        """Start at x0 (default: the combination of start_weights()).  The
-        caches are rebuilt unless no step was taken since their last
-        rebuild here, at x0 bit for bit, and x still holds x0."""
+        """Start at the finite point x0 (default: the combination of
+        start_weights()).  The caches are kept when no step followed their
+        last rebuild, reset's last was at x0 bitwise and x still holds x0."""
         if x0 is None:
             x0 = self.poly.combination(self.start_weights())
         x = np.array(x0, dtype=np.float64)
         if x.shape != (self.poly.d,):
             raise ValueError("start point dimension mismatch")
+        _require_finite("x0", x)
         keep = (self._steps == 0
                 and self._rebuilt_at == x.tobytes() == self.x.tobytes())
         self.x = x
         self._steps = 0
-        self._last_refresh = 0
         if not keep:
             self.refresh_cache()
             self._rebuilt_at = x.tobytes()
@@ -179,9 +181,9 @@ class BoundObjective:
 
     def _bump(self, k=1):
         self._steps += k
-        if self._steps - self._last_refresh >= REFRESH_EVERY:
+        if self._steps >= REFRESH_EVERY and self._steps % self.poly.M == 0:
             self.refresh_cache()
-            self._last_refresh = self._steps
+            self._steps = 0
 
     def apply_step(self, i, alpha):
         """Move x by the step alpha toward vertex i."""
@@ -682,9 +684,9 @@ class KdeHuber(BoundObjective):
             raise CacheConsistencyError(
                 f"the caches kde_cycle carries drifted {drift:.2e} from "
                 f"their rebuild, past {KDE_DRIFT_TOL:.0e}")
-        # the pass rebuilt u, q and ||w||^2 from its own kernel columns
-        self._steps += len(order)
-        self._last_refresh = self._steps
+        # the pass rebuilt the caches, to other bits than refresh_cache's
+        self._steps = 0
+        self._rebuilt_at = None
 
 
 class Quadratic(BoundObjective):

@@ -55,8 +55,7 @@ class SolveConfig:
     rel_improve_tol: float = 1e-8
     visit_order: np.ndarray | None = None  # permutation of range(M); None = cyclic
     # the start: x0 (plain solver only), else the weights start_weights
-    # picks from lam0, start_vertex and the objective's default
-    start_vertex: int | None = None
+    # picks from lam0 and the objective's default
     x0: np.ndarray | None = None
     lam0: np.ndarray | None = None
     gamma_cap: float = _kernels.GAMMA_CAP
@@ -67,7 +66,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.step_rule not in _RULES:
             raise ValueError(f"step_rule must be one of {_RULES}")
-        require_ints(self, "max_outer", "start_vertex", "ls_max_iter")
+        require_ints(self, "max_outer", "ls_max_iter")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         # not <: a NaN tolerance is rejected too
@@ -132,18 +131,14 @@ def _resolve_order(M, visit_order):
 
 def start_weights(obj, cfg):
     """The vertex weights a cyclic solve starts at: cfg.lam0, else the
-    vertex cfg.start_vertex, else the objective's own default
-    obj.start_weights()."""
-    poly = obj.poly
-    if cfg.lam0 is not None:
-        lam = np.array(cfg.lam0, dtype=np.float64)
-        if (lam.shape != (poly.M,) or not np.isfinite(lam).all()
-                or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-10):
-            raise ValueError("lam0 must be a point of the weight simplex")
-        return lam
-    if cfg.start_vertex is not None:
-        return poly.vertex_weights(cfg.start_vertex)
-    return obj.start_weights()
+    objective's own default obj.start_weights()."""
+    if cfg.lam0 is None:
+        return obj.start_weights()
+    lam = np.array(cfg.lam0, dtype=np.float64)
+    if (lam.shape != (obj.poly.M,) or not np.isfinite(lam).all()
+            or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-10):
+        raise ValueError("lam0 must be a point of the weight simplex")
+    return lam
 
 
 def _inner_step(obj, i, lo, cfg):
@@ -192,6 +187,7 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
             obj.run_cycle(fn, order, lam, grad_rule, away,
                           cfg.gamma_cap, cfg.drop_tol, cfg.ls_tol, cfg.ls_max_iter)
         else:
+            # a degenerate visit counts as a zero step, as in a kernel pass
             for i in order:
                 alpha = 0.0
                 if not obj.segment_is_degenerate(i):
@@ -201,7 +197,7 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
                     if away:
                         alpha = _kernels.away_update(lam, i, alpha, lo, capped,
                                                      cfg.drop_tol)
-                    obj.apply_step(i, alpha)
+                obj.apply_step(i, alpha)
                 if inner_callback is not None:
                     inner_callback(t, int(i), float(alpha))
         inner_total += M

@@ -406,7 +406,8 @@ def test_kde_run_cycle_rebuilds_the_caches_from_its_columns(monkeypatch):
         assert obj.q == x @ obj.u
         assert obj.sq_x == x @ x
     assert calls == []
-    assert obj._last_refresh == obj._steps == 3 * len(order)
+    # so the step count restarts, and reset rebuilds the caches
+    assert obj._steps == 0 and obj._rebuilt_at is None
 
 
 def test_kde_run_cycle_raises_on_a_drifted_cache():

@@ -80,6 +80,28 @@ def test_nonfinite_data_is_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("make", [
+    lambda **kw: LeastSquares(np.ones((6, 6)), np.ones(6), L1Ball(6, 1.0),
+                              **kw),
+    lambda **kw: Logistic(np.ones((6, 6)), np.ones(6), L1Ball(6, 1.0), **kw),
+    lambda **kw: KdeHuber(np.arange(24.0).reshape(12, 2), 1.0, 0.4, **kw),
+    lambda **kw: Quadratic(np.eye(6), np.zeros(6), poly=StandardSimplex(6),
+                           **kw),
+], ids=["lasso", "logistic", "kde", "quad"])
+def test_nonfinite_start_point_is_rejected(make, bad):
+    # a NaN start gave f = nan (lasso), and an infinite one warned and gave
+    # f = nan (KDE), from the constructor and from reset alike
+    obj = make()
+    x0 = np.full(obj.poly.d, bad)
+    with pytest.raises(ValueError, match="x0 has non-finite entries"):
+        make(x0=x0)
+    x = obj.x.copy()
+    with pytest.raises(ValueError, match="x0 has non-finite entries"):
+        obj.reset(x0)
+    assert np.array_equal(obj.x, x)
+
+
 @pytest.mark.parametrize("bandwidth,huber_mu,dim,name", [
     (np.inf, 0.4, 2, "bandwidth"),
     (np.nan, 0.4, 2, "bandwidth"),
@@ -884,13 +906,15 @@ def test_logistic_margins_cache_follows_every_change_of_z(monkeypatch):
     assert obj.pair_line_search(i, j, -1.0, 1.0) != 0.25
     obj.apply_pair_step(i, j, 0.25)
     _check_logistic_cache(obj, "pair search, then another step")
-    # the next step refreshes the caches, after taking the search's rows
-    monkeypatch.setattr(objectives, "REFRESH_EVERY",
-                        obj._steps + 1 - obj._last_refresh)
+    # the next step ends a pass and refreshes the caches, after taking the
+    # search's rows; zero steps, which only count, bring it to a pass end
+    while (obj._steps + 1) % obj.poly.M:
+        obj.apply_step(0, 0.0)
+    monkeypatch.setattr(objectives, "REFRESH_EVERY", obj._steps + 1)
     alpha = obj.line_search(2, 0.0, 1.0)
     assert alpha != 0.0
     obj.apply_step(2, alpha)
-    assert obj._last_refresh == obj._steps
+    assert obj._steps == 0
     _check_logistic_cache(obj, "refresh")
     monkeypatch.undo()
     obj.full_gradient()

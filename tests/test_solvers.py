@@ -14,6 +14,7 @@ from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
 from polycd.objectives import REFRESH_EVERY
+from polycd.problems import LogisticSpec, gen_logistic
 from polycd.verify import reference_solve
 
 
@@ -74,10 +75,9 @@ def test_bad_start_is_rejected_before_any_pass():
     with pytest.raises(ValueError, match="lam0"):
         polycdwa_solve(obj, ball,
                        SolveConfig(lam0=np.array([np.nan, 0.0, 0.0, 1.0])))
-    # out-of-range start vertex: both solvers name it
-    for solve in (polycd_solve, polycdwa_solve):
-        with pytest.raises(PolytopeError, match="out of range"):
-            solve(obj, ball, SolveConfig(start_vertex=ball.M))
+    # the weights of an out-of-range start vertex name it
+    with pytest.raises(PolytopeError, match="out of range"):
+        ball.vertex_weights(ball.M)
     # a nonpositive cap made every away interval [1, 1]
     for cap in (-1.0, 0.0, np.nan):
         with pytest.raises(ValueError, match="gamma_cap"):
@@ -405,12 +405,55 @@ def test_kernel_path_matches_generic_path():
                     case, name)
                 # the logistic paths round every move alike, so they agree
                 # bitwise (LeastSquares and KdeHuber differ near 1e-16 and
-                # 1e-13).  Only below REFRESH_EVERY steps: the per-step
-                # path rebuilds its margins every REFRESH_EVERY steps, the
-                # kernel path at the end of each pass
+                # 1e-13)
                 if isinstance(obj, Logistic):
-                    assert 20 * ball.M < REFRESH_EVERY
                     assert np.array_equal(u, v), (case, name)
+    # past REFRESH_EVERY steps too: both paths rebuild the caches at the
+    # same pass ends (M = 400, so after passes 3, 6, 9, ...)
+    A, labels, _, C = gen_logistic(LogisticSpec(n=200, d=200, r=20, seed=0))
+    big = L1Ball(200, C)
+    assert 40 * big.M > REFRESH_EVERY
+    for solve, rule in itertools.product((polycd_solve, polycdwa_solve),
+                                         (LINE_SEARCH, GRAD_1D)):
+        kern, step = _kernel_and_per_step(
+            lambda: Logistic(A, labels, big), solve,
+            SolveConfig(step_rule=rule, max_outer=40, rel_improve_tol=0.0))
+        pairs = [("f-trace", _f_trace(kern), _f_trace(step)),
+                 ("x", kern[0], step[0])]
+        if solve is polycdwa_solve:
+            pairs.append(("lam", kern[1].lam, step[1].lam))
+        for name, u, v in pairs:
+            assert len(u) == len(v) and np.array_equal(u, v), (
+                solve.__name__, rule, name)
+
+
+@pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
+@pytest.mark.parametrize("solve", [polycd_solve, polycdwa_solve])
+def test_per_step_path_rebuilds_the_caches_at_pass_ends(monkeypatch, solve,
+                                                        rule):
+    # M = 14 does not divide REFRESH_EVERY, so a cadence of REFRESH_EVERY
+    # steps would rebuild mid-pass; the rebuilds fall at the first pass end
+    # past it instead, after 72 and 144 passes.  Each visit counts, the
+    # degenerate one to the start vertex 0 included.  The labels are
+    # separable and the radius large, so f falls in every pass.
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 7))
+    labels = np.sign(A @ rng.standard_normal(7))
+    ball = L1Ball(7, 50.0)
+    assert REFRESH_EVERY % ball.M
+    obj = Logistic(A, labels, ball)
+    visits, rebuilds = [], []
+
+    def spy(orig=obj.refresh_cache):
+        # the visit that rebuilds has not been reported yet
+        rebuilds.append(len(visits) + 1)
+        orig()
+    monkeypatch.setattr(obj, "refresh_cache", spy)
+    trace = solve(obj, ball, SolveConfig(step_rule=rule, max_outer=150,
+                                         rel_improve_tol=0.0),
+                  inner_callback=lambda t, i, a: visits.append(i))[-1]
+    assert len(trace) == 151 and len(visits) == 150 * ball.M
+    assert rebuilds == [72 * ball.M, 144 * ball.M]
 
 
 def test_composite_objectives_over_listed_vertices_match_the_l1_ball():
@@ -607,8 +650,7 @@ def test_logistic_full_step_and_drop_on_both_paths(seed):
         assert np.max(np.abs(u - v) / scale) <= 1e-9, name
     # bitwise with either solver and step rule, as in
     # test_kernel_path_matches_generic_path: both paths take a full step's
-    # margins from the vertex, and the 5 * 12 steps stay below
-    # REFRESH_EVERY
+    # margins from the vertex
     for solve, rule in itertools.product((polycd_solve, polycdwa_solve),
                                          (LINE_SEARCH, GRAD_1D)):
         kern, step = _kernel_and_per_step(
@@ -632,20 +674,6 @@ def _start_families():
     return {"lasso": lambda: LeastSquares(A, b, ball),
             "logistic": lambda: Logistic(A, labels, ball),
             "kde": lambda: KdeHuber(points, 1.0, 0.4)}
-
-
-@pytest.mark.parametrize("family", ["lasso", "logistic", "kde"])
-def test_vertex_lam0_follows_the_start_vertex_trajectory(family):
-    make = _start_families()[family]
-    runs = []
-    for start in ({"start_vertex": 5}, {"lam0": np.eye(make().poly.M)[5]}):
-        obj = make()
-        out = polycdwa_solve(obj, obj.poly,
-                             SolveConfig(max_outer=8, rel_improve_tol=0.0,
-                                         **start))
-        runs.append((_f_trace(out), out[0], out[1].lam))
-    for name, u, v in zip(("f-trace", "x", "lam"), *runs):
-        assert u.tobytes() == v.tobytes(), name
 
 
 @pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
@@ -687,14 +715,14 @@ def test_start_vertex_and_lam0_start_where_they_say(family):
     make = _start_families()[family]
     poly = make().poly
     lam0 = np.random.default_rng(43).dirichlet(np.ones(poly.M))
-    for start, lam in (({"start_vertex": 3}, poly.vertex_weights(3)),
-                       ({"lam0": lam0}, lam0)):
-        cfg = SolveConfig(max_outer=1, **start)
+    # a start vertex is the lam0 of its weights
+    for lam in (poly.vertex_weights(3), lam0):
+        cfg = SolveConfig(max_outer=1, lam0=lam)
         assert np.array_equal(start_weights(make(), cfg), lam)
         f0 = make().eval_at(poly.combination(lam))
         for solve in (polycd_solve, polycdwa_solve):
             obj = make()
-            assert solve(obj, obj.poly, cfg)[-1][0].f_value == f0, start
+            assert solve(obj, obj.poly, cfg)[-1][0].f_value == f0, lam
 
 
 @pytest.mark.parametrize("family", ["lasso", "logistic"])
@@ -705,7 +733,7 @@ def test_lasso_and_logistic_start_at_vertex_0_by_default(family):
     assert obj.x.tobytes() == obj.poly.vertex(0).tobytes()
     for solve in (polycd_solve, polycdwa_solve):
         runs = []
-        for start in ({}, {"start_vertex": 0}):
+        for start in ({}, {"lam0": obj.poly.vertex_weights(0)}):
             obj = make()
             out = solve(obj, obj.poly, SolveConfig(max_outer=8,
                                                    rel_improve_tol=0.0,
@@ -716,8 +744,8 @@ def test_lasso_and_logistic_start_at_vertex_0_by_default(family):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_outer", 2.5), ("max_outer", "10"), ("start_vertex", 1.0),
-    ("ls_max_iter", 2.5), ("rel_improve_tol", np.nan)])
+    ("max_outer", 2.5), ("max_outer", "10"), ("ls_max_iter", 2.5),
+    ("rel_improve_tol", np.nan)])
 def test_config_rejects_non_integer_counts_and_a_nan_tolerance(field, value):
     # max_outer=2.5 raised TypeError from range inside the solve, and a NaN
     # rel_improve_tol silently switched the stop rule off
@@ -726,7 +754,7 @@ def test_config_rejects_non_integer_counts_and_a_nan_tolerance(field, value):
 
 
 def test_config_accepts_numpy_integer_counts():
-    cfg = SolveConfig(max_outer=np.int64(2), start_vertex=np.int32(1))
+    cfg = SolveConfig(max_outer=np.int64(2), ls_max_iter=np.int32(50))
     obj, ball = motivating_objective()
     _, trace = polycd_solve(obj, ball, cfg)
     assert len(trace) <= 3

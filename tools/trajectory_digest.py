@@ -47,11 +47,15 @@ Run it on two checkouts, then compare the outputs:
 
 The second form prints each case whose digest differs, with the relative
 change of its final f (the absolute change where the first f is 0), each case that only the second output has (new),
-the number of cases unchanged and the largest relative change.  It exits
-with status 1 when that change exceeds F_CHANGE_LIMIT (1e-11), or when a
-case of the first output is missing from the second.  A change that only
-reorders rounding moves a final f by far less than the limit, so a larger
-move is a change of behaviour.
+the number of cases unchanged and the largest relative change.  It also
+checks the second output on its own: the kernel and per-step paths of each
+of the 16 Logistic cyclic pairs (4 `logistic`, 12 `sep0`-`sep2`) must print
+the same digest, since the per-step path is a bitwise spec of
+logistic_cycle.  It exits with status 1 when the largest change exceeds
+F_CHANGE_LIMIT (1e-11), when a case of the first output is missing from the
+second, or when a Logistic pair differs.  A change that only reorders
+rounding moves a final f by far less than the limit, so a larger move is a
+change of behaviour.
 """
 
 import hashlib
@@ -81,6 +85,10 @@ BASELINE_CONFIGS = (
     ("every7", {"window": None, "record_every": 7}),
     ("window20", {"window": 20, "window_tol": 1e-6, "record_every": 3}),
 )
+
+# the instances whose cyclic cases the compare form checks for equal
+# kernel and per-step digests
+LOGISTIC_PAIRS = ("logistic", "sep0", "sep1", "sep2")
 
 # the away-step cap of the capped AFW cases, by instance, small enough to
 # bind: the KDE run starts at weights 1/600, whose gamma_i is 1/599
@@ -275,10 +283,29 @@ def compare(before, after):
     return worst, len(missing)
 
 
+def logistic_pairs(path):
+    """Print each Logistic cyclic case of an output of this tool whose
+    kernel and per-step digests differ, then the number of pairs that
+    agree.  Returns the number that differ."""
+    cases = read_cases(path)
+    kernel = [case for case in cases if case.endswith(" kernel")
+              and case.split()[0] in LOGISTIC_PAIRS]
+    differ = 0
+    for case in kernel:
+        step = case[:-len("kernel")] + "per-step"
+        if cases[case][0] != cases.get(step, (None,))[0]:
+            differ += 1
+            print(f"{case}: the per-step path gives another digest")
+    print(f"{len(kernel) - differ} of {len(kernel)} Logistic kernel/per-step "
+          f"pairs agree")
+    return differ
+
+
 def main():
     if len(sys.argv) == 3:
         worst, missing = compare(*sys.argv[1:])
-        if worst > F_CHANGE_LIMIT or missing:
+        if (logistic_pairs(sys.argv[2]) or worst > F_CHANGE_LIMIT
+                or missing):
             sys.exit(1)
         return
     insts = list(instances())
