@@ -8,7 +8,9 @@ refresh.
 
 The step math that every vertex step shares is written once, as the
 helpers below: the step interval (step_interval), the away-step weight
-update with its drop snap (away_update), the 1D gradient rule, the
+update with its drop snap (away_update), which carries the weights'
+rescale as one scalar that a pass folds in when it ends (carry_scale),
+the read of a block of data columns (block_rows), the 1D gradient rule, the
 safeguarded Newton line search (newton_step, end_test_due and the loop
 line_min, which starts at the current point alpha = 0 and can take its
 first step to third order; defaults LS_TOL and LS_MAX_ITER), the segment
@@ -72,13 +74,14 @@ def is_degenerate(c, scale):
     return c <= _DEGENERATE_REL * scale
 
 
-def step_interval(away, lam, i, gamma_cap):
+def step_interval(away, lam, scale, i, gamma_cap):
     """(lo, capped): the step toward vertex i ranges over [lo, 1].  Plain
     mode gives [0, 1]; away mode gives lo = -min(gamma_i, gamma_cap) with
-    gamma_i = lam_i / (1 - lam_i), and capped says whether the cap binds."""
+    gamma_i = lam_i / (1 - lam_i), where lam_i = scale * lam[i] (the scale
+    that away_update carries), and capped says whether the cap binds."""
     if not away:
         return 0.0, False
-    lam_i = float(lam[i])
+    lam_i = scale * float(lam[i])
     if lam_i >= 1.0:
         return -gamma_cap, True
     gma = lam_i / (1.0 - lam_i)
@@ -87,22 +90,38 @@ def step_interval(away, lam, i, gamma_cap):
     return -gma, False
 
 
-def away_update(lam, i, alpha, lo, capped, drop_tol):
-    """Update the weights in place for the step alpha toward vertex i on
-    [lo, 1] and return the step taken.  A step within drop_tol of an
-    uncapped lo = -gamma_i is the drop step alpha = lo, after which the
-    weight is an exact zero; a capped step stops short of -gamma_i and is
-    never a drop.  alpha = 0 leaves the weights as they are: a drop to
-    alpha = 0 means lo = 0, so lam_i is zero already."""
+def carry_scale(v, scale, beta):
+    """The scale that v carries unapplied (v stands for scale * v), times
+    beta; where that product leaves scale_in_range it is folded into v,
+    which then carries the scale 1."""
+    scale *= beta
+    if scale_in_range(scale):
+        return scale
+    v *= scale
+    return 1.0
+
+
+def away_update(lam, scale, i, alpha, lo, capped, drop_tol):
+    """Update the weights scale * lam in place for the step alpha toward
+    vertex i on [lo, 1] and return (the step taken, the new scale).  Every
+    weight scales by 1 - alpha, which the returned scale carries
+    (carry_scale), so a step writes only lam[i]; the caller folds the scale
+    into lam (lam *= scale) when its pass ends.  The scale is folded before
+    alpha / scale is added, so a full step, whose scale 0 is folded, writes
+    lam = e_i exactly.  A step within drop_tol of an uncapped lo = -gamma_i
+    is the drop step alpha = lo, after which the weight is an exact zero; a
+    capped step stops short of -gamma_i and is never a drop.  alpha = 0
+    leaves the weights and the scale as they are: a drop to alpha = 0
+    means lo = 0, so lam_i is zero already."""
     if not capped and abs(alpha - lo) <= drop_tol * max(1.0, -lo):
         if lo != 0.0:
-            lam *= 1.0 - lo
+            scale = carry_scale(lam, scale, 1.0 - lo)
             lam[i] = 0.0
-        return lo
+        return lo, scale
     if alpha != 0.0:
-        lam *= 1.0 - alpha
-        lam[i] += alpha
-    return alpha
+        scale = carry_scale(lam, scale, 1.0 - alpha)
+        lam[i] += alpha / scale
+    return alpha, scale
 
 
 def grad_step(b, c, L, lo, hi):
@@ -470,13 +489,28 @@ def scale_in_range(b):
 
 
 # Length of the scan-ahead blocks of ls_cycle and logistic_cycle.  One
-# gathered (block, n) slice of A_cols and one small matvec give col.z (or
-# col.(sig y)) for every step of the block; the block is rescanned (no new
-# gather) after each step that may move the iterate, so a pass costs at
-# most M / block gathers plus one block-sized matvec per such step:
-# O(M (n + d)) for a fixed block.  kde_cycle builds its kernel columns a
-# block at a time.
+# read of the block's data columns (block_rows) and one small matvec give
+# col.z (or col.(sig y)) for every step of the block; the block is
+# rescanned (no new read) after each step that may move the iterate, so a
+# pass costs at most M / block reads plus one block-sized matvec per such
+# step: O(M (n + d)) for a fixed block.  kde_cycle builds its kernel columns
+# a block at a time.
 LS_BLOCK = 32
+
+
+def block_rows(A_cols, J):
+    """(Ab, R): the data columns of the block of coordinates J as rows
+    Ab[R[k]] = A_cols[J[k]].  Where J is nondecreasing and spans no more
+    columns than it has positions, as every cyclic block on the l1 ball
+    (+-r e_j listed in turn) and the simplex is, Ab is the view of those
+    columns and R the offsets J - J[0], so a block reads each distinct
+    column once and copies none; otherwise Ab is the gather A_cols[J] and R
+    is range(len(J))."""
+    j0 = int(J[0])
+    if int(J[-1]) - j0 < J.shape[0] and (J[1:] >= J[:-1]).all():
+        return A_cols[j0:int(J[-1]) + 1], J - j0
+    return A_cols[J], np.arange(J.shape[0])
+
 
 # A closed-form denominator w.w = s^2 ||col||^2 - 2 s col.z + ||z||^2 below
 # this fraction of its terms has lost its digits to cancellation; the step
@@ -487,14 +521,13 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
-             grad_rule, away, L, sq_x, gamma_cap, drop_tol, Atb, col_sq):
+             grad_rule, away, L, sq_x, gamma_cap, drop_tol, col_sq):
     """One outer pass on f(x) = ||A x - b||^2.
 
     A_cols is A transposed to (d, n) so that the data column of coordinate j
     is the contiguous row A_cols[j]; z caches A x; sq_x caches ||x||^2 and
     the updated value is returned.  lam is the convex-combination weight
-    vector (ignored unless away).  Atb = A_cols @ bvec and col_sq holds the
-    squared column norms.
+    vector (ignored unless away); col_sq holds the squared column norms.
 
     With w = s col - z for vertex s e_j and g = col.z, the step needs only
     w.(z - b) = s (g - col.b) - (||z||^2 - z.b) and
@@ -502,29 +535,39 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
     as scalars.  A step can move the iterate only where w.(z - b) < 0 or,
     in away mode, where lam_i != 0; every other step is an exact no-op, so
     the pass scans ahead block by block to the next such step and touches
-    the arrays only where alpha != 0.  A full step alpha = 1 is the same
-    update: beta = 0 zeroes xi, whose rescale zeroes x before x_j = s, and
-    z and the scalars become the vertex's exactly.
+    the arrays only where alpha != 0.  Each block reads its columns once
+    (block_rows), and every scan of it is one matvec of the whole block, the
+    call that also gives the block's col.b, so s g - s col.b cancels
+    exactly where z = b.
+
+    The iterate is xi * x while the pass runs: a step scales xi by 1 - alpha
+    and writes only x_j, and xi is folded into x where it leaves
+    scale_in_range and when the pass ends (carry_scale).  In away mode xi is
+    also the scale of the weights (away_update), which every step scales by
+    the same 1 - alpha, a drop by 1 - lo, and which are folded together
+    with x.  A full step alpha = 1 is the same update: xi = 0 is folded,
+    which zeroes x and lam before x_j = s and lam_i = 1 are written, and z
+    and the scalars become the vertex's exactly.
     """
     M = order.shape[0]
     J = vcoord[order]
     S = vscale[order]
-    SB = S * Atb[J]
     # scalars as Python floats: arithmetic on them is several times faster
     # than on numpy scalars
     sq_x = float(sq_x)
     zz = float(np.dot(z, z))
     zb = float(np.dot(z, bvec))
-    xi = 1.0  # the iterate is xi * x until the pass ends: a step rescales xi
+    xi = 1.0
     p = 0
     while p < M:
         q = min(p + LS_BLOCK, M)
-        Ab = A_cols[J[p:q]]
+        Ab, R = block_rows(A_cols, J[p:q])
+        SB = S[p:q] * np.dot(Ab, bvec)[R]
         k = p
         while k < q:
             # t - (zz - zb) = w.(z - b) for every step left in the block
-            gb = np.dot(Ab[k - p:], z)
-            t = S[k:q] * gb - SB[k:q]
+            gb = np.dot(Ab, z)[R[k - p:]]
+            t = S[k:q] * gb - SB[k - p:]
             zr = zz - zb
             if away:
                 cand = (t < zr) | (lam[order[k:q]] != 0.0)
@@ -542,12 +585,12 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
             c = sq_x - 2.0 * s * xj + s * s
             if is_degenerate(c, sq_x + s * s):
                 continue
-            col = Ab[pos - p]
+            col = Ab[R[pos - p]]
             g = float(gb[m])
             num = float(t[m]) - zr
-            lo, capped = step_interval(away, lam, i, gamma_cap)
+            lo, capped = step_interval(away, lam, xi, i, gamma_cap)
             cs = float(col_sq[j])
-            sb = float(SB[pos])
+            sb = float(SB[pos - p])
             if grad_rule:
                 alpha = grad_step(2.0 * num, c, L, lo, 1.0)
             else:
@@ -562,25 +605,25 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
                 alpha = lo if den <= 0.0 else grad_step(2.0 * num, den, 2.0,
                                                         lo, 1.0)
             if away:
-                alpha = away_update(lam, i, alpha, lo, capped, drop_tol)
+                # the weights' new scale is the xi carry_scale gives below
+                alpha = away_update(lam, xi, i, alpha, lo, capped,
+                                    drop_tol)[0]
             if alpha == 0.0:
                 continue
             beta = 1.0 - alpha
             z *= beta
             z += (alpha * s) * col
-            xi *= beta
-            if not scale_in_range(xi):
-                x *= xi
-                xi = 1.0
+            xi = carry_scale(x, xi, beta)
             x[j] += alpha * s / xi
-            sq_x = (beta * beta * sq_x + 2.0 * alpha * beta * s * xj
-                    + alpha * alpha * s * s)
+            sq_x = step_sq(sq_x, s, xj, s, alpha)
             zz = (beta * beta * zz + 2.0 * alpha * beta * s * g
                   + alpha * alpha * s * s * cs)
             zb = beta * zb + alpha * sb
         p = q
     if xi != 1.0:
         x *= xi
+        if away:
+            lam *= xi
     return sq_x
 
 
@@ -593,12 +636,13 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     Along the step toward vertex s e_j, phi'(0) = z.(sig y) - s col.(sig y)
     with sig = 1 / (1 + exp(y z)).  A step can move the iterate only where
     phi'(0) < 0 or, in away mode, where lam_i != 0, so the pass screens a
-    block of LS_BLOCK visit positions with one gathered slice and one small
-    matvec and takes the exact step only at the candidates: phi'(0) below
-    a margin that bounds the rounding difference between the screen's and
-    the step's phi'(0), or lam_i != 0.  Every other position is an exact
-    alpha = 0 step, so the iterates are bit for bit those of a visit to
-    every vertex.  The screen is recomputed after each step that moves.
+    block of LS_BLOCK visit positions with one read of its columns
+    (block_rows) and one small matvec and takes the exact step only at the
+    candidates: phi'(0) below a margin that bounds the rounding difference
+    between the screen's and the step's phi'(0), or lam_i != 0.  Every
+    other position is an exact alpha = 0 step, so the iterates are bit for
+    bit those of a visit to every vertex.  The screen is recomputed after
+    each step that moves.
 
     The pass carries the margins ym = y z in place of z and writes z = y ym
     back when it ends; labels are +-1, so yw = y (s col - z) = s y col - ym
@@ -613,7 +657,9 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     operations, a fraction of a rescan.  A block is therefore screened only
     when at most a third of the previous block's positions were candidates
     (a nonzero weight or a positive step): in a denser block the rescans,
-    one per move, cost more than the visits they save.
+    one per move, cost more than the visits they save.  The weights carry
+    their rescale as one scalar (away_update), folded in when the pass
+    ends.
     """
     M = order.shape[0]
     J = vcoord[order]
@@ -623,6 +669,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     ym = ylab * z
     sig, sg = logistic_start(ym, not grad_rule)
     last = None  # (alpha, ym, sig, sg) of the search's last curvature point
+    lsc = 1.0  # the weights are lsc * lam until the pass ends
 
     def seg(a, curv):
         nonlocal last
@@ -642,7 +689,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
         nprev = q - p
         ncand = 0
         if screen:
-            Ab = A_cols[J[p:q]]
+            Ab, R = block_rows(A_cols, J[p:q])
             # the |s| ||col||_1 part of each position's margin
             cm = (tie * _EPS) * np.abs(S[p:q]) * col_l1[J[p:q]]
             if away:
@@ -662,7 +709,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                         zs = np.dot(ym, sig) - tie * (_EPS * np.abs(ym).sum()
                                                       + 5e-324)
                         scr_ok = True
-                    phi = zs - S[pos:q] * np.dot(Ab[pos - p:], sy)
+                    phi = zs - S[pos:q] * np.dot(Ab, sy)[R[pos - p:]]
                     # not >=: a NaN stays a candidate
                     cand = ~(phi >= cm[pos - p:])
                     if away:
@@ -684,7 +731,7 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             ysc = ylab * A_cols[j]
             ysc *= s
             yw = ysc - ym
-            lo, capped = step_interval(away, lam, i, gamma_cap)
+            lo, capped = step_interval(away, lam, lsc, i, gamma_cap)
             if grad_rule:
                 alpha = grad_step(-np.dot(sig, yw), c, L, lo, 1.0)
             else:
@@ -695,7 +742,8 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             if lo != 0.0 or alpha > 0.0:
                 ncand += 1
             if away:
-                alpha = away_update(lam, i, alpha, lo, capped, drop_tol)
+                alpha, lsc = away_update(lam, lsc, i, alpha, lo, capped,
+                                         drop_tol)
             if alpha == 0.0:
                 continue
             sq_x = coord_move(x, j, s, alpha, sq_x)
@@ -713,6 +761,8 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
             scr_ok = False
             rescan = screen
         p = q
+    if lsc != 1.0:
+        lam *= lsc
     np.multiply(ylab, ym, z)
     return sq_x
 
@@ -756,7 +806,8 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     at the block's start + sum_s cb_s column_s), beta the product of the
     moves' 1 - alpha, and written back (kde_write_back) when the block
     ends or before beta leaves scale_in_range; a full step writes
-    u = K e_j and w = e_j exactly.  lam stays eager (away_update).
+    u = K e_j and w = e_j exactly.  The weights lam carry their rescale as
+    one scalar (away_update), folded in when the pass ends.
 
     The blocks also rebuild the caches: each adds its columns weighted by
     the weights w0 the pass started from, so they sum to K w0, and at the
@@ -775,6 +826,7 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
     kw = np.zeros(n)  # K w0, block by block
     kde_start(u, q, kappa0, mu_h, S0)
     at = None  # the alpha of S1's rows if a curvature evaluation wrote them
+    lsc = 1.0  # the weights are lsc * lam until the pass ends
 
     def seg(a, curv):
         nonlocal at
@@ -797,7 +849,7 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             if is_degenerate(c, sq_w + 1.0):
                 continue
             C = float(S0[0, j])
-            lo, capped = step_interval(away, lam, j, gamma_cap)
+            lo, capped = step_interval(away, lam, lsc, j, gamma_cap)
             d, h, sums = kde_seg0(Kb[k], 2.0 * kappa0 - C, C, S0, True)
             at = None
             if grad_rule:
@@ -810,7 +862,8 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
                 alpha = line_min(seg, lo, 1.0, 0.0, d, h, ls_tol,
                                  ls_max_iter, t)
             if away:
-                alpha = away_update(lam, j, alpha, lo, capped, drop_tol)
+                alpha, lsc = away_update(lam, lsc, j, alpha, lo, capped,
+                                         drop_tol)
             if alpha == 0.0:
                 continue
             q = step_sq(q, 1.0, 0.5 * ((q + kappa0) - C), kappa0, alpha)
@@ -831,6 +884,8 @@ def kde_cycle(X, xsq, u, wv, lam, order, grad_rule, away,
             beta *= 1.0 - alpha
             cb[k] = alpha / beta
         kde_write_back(u, wv, J, Kb, cb, beta)
+    if lsc != 1.0:
+        lam *= lsc
     drift = kde_drift(S0[0], u, q, kappa0)
     # np.maximum, unlike max, keeps a NaN
     drift = float(np.maximum(

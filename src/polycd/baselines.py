@@ -129,11 +129,14 @@ def _fw_loop(obj, poly, cfg, away, gamma_cap=_kernels.GAMMA_CAP):
             aw_slope = gx - float(scores[v_aw])   # <g, x - v_aw> <= 0
             if not (fw_slope <= aw_slope or lam[v_aw] >= 1.0):
                 v, hi = v_aw, 0.0
-                lo, capped = _kernels.step_interval(True, lam, v, gamma_cap)
+                lo, capped = _kernels.step_interval(True, lam, 1.0, v,
+                                                    gamma_cap)
         alpha = obj.line_search(v, lo, hi)
         if away:
-            alpha = _kernels.away_update(lam, v, alpha, lo, capped,
-                                         _kernels.DROP_TOL)
+            alpha, lsc = _kernels.away_update(lam, 1.0, v, alpha, lo, capped,
+                                              _kernels.DROP_TOL)
+            if lsc != 1.0:
+                lam *= lsc
         obj.apply_step(v, alpha)
         if away:
             weight_refresh(state, obj.x, poly, tol=1e-8)

@@ -353,7 +353,7 @@ class LeastSquares(_CompositeObjective):
         super().__init__(A, poly, x0, L)
         if self.bvec.shape != (self.n,):
             raise ValueError("b must have one entry per row of A")
-        self._col_terms = None  # (A'b, squared column norms), for ls_cycle
+        self._col_sq = None  # the squared column norms, for ls_cycle
 
     def _g_of(self, z):
         r = z - self.bvec
@@ -372,14 +372,13 @@ class LeastSquares(_CompositeObjective):
 
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
-        if self._col_terms is None:
-            self._col_terms = (self.A_cols @ self.bvec,
-                               np.einsum("ij,ij->i", self.A_cols, self.A_cols))
+        if self._col_sq is None:
+            self._col_sq = np.einsum("ij,ij->i", self.A_cols, self.A_cols)
         L = self.L if grad_rule else 1.0
         self.sq_x = fn(self.A_cols, self.bvec, self.z, self.x, lam, order,
                        self.poly.vertex_coords, self.poly.vertex_scales,
                        grad_rule, away, L, self.sq_x, gamma_cap, drop_tol,
-                       *self._col_terms)
+                       self._col_sq)
         self._bump(len(order))
 
 

@@ -69,9 +69,12 @@ class SolveConfig:
         require_ints(self, "max_outer", "ls_max_iter")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if self.ls_max_iter < 0:
+            raise ValueError("ls_max_iter must be >= 0")
         # not <: a NaN tolerance is rejected too
-        if not self.rel_improve_tol >= 0:
-            raise ValueError("rel_improve_tol must be nonnegative")
+        for name in ("rel_improve_tol", "drop_tol", "ls_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
         # not <=: a NaN cap is rejected too
         if not self.gamma_cap > 0:
             raise ValueError("gamma_cap must be positive")
@@ -123,8 +126,12 @@ def _nnz(x):
 def _resolve_order(M, visit_order):
     if visit_order is None:
         return np.arange(M, dtype=np.int64)
-    order = np.asarray(visit_order, dtype=np.int64)
-    if order.shape != (M,) or not np.array_equal(np.sort(order), np.arange(M)):
+    given = np.asarray(visit_order)
+    with np.errstate(invalid="ignore"):
+        order = given.astype(np.int64)
+    # the cast must keep every value: arange(M) + 0.9 is not arange(M)
+    if (given.shape != (M,) or not np.array_equal(order, given)
+            or not np.array_equal(np.sort(order), np.arange(M))):
         raise ValueError("visit_order must be a permutation of range(M)")
     return order
 
@@ -187,19 +194,24 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
             obj.run_cycle(fn, order, lam, grad_rule, away,
                           cfg.gamma_cap, cfg.drop_tol, cfg.ls_tol, cfg.ls_max_iter)
         else:
-            # a degenerate visit counts as a zero step, as in a kernel pass
+            # a degenerate visit counts as a zero step, as in a kernel
+            # pass, and the weights carry their rescale as one scalar, lsc,
+            # folded in at the pass end as the kernels fold theirs
+            lsc = 1.0
             for i in order:
                 alpha = 0.0
                 if not obj.segment_is_degenerate(i):
-                    lo, capped = _kernels.step_interval(away, lam, i,
+                    lo, capped = _kernels.step_interval(away, lam, lsc, i,
                                                         cfg.gamma_cap)
                     alpha = _inner_step(obj, i, lo, cfg)
                     if away:
-                        alpha = _kernels.away_update(lam, i, alpha, lo, capped,
-                                                     cfg.drop_tol)
+                        alpha, lsc = _kernels.away_update(
+                            lam, lsc, i, alpha, lo, capped, cfg.drop_tol)
                 obj.apply_step(i, alpha)
                 if inner_callback is not None:
                     inner_callback(t, int(i), float(alpha))
+            if lsc != 1.0:
+                lam *= lsc
         inner_total += M
         if away:
             weight_refresh(state, obj.x, poly, tol=1e-8)

@@ -26,7 +26,7 @@ def test_ls_cycle_single_pass_matches_manual_update():
     scales = np.ones(2)
     fn = _kernels.kernel("ls_cycle")
     sq_out = fn(A_cols, b, z, x, np.empty(0), order, coords, scales,
-                False, False, 1.0, sq_x, 1e12, 1e-14, A_cols @ b,
+                False, False, 1.0, sq_x, 1e12, 1e-14,
                 np.sum(A_cols * A_cols, axis=1))
     # manual: step toward e_0 is degenerate; step toward e_1 has
     # alpha* = -<w, z-b>/<w, w> with w = A e_1 - A x
@@ -37,6 +37,29 @@ def test_ls_cycle_single_pass_matches_manual_update():
     x2 += alpha * (np.array([0.0, 1.0]) - x2)
     assert np.allclose(x, x2, atol=1e-15)
     assert sq_out == pytest.approx(float(x2 @ x2), rel=1e-12)
+
+
+@pytest.mark.parametrize("poly", ["l1ball", "simplex"])
+def test_block_rows_reads_a_cyclic_block_as_a_view(poly):
+    # every cyclic block of visit positions, also one that starts between
+    # the two vertices +-r e_j, reads its distinct columns once as a view;
+    # a shuffled block is gathered
+    from polycd import L1Ball, StandardSimplex
+
+    d = 40
+    P = L1Ball(d, 2.0) if poly == "l1ball" else StandardSimplex(d)
+    A_cols = np.random.default_rng(1).standard_normal((d, 9))
+    J = P.vertex_coords[np.arange(P.M)]
+    for p, length in [(0, 32), (32, 32), (3, 7), (P.M - 5, 5), (6, 1)]:
+        Jb = J[p:p + length]
+        Ab, R = _kernels.block_rows(A_cols, Jb)
+        assert np.shares_memory(Ab, A_cols)
+        assert Ab.shape[0] == len(np.unique(Jb))
+        assert np.array_equal(Ab[R], A_cols[Jb])
+    Jb = np.random.default_rng(2).permutation(J[:32])
+    Ab, R = _kernels.block_rows(A_cols, Jb)
+    assert not np.shares_memory(Ab, A_cols)
+    assert np.array_equal(R, np.arange(32)) and np.array_equal(Ab, A_cols[Jb])
 
 
 def test_kde_columns_match_dense_kernel_rows():
@@ -212,36 +235,110 @@ def test_kde_seg_matches_reference_property(n, seed, alpha, C, pins):
 def test_away_update_drops_scales_and_keeps():
     lam = np.array([0.2, 0.5, 0.3])
     tol = _kernels.DROP_TOL
-    assert _kernels.step_interval(False, lam, 0, 1e12) == (0.0, False)
-    lo, capped = _kernels.step_interval(True, lam, 0, 1e12)
+    assert _kernels.step_interval(False, lam, 1.0, 0, 1e12) == (0.0, False)
+    lo, capped = _kernels.step_interval(True, lam, 1.0, 0, 1e12)
     assert lo == -0.2 / 0.8 and not capped
     # gamma_i = lam_i / (1 - lam_i): 0 at lam_i = 0 and 1/3 at 0.25; at
     # lam_i = 1 it is unbounded, so the cap binds
-    assert _kernels.step_interval(True, [0.0], 0, 1e12) == (0.0, False)
-    lo_q, capped_q = _kernels.step_interval(True, [0.25], 0, 1e12)
+    assert _kernels.step_interval(True, [0.0], 1.0, 0, 1e12) == (0.0, False)
+    lo_q, capped_q = _kernels.step_interval(True, [0.25], 1.0, 0, 1e12)
     assert lo_q == -1.0 / 3.0 and not capped_q
-    assert _kernels.step_interval(True, [1.0], 0, 1e12) == (-1e12, True)
+    assert _kernels.step_interval(True, [1.0], 1.0, 0, 1e12) == (-1e12, True)
     # a step within DROP_TOL of an uncapped lo is the drop step lo: the
     # weight becomes an exact zero and the others scale by 1 - lo
     for alpha in (lo, lo + 0.5 * tol, lo - 0.5 * tol):
         w = lam.copy()
-        assert _kernels.away_update(w, 0, alpha, lo, False, tol) == lo
+        step, sc = _kernels.away_update(w, 1.0, 0, alpha, lo, False, tol)
+        assert step == lo
         assert w[0] == 0.0 and not np.signbit(w[0])
-        assert np.array_equal(w[1:], lam[1:] * (1.0 - lo))
+        assert np.array_equal(sc * w[1:], lam[1:] * (1.0 - lo))
     # a capped step stops short of -gamma_i and never drops
-    lo_c, capped = _kernels.step_interval(True, lam, 0, 0.1)
+    lo_c, capped = _kernels.step_interval(True, lam, 1.0, 0, 0.1)
     assert lo_c == -0.1 and capped
     w = lam.copy()
-    assert _kernels.away_update(w, 0, lo_c, lo_c, True, tol) == lo_c
-    expect = lam * (1.0 - lo_c)
-    expect[0] += lo_c
+    step, sc = _kernels.away_update(w, 1.0, 0, lo_c, lo_c, True, tol)
+    assert step == lo_c and sc == 1.0 - lo_c
+    expect = lam.copy()
+    expect[0] += lo_c / sc
     assert np.array_equal(w, expect) and w[0] > 0.0
     # alpha = 0 leaves the weights as they are, bit for bit
     for i in range(3):
-        lo_i, capped_i = _kernels.step_interval(True, lam, i, 1e12)
+        lo_i, capped_i = _kernels.step_interval(True, lam, 1.0, i, 1e12)
         w = lam.copy()
-        assert _kernels.away_update(w, i, 0.0, lo_i, capped_i, tol) == 0.0
+        assert _kernels.away_update(w, 1.0, i, 0.0, lo_i, capped_i,
+                                    tol) == (0.0, 1.0)
         assert w.tobytes() == lam.tobytes()
+
+
+def _eager_away_update(lam, i, alpha, lo, capped):
+    """The weight rule as it reads without a carried scale: every weight
+    scales by 1 - alpha and lam_i gains alpha, or a drop writes 0."""
+    if not capped and abs(alpha - lo) <= _kernels.DROP_TOL * max(1.0, -lo):
+        if lo != 0.0:
+            lam *= 1.0 - lo
+            lam[i] = 0.0
+        return lo
+    if alpha != 0.0:
+        lam *= 1.0 - alpha
+        lam[i] += alpha
+    return alpha
+
+
+def _assert_close_to_eager(sc, lam, eager):
+    carried = sc * lam
+    assert np.array_equal(carried == 0.0, eager == 0.0)
+    nz = eager != 0.0
+    assert np.max(np.abs(carried[nz] - eager[nz]) / eager[nz]) <= 1e-15
+
+
+def test_carried_weight_scale_folds_and_a_full_step_writes_the_vertex():
+    # an away run on the weights of L1Ball(4): toward steps with
+    # 1 - alpha = 1e-8 take the carried scale out of scale_in_range, where
+    # away_update folds it in; then a full step, then away, drop and toward
+    # steps, each against the eager rule
+    from polycd import AwayState, L1Ball, weight_refresh
+
+    ball = L1Ball(4, 1.0)
+    rng = np.random.default_rng(3)
+    lam = rng.random(ball.M)
+    lam /= lam.sum()
+    eager = lam.copy()
+    sc = 1.0
+    scales = []
+    for k in range(14):
+        i = k % ball.M
+        lo, capped = _kernels.step_interval(True, lam, sc, i, 1e12)
+        alpha, sc = _kernels.away_update(lam, sc, i, 1.0 - 1e-8, lo, capped,
+                                         _kernels.DROP_TOL)
+        _eager_away_update(eager, i, alpha, lo, capped)
+        scales.append(sc)
+    # (1e-8)^13 leaves the range: that step folds the scale in
+    assert scales[12] == 1.0 and 0.0 < min(scales) < 1e-90
+    _assert_close_to_eager(sc, lam, eager)
+    lo, capped = _kernels.step_interval(True, lam, sc, 5, 1e12)
+    assert _kernels.away_update(lam, sc, 5, 1.0, lo, capped,
+                                _kernels.DROP_TOL) == (1.0, 1.0)
+    assert lam.tobytes() == np.eye(ball.M)[5].tobytes()
+    eager[:] = lam
+    sc = 1.0
+    for k in range(40):
+        i = int(rng.integers(ball.M))
+        lo, capped = _kernels.step_interval(True, lam, sc, i, 1e12)
+        lo_e, capped_e = _kernels.step_interval(True, eager, 1.0, i, 1e12)
+        assert capped == capped_e and lo == pytest.approx(lo_e, rel=1e-14)
+        u = rng.random()
+        if lo < 0.0 and not capped and u < 0.2:
+            a, a_e = lo, lo_e  # a drop on both sides
+        else:
+            a = a_e = (u - 0.5) * min(1.0, -lo) if lo < 0.0 else 0.9 * u
+        alpha, sc = _kernels.away_update(lam, sc, i, a, lo, capped,
+                                         _kernels.DROP_TOL)
+        assert alpha == a
+        assert _eager_away_update(eager, i, a_e, lo_e, capped_e) == a_e
+    lam *= sc
+    _assert_close_to_eager(1.0, lam, eager)
+    state = AwayState(lam=lam)
+    weight_refresh(state, ball.combination(eager), ball)
 
 
 def test_start_derivatives_match_segment_at_zero():

@@ -120,6 +120,44 @@ def test_dimension_mismatch_rejected():
         polycd_solve(obj, L1Ball(3, 1.0), SolveConfig())
 
 
+@pytest.mark.parametrize("order", [np.arange(4) + 0.9, [0.0, 1.0, 2.0, 2.5],
+                                   [0, 1, 2, np.nan]])
+def test_visit_order_rejects_entries_that_are_not_integers(order):
+    # arange(4) + 0.9 ran as arange(4): the int64 cast truncated it
+    obj, ball = motivating_objective()
+    with pytest.raises(ValueError, match="visit_order"):
+        polycd_solve(obj, ball, SolveConfig(visit_order=order))
+
+
+@pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
+def test_permuted_order_on_the_lasso_kernel_path(monkeypatch, rule):
+    # a permuted visit order makes ls_cycle gather its blocks (block_rows);
+    # the kernel path must still follow the per-step path
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((50, 30))
+    b = rng.standard_normal(50)
+    ball = L1Ball(30, 1.5)
+    order = rng.permutation(ball.M)
+    views = []
+    block_rows = _kernels.block_rows
+
+    def spy(A_cols, J):
+        Ab, R = block_rows(A_cols, J)
+        views.append(np.shares_memory(Ab, A_cols))
+        return Ab, R
+
+    monkeypatch.setattr(_kernels, "block_rows", spy)
+    kern, step = _kernel_and_per_step(
+        lambda: LeastSquares(A, b, ball), polycdwa_solve,
+        SolveConfig(step_rule=rule, max_outer=10, rel_improve_tol=0.0,
+                    visit_order=order))
+    assert views and not any(views)
+    scale = np.maximum(np.abs(_f_trace(step)), 1.0)
+    assert np.max(np.abs(_f_trace(kern) - _f_trace(step)) / scale) <= 1e-12
+    assert np.max(np.abs(kern[0] - step[0])) <= 1e-9
+    assert np.max(np.abs(kern[1].lam - step[1].lam)) <= 1e-9
+
+
 def test_visit_order_validation_and_permutation():
     obj, ball = motivating_objective()
     perm = np.array([2, 0, 3, 1])
@@ -200,20 +238,33 @@ def test_drop_step_writes_exact_zero_and_stays_until_revisit():
     _, state, _ = polycdwa_solve(obj, ball,
                                  SolveConfig(max_outer=30, rel_improve_tol=0.0),
                                  inner_callback=cb)
+    # the weights are sc * lam while a pass runs, as away_update carries
+    # them: a step scales sc by 1 - alpha and writes lam_i alone, and sc is
+    # folded into lam where it leaves scale_in_range and at the pass end
     lam = np.zeros(ball.M)
     lam[0] = 1.0
+    sc = 1.0
     dropped_now = set()
-    for t, i, alpha in lam_at:
-        li = lam[i]
+    for k, (t, i, alpha) in enumerate(lam_at):
+        li = sc * lam[i]
         gma = li / (1.0 - li) if li < 1.0 else np.inf
-        lam *= 1.0 - alpha
+        sc *= 1.0 - alpha
+        if not _kernels.scale_in_range(sc):
+            lam *= sc
+            sc = 1.0
         if np.isfinite(gma) and alpha == -gma and li > 0:
             lam[i] = 0.0
             dropped_now.add(i)
             events.append((t, i))
         else:
-            lam[i] += alpha
-        assert lam.min() >= -1e-12
+            lam[i] += alpha / sc
+        if (k + 1) % ball.M == 0:
+            lam *= sc
+            sc = 1.0
+            # weight_refresh
+            np.maximum(lam, 0.0, out=lam)
+            lam /= lam.sum()
+        assert (sc * lam).min() >= -1e-12
     # replayed weights match the returned state
     assert np.allclose(lam, state.lam, atol=1e-10)
     assert events, "no drop step was exercised by this instance"
@@ -626,16 +677,19 @@ def test_logistic_full_step_and_drop_on_both_paths(seed):
     # start after both.  The callback replays pass 1's weights to see them.
     A, labels, ball, lam0, order = _separable_logistic(seed)
     lam = lam0.copy()
+    sc = 1.0  # the scale the weights carry through the pass (away_update)
     events = []
 
     def replay(t, i, alpha):
+        nonlocal sc
         if t == 1:
-            lo, capped = _kernels.step_interval(True, lam, i, 1e12)
+            lo, capped = _kernels.step_interval(True, lam, sc, i, 1e12)
             if alpha == 1.0:
                 events.append(("full", i))
             elif alpha == lo != 0.0 and not capped:
                 events.append(("drop", i))
-            _kernels.away_update(lam, i, alpha, lo, capped, _kernels.DROP_TOL)
+            sc = _kernels.away_update(lam, sc, i, alpha, lo, capped,
+                                      _kernels.DROP_TOL)[1]
 
     cfg = SolveConfig(max_outer=5, rel_improve_tol=0.0, lam0=lam0,
                       visit_order=order)
@@ -749,6 +803,16 @@ def test_lasso_and_logistic_start_at_vertex_0_by_default(family):
 def test_config_rejects_non_integer_counts_and_a_nan_tolerance(field, value):
     # max_outer=2.5 raised TypeError from range inside the solve, and a NaN
     # rel_improve_tol silently switched the stop rule off
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ls_tol", np.nan), ("ls_tol", -1e-12), ("drop_tol", np.nan),
+    ("drop_tol", -1e-14), ("ls_max_iter", -1)])
+def test_config_rejects_a_bad_line_search_or_drop_setting(field, value):
+    # ls_tol=nan stopped polycdwa on gen_logistic(n = 50, d = 20, r = 5)
+    # after 2 passes at f = 51.5, against f = 9.56 after 9 by default
     with pytest.raises(ValueError, match=field):
         SolveConfig(**{field: value})
 

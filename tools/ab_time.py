@@ -1,0 +1,212 @@
+"""Time two revisions of the package against each other in one process.
+
+    python3 tools/ab_time.py REV_A REV_B --case C [--rounds N]
+
+Each revision is anything `git archive` accepts (a commit, a branch, or the
+commit `git stash create` prints for uncommitted changes).  Its src/polycd
+is archived into a temporary directory and loaded as its own package, pa
+for REV_A and pb for REV_B, so both trees run in the same process on the
+same data.  The data come from pa's generators.
+
+A case is a whole solve on the instances of one benchmark workload:
+
+    lasso-away      polycdwa, line search, 16 passes, on gen_lasso(n = d =
+                    1000, r = 50, snr = 10) over the l1 ball of radius
+                    ||x*||_1, seeds 0-7
+    kde-away        polycdwa, line search, 7 passes, on KdeHuber(gen_kde(n =
+                    1000, d = 2), bandwidth 1, Huber threshold 0.4), seeds
+                    0-1
+    bench-logistic  the polycdwa cell of `polycd bench` (line search, at
+                    most 100 passes, relative-improvement stop 1e-8) on
+                    gen_logistic(n = d = 200, r = 20) over the l1 ball of
+                    radius ||x*||_1, seeds 0-1
+
+A round times one solve of each tree on every seed, alternately, and flips
+which tree goes first every round; each objective is built, untimed, just
+before its solve.  The report gives the median and the interquartile range
+of the per-pair ratios B/A, the number of pairs B won, and how far apart
+the two trees' f-traces are ("bitwise" where they are equal).  The record,
+with both revisions, the per-pair times and ratios and the provenance, is
+written as JSON to .ab_time/<case>-<A>-<B>.json in the checkout.
+"""
+
+import argparse
+import gc
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _lasso(pkg, seed):
+    A, b, _, C = pkg.problems.gen_lasso(pkg.problems.LassoSpec(
+        n=1000, d=1000, r=50, snr=10.0, seed=seed))
+    return A, b, C
+
+
+def _kde(pkg, seed):
+    X, _ = pkg.problems.gen_kde(pkg.problems.KdeSpec(n=1000, d=2, seed=seed))
+    return X
+
+
+def _logistic(pkg, seed):
+    A, labels, _, C = pkg.problems.gen_logistic(pkg.problems.LogisticSpec(
+        n=200, d=200, r=20, seed=seed))
+    return A, labels, C
+
+
+# name: (seeds, data(pkg, seed), objective(pkg, data), SolveConfig kwargs,
+# default rounds)
+CASES = {
+    "lasso-away": (
+        range(8), _lasso,
+        lambda pkg, d: pkg.LeastSquares(d[0], d[1], pkg.L1Ball(d[0].shape[1],
+                                                               d[2])),
+        {"max_outer": 16, "rel_improve_tol": 0.0}, 3),
+    "kde-away": (
+        range(2), _kde, lambda pkg, X: pkg.KdeHuber(X, 1.0, 0.4),
+        {"max_outer": 7, "rel_improve_tol": 0.0}, 12),
+    "bench-logistic": (
+        range(2), _logistic,
+        lambda pkg, d: pkg.Logistic(d[0], d[1], pkg.L1Ball(d[0].shape[1],
+                                                           d[2])),
+        {"max_outer": 100, "rel_improve_tol": 1e-8}, 12),
+}
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True).stdout
+
+
+def load_tree(rev, name, into):
+    """Archive rev's src/polycd under into/name and import it as the
+    package name."""
+    dest = Path(into) / name
+    dest.mkdir()
+    archive = dest / "src.tar"
+    archive.write_bytes(_git("archive", rev, "src/polycd"))
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    pkg_dir = dest / "src" / "polycd"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py",
+        submodule_search_locations=[str(pkg_dir)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    importlib.import_module(f"{name}.problems")
+    return pkg
+
+
+def timed_solve(pkg, make, data, cfg_kw):
+    """(seconds, f-trace) of one polycdwa solve on a fresh objective."""
+    obj = make(pkg, data)
+    cfg = pkg.SolveConfig(**cfg_kw)
+    gc.collect()
+    t0 = time.perf_counter()
+    _, _, trace = pkg.polycdwa_solve(obj, obj.poly, cfg)
+    dt = time.perf_counter() - t0
+    return dt, np.array([r.f_value for r in trace])
+
+
+def trace_difference(fa, fb):
+    """"bitwise", or the largest |f_A - f_B| / max(|f_A|, 1) over the
+    records both traces have, with the lengths where they differ."""
+    if fa.shape == fb.shape and fa.tobytes() == fb.tobytes():
+        return "bitwise"
+    k = min(len(fa), len(fb))
+    rel = float(np.max(np.abs(fa[:k] - fb[:k]) / np.maximum(np.abs(fa[:k]),
+                                                           1.0)))
+    if len(fa) != len(fb):
+        return f"{rel:.3e} (records {len(fa)} vs {len(fb)})"
+    return f"{rel:.3e}"
+
+
+def provenance():
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {v: os.environ.get(v) for v in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("rev_a")
+    ap.add_argument("rev_b")
+    ap.add_argument("--case", required=True, choices=sorted(CASES))
+    ap.add_argument("--rounds", type=int, default=None,
+                    help="rounds over the case's seeds (default per case)")
+    args = ap.parse_args(argv)
+    seeds, gen, make, cfg_kw, rounds = CASES[args.case]
+    rounds = args.rounds if args.rounds is not None else rounds
+    if rounds < 1:
+        ap.error("--rounds must be >= 1")
+    commits = [_git("rev-parse", "--verify", f"{r}^{{commit}}").decode()
+               .strip() for r in (args.rev_a, args.rev_b)]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pa = load_tree(commits[0], "pa", tmp)
+        pb = load_tree(commits[1], "pb", tmp)
+        trees = {"A": pa, "B": pb}
+        data = {s: gen(pa, s) for s in seeds}
+        pairs, diffs = [], {}
+        for rnd in range(rounds):
+            sides = ("A", "B") if rnd % 2 == 0 else ("B", "A")
+            for s in seeds:
+                got = {}
+                for side in sides:
+                    got[side] = timed_solve(trees[side], make, data[s], cfg_kw)
+                pairs.append({"round": rnd, "seed": s, "first": sides[0],
+                              "t_a": got["A"][0], "t_b": got["B"][0],
+                              "ratio": got["B"][0] / got["A"][0]})
+                if rnd == 0:
+                    diffs[s] = trace_difference(got["A"][1], got["B"][1])
+
+    ratios = [p["ratio"] for p in pairs]
+    # every case has at least two seeds, so at least two pairs
+    q1, med, q3 = statistics.quantiles(ratios, n=4)
+    won = sum(r < 1.0 for r in ratios)
+    record = {
+        "case": args.case, "rev_a": args.rev_a, "rev_b": args.rev_b,
+        "commit_a": commits[0], "commit_b": commits[1],
+        "solve": {"solver": "polycdwa_solve", **cfg_kw},
+        "seeds": list(seeds), "rounds": rounds,
+        "median_ratio": med, "iqr": [q1, q3], "b_won": won,
+        "pairs_total": len(pairs),
+        "median_t_a": statistics.median(p["t_a"] for p in pairs),
+        "median_t_b": statistics.median(p["t_b"] for p in pairs),
+        "f_trace_difference": {str(s): d for s, d in diffs.items()},
+        "pairs": pairs, "provenance": provenance(),
+    }
+    out = (ROOT / ".ab_time"
+           / f"{args.case}-{commits[0][:7]}-{commits[1][:7]}.json")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"{args.case}: B/A median {med:.3f}, IQR {q1:.3f}-{q3:.3f}, "
+          f"B faster in {won}/{len(pairs)} pairs; median solve "
+          f"A {record['median_t_a']:.4f} s, B {record['median_t_b']:.4f} s")
+    print("f-trace A vs B: " + ", ".join(
+        f"seed {s} {d}" for s, d in diffs.items()))
+    print(f"record: {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
