@@ -4,7 +4,10 @@ Each kernel runs one full outer pass (one sweep over the vertex visit
 order) of the cyclic solver for one objective family, mutating the iterate
 and its cached quantities in place.  The density kernel also rebuilds its
 caches from the kernel columns it builds, so its pass needs no separate
-refresh.
+refresh.  The least-squares kernel reads each block of its visit order
+once per pass and carries the block's scores through its moves from the
+block's Gram, which its objective keeps in a block plan per order
+(ls_plan).
 
 The step math that every vertex step shares is written once, as the
 helpers below: the step interval (step_interval), the away-step weight
@@ -488,13 +491,14 @@ def scale_in_range(b):
     return 1e-100 < abs(b) < 1e100
 
 
-# Length of the scan-ahead blocks of ls_cycle and logistic_cycle.  One
-# read of the block's data columns (block_rows) and one small matvec give
-# col.z (or col.(sig y)) for every step of the block; the block is
-# rescanned (no new read) after each step that may move the iterate, so a
-# pass costs at most M / block reads plus one block-sized matvec per such
-# step: O(M (n + d)) for a fixed block.  kde_cycle builds its kernel columns
-# a block at a time.
+# Length of the scan-ahead blocks of ls_cycle and logistic_cycle.
+# ls_cycle makes one read per block per pass: one small matvec gives col.z
+# for every position of the block, and the block's Gram in its plan
+# (ls_plan) carries those scores through the block's moves with O(block)
+# scalar work per move.  So a pass costs M / block reads, plus O(block)
+# and the O(n) update of z per move: O(M (n + d)) for a fixed block.
+# logistic_cycle reads a screened block once (block_rows) and rescans it
+# after each move; kde_cycle builds its kernel columns a block at a time.
 LS_BLOCK = 32
 
 
@@ -512,6 +516,28 @@ def block_rows(A_cols, J):
     return A_cols[J], np.arange(J.shape[0])
 
 
+def ls_plan(A_cols, bvec, J, S):
+    """The block plan of ls_cycle for a visit order whose positions have the
+    data columns J = vcoord[order] and the scales S = vscale[order]: one
+    (p, q, rows, R, G, SB) per block of LS_BLOCK positions p..q-1.  The
+    block reads A_cols[rows] = Ab, the read block_rows picks (rows is a
+    slice for a view, the index array J[p:q] for a gather), and R maps its
+    positions to the rows of Ab.  G = Ab Ab' is the block's Gram, and the
+    b-terms SB = S[p:q] (Ab b)[R] come from one call over the whole block,
+    the call shape of ls_cycle's scores, so they cancel against them
+    exactly where z = b.  The Grams hold at most ceil(M / LS_BLOCK)
+    LS_BLOCK^2 floats, against d^2 for A'A."""
+    plan = []
+    for p in range(0, J.shape[0], LS_BLOCK):
+        q = min(p + LS_BLOCK, J.shape[0])
+        Ab, R = block_rows(A_cols, J[p:q])
+        rows = (slice(int(J[p]), int(J[p]) + Ab.shape[0])
+                if np.may_share_memory(Ab, A_cols) else J[p:q])
+        plan.append((p, q, rows, R, np.dot(Ab, Ab.T),
+                     S[p:q] * np.dot(Ab, bvec)[R]))
+    return plan
+
+
 # A closed-form denominator w.w = s^2 ||col||^2 - 2 s col.z + ||z||^2 below
 # this fraction of its terms has lost its digits to cancellation; the step
 # then recomputes w = s col - z and its dot products explicitly.
@@ -520,25 +546,30 @@ _LS_CANCEL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
+def ls_cycle(A_cols, bvec, plan, z, x, lam, order, vcoord, vscale,
              grad_rule, away, L, sq_x, gamma_cap, drop_tol, col_sq):
     """One outer pass on f(x) = ||A x - b||^2.
 
     A_cols is A transposed to (d, n) so that the data column of coordinate j
     is the contiguous row A_cols[j]; z caches A x; sq_x caches ||x||^2 and
     the updated value is returned.  lam is the convex-combination weight
-    vector (ignored unless away); col_sq holds the squared column norms.
+    vector (ignored unless away); col_sq holds the squared column norms and
+    plan is ls_plan's block plan of order.
 
     With w = s col - z for vertex s e_j and g = col.z, the step needs only
     w.(z - b) = s (g - col.b) - (||z||^2 - z.b) and
     w.w = s^2 ||col||^2 - 2 s g + ||z||^2, so ||z||^2 and z.b are carried
     as scalars.  A step can move the iterate only where w.(z - b) < 0 or,
-    in away mode, where lam_i != 0; every other step is an exact no-op, so
-    the pass scans ahead block by block to the next such step and touches
-    the arrays only where alpha != 0.  Each block reads its columns once
-    (block_rows), and every scan of it is one matvec of the whole block, the
-    call that also gives the block's col.b, so s g - s col.b cancels
-    exactly where z = b.
+    in away mode, where lam_i != 0; every other step is an exact no-op,
+    which the pass tests from the scalars and skips.  Each block reads its
+    columns once, as the plan says: one matvec gives the scores g of its
+    rows, the call shape of the plan's b-terms, so s g - s col.b cancels
+    exactly where z = b.  A move toward the row r by alpha updates the
+    scores of rows r and beyond, the rows the block's later positions read,
+    as g <- (1 - alpha) g + alpha s G[r] with Python floats, G the block's
+    Gram, so no move rescans the block; a full step, and a step whose
+    closed form lost its digits (_LS_CANCEL), reads the scores afresh.  z
+    itself moves at every move.
 
     The iterate is xi * x while the pass runs: a step scales xi by 1 - alpha
     and writes only x_j, and xi is folded into x where it leaves
@@ -549,57 +580,45 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
     which zeroes x and lam before x_j = s and lam_i = 1 are written, and z
     and the scalars become the vertex's exactly.
     """
-    M = order.shape[0]
-    J = vcoord[order]
-    S = vscale[order]
+    Ol = order.tolist()
+    Jl = vcoord[order].tolist()
+    Sl = vscale[order].tolist()
     # scalars as Python floats: arithmetic on them is several times faster
     # than on numpy scalars
     sq_x = float(sq_x)
     zz = float(np.dot(z, z))
     zb = float(np.dot(z, bvec))
+    zr = zz - zb
     xi = 1.0
-    p = 0
-    while p < M:
-        q = min(p + LS_BLOCK, M)
-        Ab, R = block_rows(A_cols, J[p:q])
-        SB = S[p:q] * np.dot(Ab, bvec)[R]
-        k = p
-        while k < q:
-            # t - (zz - zb) = w.(z - b) for every step left in the block
-            gb = np.dot(Ab, z)[R[k - p:]]
-            t = S[k:q] * gb - SB[k - p:]
-            zr = zz - zb
-            if away:
-                cand = (t < zr) | (lam[order[k:q]] != 0.0)
-            else:
-                cand = t < zr
-            m = cand.argmax()
-            if not cand[m]:
-                break
-            pos = k + m
-            k = pos + 1
-            i = order[pos]
-            j = J[pos]
-            s = float(S[pos])
+    for p, q, rows, R, G, SB in plan:
+        Ab = A_cols[rows]
+        g = np.dot(Ab, z).tolist()
+        for r, s, sb, i, j in zip(R.tolist(), Sl[p:q], SB.tolist(), Ol[p:q],
+                                  Jl[p:q]):
+            # t - zr = w.(z - b)
+            t = s * g[r] - sb
+            if not t < zr and not (away and lam[i] != 0.0):
+                continue
             xj = xi * float(x[j])
             c = sq_x - 2.0 * s * xj + s * s
             if is_degenerate(c, sq_x + s * s):
                 continue
-            col = Ab[R[pos - p]]
-            g = float(gb[m])
-            num = float(t[m]) - zr
+            col = Ab[r]
+            gr = g[r]
+            num = t - zr
             lo, capped = step_interval(away, lam, xi, i, gamma_cap)
             cs = float(col_sq[j])
-            sb = float(SB[pos - p])
+            fresh = False
             if grad_rule:
                 alpha = grad_step(2.0 * num, c, L, lo, 1.0)
             else:
                 ss = s * s * cs
-                den = ss - 2.0 * s * g + zz
+                den = ss - 2.0 * s * gr + zz
                 if den <= _LS_CANCEL * (ss + zz):
                     w = s * col - z
                     den = float(np.dot(w, w))
                     num = float(np.dot(w, z)) - float(np.dot(w, bvec))
+                    fresh = True
                 # exact: phi(alpha) = f(z + alpha w) is the quadratic with
                 # phi'(0) = 2 num and phi'' = 2 den
                 alpha = lo if den <= 0.0 else grad_step(2.0 * num, den, 2.0,
@@ -611,15 +630,21 @@ def ls_cycle(A_cols, bvec, z, x, lam, order, vcoord, vscale,
             if alpha == 0.0:
                 continue
             beta = 1.0 - alpha
+            a_s = alpha * s
             z *= beta
-            z += (alpha * s) * col
+            z += a_s * col
             xi = carry_scale(x, xi, beta)
-            x[j] += alpha * s / xi
+            x[j] += a_s / xi
             sq_x = step_sq(sq_x, s, xj, s, alpha)
-            zz = (beta * beta * zz + 2.0 * alpha * beta * s * g
+            zz = (beta * beta * zz + 2.0 * alpha * beta * s * gr
                   + alpha * alpha * s * s * cs)
             zb = beta * zb + alpha * sb
-        p = q
+            zr = zz - zb
+            if fresh or alpha == 1.0:
+                g = np.dot(Ab, z).tolist()
+            else:
+                g[r:] = [beta * gk + a_s * hk
+                         for gk, hk in zip(g[r:], G[r, r:].tolist())]
     if xi != 1.0:
         x *= xi
         if away:

@@ -9,6 +9,7 @@ best objective value any solver found on that instance.  One CSV trace per
 
 import dataclasses
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,6 +104,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown preset {self.preset!r}; known: {PRESETS}")
         if not self.solvers:
             raise ValueError("need at least one solver")
+        require_ints(self, "repetitions")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         _reject_unknown(self.problem, _PROBLEM_KEYS[self.preset],
@@ -117,8 +119,13 @@ class ExperimentConfig:
         labels = [s.label for s in self.solvers]
         if len(set(labels)) != len(labels):
             raise ValueError("solver labels must be unique (set label explicitly)")
-        if self.seeds is not None and len(self.seeds) != self.repetitions:
-            raise ValueError("seeds must match repetitions")
+        if self.seeds is not None:
+            if len(self.seeds) != self.repetitions:
+                raise ValueError("seeds must match repetitions")
+            for seed in self.seeds:
+                if not (isinstance(seed, numbers.Integral) and seed >= 0):
+                    raise ValueError(f"seeds must be nonnegative integers, "
+                                     f"not {seed!r}")
 
     @classmethod
     def from_dict(cls, d):

@@ -342,7 +342,12 @@ class _CompositeObjective(BoundObjective):
 
 
 class LeastSquares(_CompositeObjective):
-    """f(x) = ||A x - b||^2 with cached residual products."""
+    """f(x) = ||A x - b||^2 with cached residual products.
+
+    For ls_cycle it keeps the squared column norms and the block plan of
+    the last visit order it ran (_kernels.ls_plan: each block's read, its
+    Gram and its b-terms), built in the first run_cycle for an order and
+    keyed by the order's contents and LS_BLOCK."""
 
     G2 = 2.0
     KERNEL = "ls_cycle"
@@ -354,6 +359,7 @@ class LeastSquares(_CompositeObjective):
         if self.bvec.shape != (self.n,):
             raise ValueError("b must have one entry per row of A")
         self._col_sq = None  # the squared column norms, for ls_cycle
+        self._plan = None  # (key of an order, its ls_plan)
 
     def _g_of(self, z):
         r = z - self.bvec
@@ -374,8 +380,14 @@ class LeastSquares(_CompositeObjective):
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
         if self._col_sq is None:
             self._col_sq = np.einsum("ij,ij->i", self.A_cols, self.A_cols)
+        key = (_kernels.LS_BLOCK, order.tobytes())
+        if self._plan is None or self._plan[0] != key:
+            self._plan = (key, _kernels.ls_plan(
+                self.A_cols, self.bvec, self.poly.vertex_coords[order],
+                self.poly.vertex_scales[order]))
         L = self.L if grad_rule else 1.0
-        self.sq_x = fn(self.A_cols, self.bvec, self.z, self.x, lam, order,
+        self.sq_x = fn(self.A_cols, self.bvec, self._plan[1], self.z, self.x,
+                       lam, order,
                        self.poly.vertex_coords, self.poly.vertex_scales,
                        grad_rule, away, L, self.sq_x, gamma_cap, drop_tol,
                        self._col_sq)

@@ -75,6 +75,20 @@ def test_solver_cell_rejects_non_integer_counts(field, value):
                                                  field: value}]})
 
 
+@pytest.mark.parametrize("field, value", [("repetitions", 2.0),
+                                          ("seeds", [0.5]), ("seeds", ["a"]),
+                                          ("seeds", [-1])])
+def test_config_rejects_a_non_integer_repetition_count_or_seed(field, value):
+    # each got past the config and failed only in run_experiment, with
+    # numpy's TypeError or ValueError
+    kw = {"repetitions": len(value)} if field == "seeds" else {}
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict({"preset": "lasso",
+                                    "problem": {"n": 10, "d": 5, "r": 2},
+                                    "solvers": [{"name": "polycd"}],
+                                    field: value, **kw})
+
+
 def test_quadratic_preset_rejects_a_smoothness_override():
     # Quadratic computes L exactly, and the override used to be dropped
     with pytest.raises(ValueError, match="smoothness"):

@@ -25,7 +25,8 @@ def test_ls_cycle_single_pass_matches_manual_update():
     coords = np.arange(2, dtype=np.int64)
     scales = np.ones(2)
     fn = _kernels.kernel("ls_cycle")
-    sq_out = fn(A_cols, b, z, x, np.empty(0), order, coords, scales,
+    plan = _kernels.ls_plan(A_cols, b, coords[order], scales[order])
+    sq_out = fn(A_cols, b, plan, z, x, np.empty(0), order, coords, scales,
                 False, False, 1.0, sq_x, 1e12, 1e-14,
                 np.sum(A_cols * A_cols, axis=1))
     # manual: step toward e_0 is degenerate; step toward e_1 has
@@ -60,6 +61,38 @@ def test_block_rows_reads_a_cyclic_block_as_a_view(poly):
     Ab, R = _kernels.block_rows(A_cols, Jb)
     assert not np.shares_memory(Ab, A_cols)
     assert np.array_equal(R, np.arange(32)) and np.array_equal(Ab, A_cols[Jb])
+
+
+def test_ls_plan_holds_a_block_diagonal_gram():
+    # the plan's Grams hold at most ceil(M / LS_BLOCK) LS_BLOCK^2 floats,
+    # not d^2, and its b-terms one float per position; it is built in the
+    # first run_cycle for an order and kept for the next
+    from polycd import L1Ball, LeastSquares, StandardSimplex
+
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((40, 200))
+    b = rng.standard_normal(40)
+    B = _kernels.LS_BLOCK
+    for poly, order in ((L1Ball(200, 1.0), np.arange(400)),
+                        (StandardSimplex(200), np.arange(200)),
+                        (L1Ball(200, 1.0), rng.permutation(400))):
+        obj = LeastSquares(A, b, poly)
+        assert obj._plan is None
+        lam = poly.vertex_weights(0)
+        obj.run_cycle(_kernels.ls_cycle, order, lam, False, True, 1e12,
+                      1e-14, 1e-12, 200)
+        plan = obj._plan[1]
+        obj.run_cycle(_kernels.ls_cycle, order, lam, False, True, 1e12,
+                      1e-14, 1e-12, 200)
+        assert obj._plan[1] is plan
+        bound = -(-poly.M // B) * B * B
+        grams = sum(G.size for *_, G, _ in plan)
+        assert grams <= bound
+        assert sum(SB.size for *_, SB in plan) == poly.M
+        if order[1] == 1 and poly.kind == "l1ball":
+            # a cyclic l1-ball block reads 16 or 17 columns, so the whole
+            # plan takes under a third of the bound
+            assert grams + poly.M <= bound / 3
 
 
 def test_kde_columns_match_dense_kernel_rows():

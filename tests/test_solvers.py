@@ -655,6 +655,58 @@ def test_cancelled_closed_form_matches_the_per_step_path(seed):
     assert np.max(np.abs(A @ kern[0] - A @ step[0])) <= 1e-9
 
 
+@pytest.mark.parametrize("solve", [polycd_solve, polycdwa_solve])
+def test_lasso_plan_follows_the_visit_order(solve):
+    # one objective run with order A, then B, then A again keeps the
+    # trajectories of fresh objectives bitwise: the block plan of ls_cycle
+    # belongs to the order it was built for
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((60, 30))
+    b = rng.standard_normal(60)
+    ball = L1Ball(30, 1.5)
+    orders = (None, rng.permutation(ball.M), None)
+
+    def run(obj, order):
+        out = solve(obj, ball, SolveConfig(max_outer=10, rel_improve_tol=0.0,
+                                           visit_order=order))
+        lam = out[1].lam if solve is polycdwa_solve else np.zeros(0)
+        return _f_trace(out), out[0], lam
+
+    shared = LeastSquares(A, b, ball)
+    for order in orders:
+        got = run(shared, order)
+        want = run(LeastSquares(A, b, ball), order)
+        for name, u, v in zip(("f-trace", "x", "lam"), got, want):
+            assert np.array_equal(u, v), name
+
+
+@pytest.mark.parametrize("away", [False, True])
+@pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
+def test_ls_scores_carried_through_a_block_that_moves_at_every_position(
+        rule, away):
+    # b = A (1/d) puts the minimizer inside the simplex, and from vertex 0,
+    # visited last, every step of pass 1 toward a vertex not yet visited
+    # moves: the first block's 32 positions each carry the scores of the
+    # ones after them
+    d = 33
+    rng = np.random.default_rng(3)
+    A = np.vstack([np.eye(d), np.zeros((7, d))])
+    A += 0.1 * rng.standard_normal((d + 7, d))
+    simp = StandardSimplex(d)
+    b = A @ np.full(d, 1.0 / d)
+    solve = polycdwa_solve if away else polycd_solve
+    cfg = SolveConfig(step_rule=rule, max_outer=6, rel_improve_tol=0.0,
+                      visit_order=np.r_[1:d, 0], lam0=simp.vertex_weights(0))
+    kern = solve(LeastSquares(A, b, simp), simp, cfg)
+    alphas = []
+    step = solve(LeastSquares(A, b, simp), simp, cfg,
+                 inner_callback=lambda t, i, a: alphas.append(a))
+    first = np.array(alphas[:_kernels.LS_BLOCK])
+    assert np.all((first > 0.0) & (first < 1.0))
+    scale = np.maximum(np.abs(_f_trace(step)), 1.0)
+    assert np.max(np.abs(_f_trace(kern) - _f_trace(step)) / scale) <= 1e-12
+
+
 def _separable_logistic(seed):
     """Labels that feature 2 separates with a margin of 2, on the l1 ball of
     radius 20, with weights 1/3 on vertices 0, 1 and 5 (-C e_2) and a visit

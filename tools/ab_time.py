@@ -6,9 +6,9 @@ Each revision is anything `git archive` accepts (a commit, a branch, or the
 commit `git stash create` prints for uncommitted changes).  Its src/polycd
 is archived into a temporary directory and loaded as its own package, pa
 for REV_A and pb for REV_B, so both trees run in the same process on the
-same data.  The data come from pa's generators.
+same data.  The data, and the ls-pass start weights, come from pa.
 
-A case is a whole solve on the instances of one benchmark workload:
+A case is a solve on the instances of one benchmark workload:
 
     lasso-away      polycdwa, line search, 16 passes, on gen_lasso(n = d =
                     1000, r = 50, snr = 10) over the l1 ball of radius
@@ -20,6 +20,10 @@ A case is a whole solve on the instances of one benchmark workload:
                     most 100 passes, relative-improvement stop 1e-8) on
                     gen_logistic(n = d = 200, r = 20) over the l1 ball of
                     radius ||x*||_1, seeds 0-1
+    ls-pass         4 passes of polycdwa, line search, on the lasso-away
+                    instances, from the weights that a 4-pass lasso-away
+                    solve by pa leaves (lam0): the ls_cycle kernel's
+                    passes, timed through the public solver
 
 A round times one solve of each tree on every seed, alternately, and flips
 which tree goes first every round; each objective is built, untimed, just
@@ -66,22 +70,36 @@ def _logistic(pkg, seed):
     return A, labels, C
 
 
-# name: (seeds, data(pkg, seed), objective(pkg, data), SolveConfig kwargs,
-# default rounds)
+def _lasso_obj(pkg, d):
+    return pkg.LeastSquares(d[0], d[1], pkg.L1Ball(d[0].shape[1], d[2]))
+
+
+def _lasso_mid(pkg, seed):
+    """The lasso-away instance and the weights a 4-pass solve leaves."""
+    d = _lasso(pkg, seed)
+    obj = _lasso_obj(pkg, d)
+    _, state, _ = pkg.polycdwa_solve(obj, obj.poly, pkg.SolveConfig(
+        max_outer=4, rel_improve_tol=0.0))
+    return (*d, state.lam.copy())
+
+
+# name: (seeds, data(pkg, seed), objective(pkg, data), SolveConfig kwargs
+# of the data, default rounds)
 CASES = {
     "lasso-away": (
-        range(8), _lasso,
-        lambda pkg, d: pkg.LeastSquares(d[0], d[1], pkg.L1Ball(d[0].shape[1],
-                                                               d[2])),
-        {"max_outer": 16, "rel_improve_tol": 0.0}, 3),
+        range(8), _lasso, _lasso_obj,
+        lambda d: {"max_outer": 16, "rel_improve_tol": 0.0}, 3),
     "kde-away": (
         range(2), _kde, lambda pkg, X: pkg.KdeHuber(X, 1.0, 0.4),
-        {"max_outer": 7, "rel_improve_tol": 0.0}, 12),
+        lambda d: {"max_outer": 7, "rel_improve_tol": 0.0}, 12),
     "bench-logistic": (
         range(2), _logistic,
         lambda pkg, d: pkg.Logistic(d[0], d[1], pkg.L1Ball(d[0].shape[1],
                                                            d[2])),
-        {"max_outer": 100, "rel_improve_tol": 1e-8}, 12),
+        lambda d: {"max_outer": 100, "rel_improve_tol": 1e-8}, 12),
+    "ls-pass": (
+        range(8), _lasso_mid, _lasso_obj,
+        lambda d: {"max_outer": 4, "rel_improve_tol": 0.0, "lam0": d[3]}, 12),
 }
 
 
@@ -113,7 +131,7 @@ def load_tree(rev, name, into):
 def timed_solve(pkg, make, data, cfg_kw):
     """(seconds, f-trace) of one polycdwa solve on a fresh objective."""
     obj = make(pkg, data)
-    cfg = pkg.SolveConfig(**cfg_kw)
+    cfg = pkg.SolveConfig(**cfg_kw(data))
     gc.collect()
     t0 = time.perf_counter()
     _, _, trace = pkg.polycdwa_solve(obj, obj.poly, cfg)
@@ -186,7 +204,9 @@ def main(argv=None):
     record = {
         "case": args.case, "rev_a": args.rev_a, "rev_b": args.rev_b,
         "commit_a": commits[0], "commit_b": commits[1],
-        "solve": {"solver": "polycdwa_solve", **cfg_kw},
+        "solve": {"solver": "polycdwa_solve", **{
+            k: "per seed" if isinstance(v, np.ndarray) else v
+            for k, v in cfg_kw(data[seeds[0]]).items()}},
         "seeds": list(seeds), "rounds": rounds,
         "median_ratio": med, "iqr": [q1, q3], "b_won": won,
         "pairs_total": len(pairs),

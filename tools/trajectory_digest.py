@@ -13,11 +13,11 @@ The baseline cases are FW, AFW, FISTA and 2cd on the same instances (2cd on
 the lifted simplex form of the l1-ball problems), each with the default
 config, with window=None, record_every=7, and with window=20,
 window_tol=1e-6, record_every=3.  A digest covers (t, f, inner_steps, nnz)
-of every record and the final x.  Each line ends with the case's final f
-(repr), so a changed digest shows how far the trajectory moved.  AFW also
-runs with the default config and a cap on the away step that binds
-(gamma_cap=0.05 on lasso and logistic, 1e-3 on KDE), so its capped steps
-are digested too.
+of every record and the final x.  Each line ends with the case's f at
+record 0 (f0) and its final f (repr), so a changed digest shows how far
+the trajectory moved.  AFW also runs with the default config and a cap on
+the away step that binds (gamma_cap=0.05 on lasso and logistic, 1e-3 on
+KDE), so its capped steps are digested too.
 
 Two crafted lasso families run polycd and polycdwa with the line search
 on both paths.  In the full-step cases (n=30, d=12, seeds 0-5, 3 passes)
@@ -36,9 +36,15 @@ search the away step from vertex 5 drops it, and the step toward vertex 4
 (C e_2) is a full step mid-pass, so the cases digest the moves whose next
 start the logistic kernel recomputes.
 
-The last cases are the kde-away benchmark's shape: polycdwa on the kernel
-path, on gen_kde(n=1000) seed 0, for 5 passes, with the line search and
-with the gradient rule.
+A permuted-order lasso family runs polycd and polycdwa with both step
+rules on both paths, on the lasso instance with a fixed random visit
+order, so that ls_cycle reads its blocks as gathers.
+
+The last cases are the benchmarks' shapes, on the kernel path with the
+line search and with the gradient rule: the kde-away solve (polycdwa on
+gen_kde(n=1000) seed 0, for 5 passes) and the lasso-away solve (polycdwa
+on gen_lasso(n=d=1000, r=50, snr=10) seed 0 over the l1 ball of radius
+||x*||_1, for 16 passes).
 
 Run it on two checkouts, then compare the outputs:
 
@@ -46,8 +52,12 @@ Run it on two checkouts, then compare the outputs:
     PYTHONPATH=src python3 tools/trajectory_digest.py before.txt after.txt
 
 The second form prints each case whose digest differs, with the relative
-change of its final f (the absolute change where the first f is 0), each case that only the second output has (new),
-the number of cases unchanged and the largest relative change.  It also
+change of its final f: |f_after - f_before| / max(|f_before|, 2^-52 |f0|),
+so a final f at the rounding level of the start's, as at a crafted exact
+minimizer, counts relative to that level (where neither output gives f0,
+the change is absolute where f_before is 0).  It also prints each case
+that only the second output has (new), the number of cases unchanged and
+the largest relative change.  It also
 checks the second output on its own: the kernel and per-step paths of each
 of the 16 Logistic cyclic pairs (4 `logistic`, 12 `sep0`-`sep2`) must print
 the same digest, since the per-step path is a bitwise spec of
@@ -121,8 +131,9 @@ def instances():
     yield "kde", kde, kde, None
 
 
-def print_case(fields, digest, f):
-    print(f"{' '.join(fields)} {digest.hexdigest()[:16]} f={float(f)!r}")
+def print_case(fields, digest, f0, f):
+    print(f"{' '.join(fields)} {digest.hexdigest()[:16]} f0={float(f0)!r} "
+          f"f={float(f)!r}")
     sys.stdout.flush()
 
 
@@ -140,7 +151,7 @@ def cyclic_case(name, obj, solve, rule, passes, use_k, **cfg):
         h.update(out[1].lam.tobytes())
     path = "kernel" if use_k else "per-step"
     print_case((f"{name:8s}", f"{solve.__name__:14s}", f"{rule:11s}",
-                f"{path:8s}"), h, f[-1])
+                f"{path:8s}"), h, f[0], f[-1])
 
 
 def cyclic_cases(insts):
@@ -169,7 +180,7 @@ def baseline_case(name, label, cname, obj, solve, cfg, **kw):
     h = hashlib.sha256(rows.tobytes())
     h.update(x.tobytes())
     print_case((f"{name:8s}", f"{label:14s}", f"{cname:11s}",
-                f"{len(trace):8d}"), h, trace[-1].f_value)
+                f"{len(trace):8d}"), h, trace[0].f_value, trace[-1].f_value)
 
 
 def baseline_cases(insts):
@@ -226,6 +237,28 @@ def separable_logistic_cases():
                         solve, rule, 5, use_k, lam0=lam0, visit_order=order)
 
 
+def permuted_lasso_cases(insts):
+    """The lasso instance with a fixed random visit order, on both paths:
+    every block of ls_cycle is a gather."""
+    make = insts[0][1]
+    order = np.random.default_rng(7).permutation(make().poly.M)
+    cases = itertools.product((polycd_solve, polycdwa_solve),
+                              (LINE_SEARCH, GRAD_1D), (True, False))
+    for solve, rule, use_k in cases:
+        cyclic_case("lasso-perm", make(), solve, rule, PASSES, use_k,
+                    visit_order=order)
+
+
+def lasso_away_cases():
+    """The lasso-away benchmark's solve at its size, under both step
+    rules, so that ls_cycle's block plan and carried scores are digested
+    where the benchmark runs them."""
+    A, b, _, C = gen_lasso(LassoSpec(n=1000, d=1000, r=50, snr=10.0, seed=0))
+    for rule in (LINE_SEARCH, GRAD_1D):
+        cyclic_case("lasso-away", LeastSquares(A, b, L1Ball(1000, C)),
+                    polycdwa_solve, rule, 16, True)
+
+
 def kde_away_cases():
     """The kde-away benchmark's solve at its size, for fewer passes, so
     that the kernel pass's cache rebuild, row-set swaps and block
@@ -240,15 +273,27 @@ def kde_away_cases():
 
 
 def read_cases(path):
-    """{case: (digest, final f)} of an output of this tool.  A baseline
-    case's record count is not part of its name: a change may move it."""
+    """{case: (digest, final f, f0 or None)} of an output of this tool
+    (f0 is None in an output that does not print it).  A baseline case's
+    record count is not part of its name: a change may move it."""
     cases = {}
     with open(path) as fh:
         for line in fh.read().splitlines():
-            *fields, digest, f = line.split()
+            words = line.split()
+            f0 = (float(words.pop(-2)[3:]) if words[-2].startswith("f0=")
+                  else None)
+            *fields, digest, f = words
             name = " ".join(w for w in fields if not w.isdigit())
-            cases[name] = (digest, float(f[2:]))
+            cases[name] = (digest, float(f[2:]), f0)
     return cases
+
+
+def relative_change(f_before, f_after, f0):
+    """|f_after - f_before| / max(|f_before|, 2^-52 |f0|); without f0, the
+    absolute change where f_before is 0."""
+    scale = abs(f_before) if f0 is None else max(abs(f_before),
+                                                 2.0 ** -52 * abs(f0))
+    return abs(f_after - f_before) / scale if scale else abs(f_after)
 
 
 def compare(before, after):
@@ -260,17 +305,17 @@ def compare(before, after):
     old, new = read_cases(before), read_cases(after)
     same = 0
     worst = 0.0
-    for case, (dig_old, f0) in old.items():
+    for case, (dig_old, f_old, start_old) in old.items():
         if case not in new:
             continue
-        dig_new, f1 = new[case]
+        dig_new, f_new, start_new = new[case]
         if dig_old == dig_new:
             same += 1
             continue
-        # absolute where the first f is 0, as at a crafted exact minimizer
-        rel = abs(f1 - f0) / abs(f0) if f0 else abs(f1)
+        rel = relative_change(f_old, f_new,
+                              start_old if start_new is None else start_new)
         worst = max(worst, rel)
-        print(f"{case}: f {f0!r} -> {f1!r}, relative change {rel:.2e}")
+        print(f"{case}: f {f_old!r} -> {f_new!r}, relative change {rel:.2e}")
     missing = [case for case in old if case not in new]
     for case in missing:
         print(f"{case}: missing")
@@ -315,7 +360,9 @@ def main():
     capped_afw_cases(insts)
     crafted_cases()
     separable_logistic_cases()
+    permuted_lasso_cases(insts)
     kde_away_cases()
+    lasso_away_cases()
 
 
 if __name__ == "__main__":
