@@ -4,16 +4,16 @@ Each kernel runs one full outer pass (one sweep over the vertex visit
 order) of the cyclic solver for one objective family, mutating the iterate
 and its cached quantities in place.  The density kernel also rebuilds its
 caches from the kernel columns it builds, so its pass needs no separate
-refresh.  The least-squares kernel reads each block of its visit order
-once per pass and carries the block's scores through its moves from the
-block's Gram, which its objective keeps in a block plan per order
-(ls_plan).
+refresh.  The least-squares and logistic kernels run over a plan of
+their visit order (block_plan) with per-block terms, such as the blocks'
+Grams that carry the least-squares scores, which their objective adds
+once per order.
 
 The step math that every vertex step shares is written once, as the
 helpers below: the step interval (step_interval), the away-step weight
 update with its drop snap (away_update), which carries the weights'
 rescale as one scalar that a pass folds in when it ends (carry_scale),
-the read of a block of data columns (block_rows), the 1D gradient rule, the
+the 1D gradient rule, the
 safeguarded Newton line search (newton_step, end_test_due and the loop
 line_min, which starts at the current point alpha = 0 and can take its
 first step to third order; defaults LS_TOL and LS_MAX_ITER), the segment
@@ -491,50 +491,37 @@ def scale_in_range(b):
     return 1e-100 < abs(b) < 1e100
 
 
-# Length of the scan-ahead blocks of ls_cycle and logistic_cycle.
-# ls_cycle makes one read per block per pass: one small matvec gives col.z
-# for every position of the block, and the block's Gram in its plan
-# (ls_plan) carries those scores through the block's moves with O(block)
-# scalar work per move.  So a pass costs M / block reads, plus O(block)
-# and the O(n) update of z per move: O(M (n + d)) for a fixed block.
-# logistic_cycle reads a screened block once (block_rows) and rescans it
-# after each move; kde_cycle builds its kernel columns a block at a time.
+# Length of the scan-ahead blocks of ls_cycle and logistic_cycle, and of the
+# blocks of their plans (block_plan).  ls_cycle makes one read per block
+# per pass: one small matvec gives col.z for every position of the block,
+# and the block's Gram carries those scores through the block's moves with
+# O(block) scalar work per move.  So a pass costs M / block reads, plus
+# O(block) and the O(n) update of z per move: O(M (n + d)) for a fixed
+# block.  logistic_cycle reads a screened block once and rescans it after
+# each move; kde_cycle builds its kernel columns a block at a time.
 LS_BLOCK = 32
 
 
-def block_rows(A_cols, J):
-    """(Ab, R): the data columns of the block of coordinates J as rows
-    Ab[R[k]] = A_cols[J[k]].  Where J is nondecreasing and spans no more
-    columns than it has positions, as every cyclic block on the l1 ball
-    (+-r e_j listed in turn) and the simplex is, Ab is the view of those
-    columns and R the offsets J - J[0], so a block reads each distinct
-    column once and copies none; otherwise Ab is the gather A_cols[J] and R
-    is range(len(J))."""
-    j0 = int(J[0])
-    if int(J[-1]) - j0 < J.shape[0] and (J[1:] >= J[:-1]).all():
-        return A_cols[j0:int(J[-1]) + 1], J - j0
-    return A_cols[J], np.arange(J.shape[0])
-
-
-def ls_plan(A_cols, bvec, J, S):
-    """The block plan of ls_cycle for a visit order whose positions have the
-    data columns J = vcoord[order] and the scales S = vscale[order]: one
-    (p, q, rows, R, G, SB) per block of LS_BLOCK positions p..q-1.  The
-    block reads A_cols[rows] = Ab, the read block_rows picks (rows is a
-    slice for a view, the index array J[p:q] for a gather), and R maps its
-    positions to the rows of Ab.  G = Ab Ab' is the block's Gram, and the
-    b-terms SB = S[p:q] (Ab b)[R] come from one call over the whole block,
-    the call shape of ls_cycle's scores, so they cancel against them
-    exactly where z = b.  The Grams hold at most ceil(M / LS_BLOCK)
-    LS_BLOCK^2 floats, against d^2 for A'A."""
+def block_plan(order, vcoord, vscale):
+    """The plan of a visit order over the vertices vscale[i] e_{vcoord[i]}:
+    one (rows, R, V, J, S) per block of LS_BLOCK positions, with their
+    vertices V, data columns J and scales S.  The block reads
+    Ab = A_cols[rows], with Ab[R[k]] = A_cols[J[k]].  Where J is
+    nondecreasing and spans no more columns than it has positions, as
+    every cyclic block on the l1 ball (+-r e_j listed in turn) and the
+    simplex is, rows is the slice of those columns, a view that reads each
+    distinct column once, and R = J - J[0]; otherwise rows is J, a gather,
+    and R = range(len(J))."""
     plan = []
-    for p in range(0, J.shape[0], LS_BLOCK):
-        q = min(p + LS_BLOCK, J.shape[0])
-        Ab, R = block_rows(A_cols, J[p:q])
-        rows = (slice(int(J[p]), int(J[p]) + Ab.shape[0])
-                if np.may_share_memory(Ab, A_cols) else J[p:q])
-        plan.append((p, q, rows, R, np.dot(Ab, Ab.T),
-                     S[p:q] * np.dot(Ab, bvec)[R]))
+    for p in range(0, order.shape[0], LS_BLOCK):
+        V = order[p:p + LS_BLOCK].copy()
+        J = vcoord[V]
+        j0, j1 = int(J[0]), int(J[-1])
+        if j1 - j0 < J.shape[0] and (J[1:] >= J[:-1]).all():
+            rows, R = slice(j0, j1 + 1), J - j0
+        else:
+            rows, R = J, np.arange(J.shape[0])
+        plan.append((rows, R, V, J, vscale[V]))
     return plan
 
 
@@ -546,15 +533,17 @@ _LS_CANCEL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def ls_cycle(A_cols, bvec, plan, z, x, lam, order, vcoord, vscale,
-             grad_rule, away, L, sq_x, gamma_cap, drop_tol, col_sq):
+def ls_cycle(A_cols, bvec, plan, z, x, lam, grad_rule, away, L, sq_x,
+             gamma_cap, drop_tol):
     """One outer pass on f(x) = ||A x - b||^2.
 
     A_cols is A transposed to (d, n) so that the data column of coordinate j
     is the contiguous row A_cols[j]; z caches A x; sq_x caches ||x||^2 and
     the updated value is returned.  lam is the convex-combination weight
-    vector (ignored unless away); col_sq holds the squared column norms and
-    plan is ls_plan's block plan of order.
+    vector (ignored unless away).  plan is one (rows, G, visits) per block
+    (LeastSquares._block_terms): the Gram G of Ab = A_cols[rows] and, per
+    position, (r, s, s col.b, i, j, ||col||^2) for vertex i = s e_j, whose
+    column is col = Ab[r].
 
     With w = s col - z for vertex s e_j and g = col.z, the step needs only
     w.(z - b) = s (g - col.b) - (||z||^2 - z.b) and
@@ -562,14 +551,14 @@ def ls_cycle(A_cols, bvec, plan, z, x, lam, order, vcoord, vscale,
     as scalars.  A step can move the iterate only where w.(z - b) < 0 or,
     in away mode, where lam_i != 0; every other step is an exact no-op,
     which the pass tests from the scalars and skips.  Each block reads its
-    columns once, as the plan says: one matvec gives the scores g of its
-    rows, the call shape of the plan's b-terms, so s g - s col.b cancels
-    exactly where z = b.  A move toward the row r by alpha updates the
-    scores of rows r and beyond, the rows the block's later positions read,
-    as g <- (1 - alpha) g + alpha s G[r] with Python floats, G the block's
-    Gram, so no move rescans the block; a full step, and a step whose
-    closed form lost its digits (_LS_CANCEL), reads the scores afresh.  z
-    itself moves at every move.
+    columns once: one matvec gives the scores g of its rows, the call shape
+    of the b-terms s col.b, so s g - s col.b cancels exactly where z = b.
+    A move toward the row r by alpha updates the scores of rows r and
+    beyond, the rows the block's later positions read, as
+    g <- (1 - alpha) g + alpha s G[r] with Python floats, so no move
+    rescans the block; a full step, and a step whose closed form lost its
+    digits (_LS_CANCEL), reads the scores afresh.  z itself moves at every
+    move.
 
     The iterate is xi * x while the pass runs: a step scales xi by 1 - alpha
     and writes only x_j, and xi is folded into x where it leaves
@@ -580,9 +569,6 @@ def ls_cycle(A_cols, bvec, plan, z, x, lam, order, vcoord, vscale,
     which zeroes x and lam before x_j = s and lam_i = 1 are written, and z
     and the scalars become the vertex's exactly.
     """
-    Ol = order.tolist()
-    Jl = vcoord[order].tolist()
-    Sl = vscale[order].tolist()
     # scalars as Python floats: arithmetic on them is several times faster
     # than on numpy scalars
     sq_x = float(sq_x)
@@ -590,11 +576,10 @@ def ls_cycle(A_cols, bvec, plan, z, x, lam, order, vcoord, vscale,
     zb = float(np.dot(z, bvec))
     zr = zz - zb
     xi = 1.0
-    for p, q, rows, R, G, SB in plan:
+    for rows, G, visits in plan:
         Ab = A_cols[rows]
         g = np.dot(Ab, z).tolist()
-        for r, s, sb, i, j in zip(R.tolist(), Sl[p:q], SB.tolist(), Ol[p:q],
-                                  Jl[p:q]):
+        for r, s, sb, i, j, cs in visits:
             # t - zr = w.(z - b)
             t = s * g[r] - sb
             if not t < zr and not (away and lam[i] != 0.0):
@@ -607,7 +592,6 @@ def ls_cycle(A_cols, bvec, plan, z, x, lam, order, vcoord, vscale,
             gr = g[r]
             num = t - zr
             lo, capped = step_interval(away, lam, xi, i, gamma_cap)
-            cs = float(col_sq[j])
             fresh = False
             if grad_rule:
                 alpha = grad_step(2.0 * num, c, L, lo, 1.0)
@@ -652,22 +636,22 @@ def ls_cycle(A_cols, bvec, plan, z, x, lam, order, vcoord, vscale,
     return sq_x
 
 
-def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
-                   grad_rule, away, L, sq_x, gamma_cap, drop_tol,
-                   ls_tol, ls_max_iter, col_l1):
+def logistic_cycle(A_cols, ylab, plan, z, x, lam, grad_rule, away, L, sq_x,
+                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
     """One outer pass on f(x) = sum_i log(1 + exp(-y_i a_i' x)); z caches A x.
-    col_l1 holds the l1 norms of the data columns A_cols.
+    plan is the visit order's block_plan with the term Logistic adds: one
+    (rows, R, V, J, S, |S| ||col||_1) per block.
 
     Along the step toward vertex s e_j, phi'(0) = z.(sig y) - s col.(sig y)
     with sig = 1 / (1 + exp(y z)).  A step can move the iterate only where
     phi'(0) < 0 or, in away mode, where lam_i != 0, so the pass screens a
-    block of LS_BLOCK visit positions with one read of its columns
-    (block_rows) and one small matvec and takes the exact step only at the
-    candidates: phi'(0) below a margin that bounds the rounding difference
-    between the screen's and the step's phi'(0), or lam_i != 0.  Every
-    other position is an exact alpha = 0 step, so the iterates are bit for
-    bit those of a visit to every vertex.  The screen is recomputed after
-    each step that moves.
+    block of the plan with one read of its columns, A_cols[rows], and one
+    small matvec and takes the exact step only at the candidates: phi'(0)
+    below a margin that bounds the rounding difference between the
+    screen's and the step's phi'(0), or lam_i != 0.  Every other position
+    is an exact alpha = 0 step, so the iterates are bit for bit those of a
+    visit to every vertex.  The screen is recomputed after each step that
+    moves.
 
     The pass carries the margins ym = y z in place of z and writes z = y ym
     back when it ends; labels are +-1, so yw = y (s col - z) = s y col - ym
@@ -686,9 +670,6 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     their rescale as one scalar (away_update), folded in when the pass
     ends.
     """
-    M = order.shape[0]
-    J = vcoord[order]
-    S = vscale[order]
     # 4 (n + 2) rounding units: twice the bound on either phi'(0)'s error
     tie = 4.0 * (z.shape[0] + 2)
     ym = ylab * z
@@ -707,23 +688,20 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
     scr_ok = False
     ncand = 0  # candidates of the previous block
     nprev = 0
-    p = 0
-    while p < M:
-        q = min(p + LS_BLOCK, M)
+    for rows, R, V, J, S, sl1 in plan:
         screen = 3 * ncand <= nprev
-        nprev = q - p
+        nprev = len(V)
         ncand = 0
         if screen:
-            Ab, R = block_rows(A_cols, J[p:q])
-            # the |s| ||col||_1 part of each position's margin
-            cm = (tie * _EPS) * np.abs(S[p:q]) * col_l1[J[p:q]]
+            Ab = A_cols[rows]
+            cm = (tie * _EPS) * sl1
             if away:
                 # the block's steps only rescale the weights ahead of them,
                 # so this holds every weight that is nonzero at its visit
-                held = lam[order[p:q]] != 0.0
+                held = lam[V] != 0.0
         rescan = screen
-        pos = p
-        while pos < q:
+        k = 0
+        while k < len(V):
             if screen:
                 if rescan:
                     if not scr_ok:
@@ -734,21 +712,21 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                         zs = np.dot(ym, sig) - tie * (_EPS * np.abs(ym).sum()
                                                       + 5e-324)
                         scr_ok = True
-                    phi = zs - S[pos:q] * np.dot(Ab, sy)[R[pos - p:]]
+                    phi = zs - S[k:] * np.dot(Ab, sy)[R[k:]]
                     # not >=: a NaN stays a candidate
-                    cand = ~(phi >= cm[pos - p:])
+                    cand = ~(phi >= cm[k:])
                     if away:
-                        cand = cand | held[pos - p:]
-                    base = pos
+                        cand = cand | held[k:]
+                    base = k
                     rescan = False
-                m = cand[pos - base:].argmax()
-                if not cand[pos - base + m]:
+                m = cand[k - base:].argmax()
+                if not cand[k - base + m]:
                     break
-                pos += m
-            i = order[pos]
-            j = J[pos]
-            s = S[pos]
-            pos += 1
+                k += m
+            i = V[k]
+            j = J[k]
+            s = S[k]
+            k += 1
             xj = x[j]
             c = sq_x - 2.0 * s * xj + s * s
             if is_degenerate(c, sq_x + s * s):
@@ -785,7 +763,6 @@ def logistic_cycle(A_cols, ylab, z, x, lam, order, vcoord, vscale,
                 sig, sg = logistic_start(ym, not grad_rule)
             scr_ok = False
             rescan = screen
-        p = q
     if lsc != 1.0:
         lam *= lsc
     np.multiply(ylab, ym, z)

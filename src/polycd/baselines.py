@@ -36,6 +36,8 @@ class BaselineConfig:
         require_ints(self, "max_iter", "window", "rng_seed", "record_every")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.window is not None and self.window < 1:
@@ -43,6 +45,9 @@ class BaselineConfig:
         # not <: a NaN, which switched its stop rule off, is rejected too
         if not self.window_tol >= 0:
             raise ValueError("window_tol must be nonnegative")
+        # a NaN switched FW's gap stop off; -inf stays allowed
+        if np.isnan(self.fw_gap_tol):
+            raise ValueError("fw_gap_tol must not be NaN")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError("time_budget must be nonnegative or None")
 

@@ -76,6 +76,8 @@ class SolverCell:
             raise ValueError("max_outer must be >= 1")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1 or None")
+        if self.rng_seed is not None and self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative or None")
         # not <: a NaN is rejected too, here and not in the run
         for name in ("rel_improve_tol", "window_tol"):
             if not getattr(self, name) >= 0:

@@ -236,8 +236,9 @@ class _CompositeObjective(BoundObjective):
     (_resid_grad_at), the slope <grad g(z), w> at the cached z
     (_dir_deriv), the argmin over [lo, hi] of g(z + alpha w) along the move
     `key` names, a vertex i or a pair (i, j) (_argmin), a bound G2 on g''
-    that sets L = G2 sigma_max(A)^2, and the name of its cycle kernel over
-    coordinate vertices (KERNEL)."""
+    that sets L = G2 sigma_max(A)^2, the name of its cycle kernel over
+    coordinate vertices (KERNEL) and the terms that kernel reads per block
+    of its plan (_block_terms)."""
 
     def __init__(self, A, poly, x0=None, L=None):
         A = np.ascontiguousarray(A, dtype=np.float64)
@@ -257,11 +258,23 @@ class _CompositeObjective(BoundObjective):
             # effective data column per listed vertex, A v_i
             self._pv_cols = np.ascontiguousarray((A @ poly.vertex_matrix().T).T)
         self._L_cached = smoothness_override(L)
+        self._plan = None  # (key of an order, its plan), for the kernel
         self._init_state(poly, x0)
 
     def refresh_cache(self):
         self.z = self.A @ self.x
         self.sq_x = float(self.x @ self.x)
+
+    def _order_plan(self, order):
+        """_kernels.block_plan of the visit order with the family's
+        _block_terms, kept for the last order run (keyed by its bytes)."""
+        key = (_kernels.LS_BLOCK, order.tobytes())
+        if self._plan is None or self._plan[0] != key:
+            self._plan = key, [self._block_terms(*block) for block in
+                               _kernels.block_plan(order,
+                                                   self.poly.vertex_coords,
+                                                   self.poly.vertex_scales)]
+        return self._plan[1]
 
     def _col_scale(self, i):
         if self._pv_cols is None:
@@ -342,12 +355,7 @@ class _CompositeObjective(BoundObjective):
 
 
 class LeastSquares(_CompositeObjective):
-    """f(x) = ||A x - b||^2 with cached residual products.
-
-    For ls_cycle it keeps the squared column norms and the block plan of
-    the last visit order it ran (_kernels.ls_plan: each block's read, its
-    Gram and its b-terms), built in the first run_cycle for an order and
-    keyed by the order's contents and LS_BLOCK."""
+    """f(x) = ||A x - b||^2 with cached residual products."""
 
     G2 = 2.0
     KERNEL = "ls_cycle"
@@ -358,8 +366,6 @@ class LeastSquares(_CompositeObjective):
         super().__init__(A, poly, x0, L)
         if self.bvec.shape != (self.n,):
             raise ValueError("b must have one entry per row of A")
-        self._col_sq = None  # the squared column norms, for ls_cycle
-        self._plan = None  # (key of an order, its ls_plan)
 
     def _g_of(self, z):
         r = z - self.bvec
@@ -376,21 +382,21 @@ class LeastSquares(_CompositeObjective):
         # _dir_deriv(w) and phi'' = 2 w.w
         return grad_step_alpha(self._dir_deriv(w), float(w @ w), 2.0, lo, hi)
 
+    def _block_terms(self, rows, R, V, J, S):
+        # ls_cycle's block: the b-terms s col.b come from one call over the
+        # block, the call shape of its scores, so they cancel against them
+        # exactly where z = b; the Grams hold at most M LS_BLOCK floats
+        Ab = self.A_cols[rows]
+        return rows, np.dot(Ab, Ab.T), list(zip(
+            R.tolist(), S.tolist(), (S * np.dot(Ab, self.bvec)[R]).tolist(),
+            V.tolist(), J.tolist(), np.einsum("ij,ij->i", Ab, Ab)[R].tolist()))
+
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
-        if self._col_sq is None:
-            self._col_sq = np.einsum("ij,ij->i", self.A_cols, self.A_cols)
-        key = (_kernels.LS_BLOCK, order.tobytes())
-        if self._plan is None or self._plan[0] != key:
-            self._plan = (key, _kernels.ls_plan(
-                self.A_cols, self.bvec, self.poly.vertex_coords[order],
-                self.poly.vertex_scales[order]))
         L = self.L if grad_rule else 1.0
-        self.sq_x = fn(self.A_cols, self.bvec, self._plan[1], self.z, self.x,
-                       lam, order,
-                       self.poly.vertex_coords, self.poly.vertex_scales,
-                       grad_rule, away, L, self.sq_x, gamma_cap, drop_tol,
-                       self._col_sq)
+        self.sq_x = fn(self.A_cols, self.bvec, self._order_plan(order),
+                       self.z, self.x, lam, grad_rule, away, L, self.sq_x,
+                       gamma_cap, drop_tol)
         self._bump(len(order))
 
 
@@ -414,7 +420,6 @@ class Logistic(_CompositeObjective):
         super().__init__(A, poly, x0, L)
         if self.labels.shape != (self.n,):
             raise ValueError("labels must have one entry per row of A")
-        self._col_l1 = None  # the column l1 norms, for logistic_cycle
 
     def refresh_cache(self):
         super().refresh_cache()
@@ -469,15 +474,17 @@ class Logistic(_CompositeObjective):
         super()._pair_move(i, j, theta)
         self._adopt((i, j), theta, True)
 
+    def _block_terms(self, rows, R, V, J, S):
+        # logistic_cycle's screen margin term |s| ||col||_1 per position
+        return (rows, R, V, J, S,
+                np.abs(S) * np.abs(self.A_cols[rows]).sum(axis=1)[R])
+
     def run_cycle(self, fn, order, lam, grad_rule, away,
                   gamma_cap, drop_tol, ls_tol, ls_max_iter):
-        if self._col_l1 is None:
-            self._col_l1 = np.abs(self.A_cols).sum(axis=1)
         L = self.L if grad_rule else 1.0
-        self.sq_x = fn(self.A_cols, self.labels, self.z, self.x, lam, order,
-                       self.poly.vertex_coords, self.poly.vertex_scales,
-                       grad_rule, away, L, self.sq_x, gamma_cap, drop_tol,
-                       ls_tol, ls_max_iter, self._col_l1)
+        self.sq_x = fn(self.A_cols, self.labels, self._order_plan(order),
+                       self.z, self.x, lam, grad_rule, away, L, self.sq_x,
+                       gamma_cap, drop_tol, ls_tol, ls_max_iter)
         self._ms = self._last = None
         self._bump(len(order))
 

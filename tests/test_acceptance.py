@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polycd import (GRAD_1D, LINE_SEARCH, KdeHuber, L1Ball, LeastSquares,
-                    Logistic, Quadratic, SolveConfig, StandardSimplex,
+                    Logistic, SolveConfig, StandardSimplex,
                     check_linear_bound, check_sublinear_bound, grad_step_alpha,
                     polycd_solve, polycdwa_solve, start_weights)
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
@@ -23,16 +23,11 @@ from polycd.verify import (check_reduction_identity, check_sequence_lemma,
                            reference_solve, reference_solve_kde,
                            simplex_decompose)
 
+from quadratics import random_quadratic
+
 
 def report(num, detail):
     print(f"\n[PASS] criterion {num}: {detail}")
-
-
-def random_quadratic(M, seed, mu=0.0):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((M + 2, M))
-    Q = B.T @ B / M + mu * np.eye(M)
-    return Quadratic(Q, rng.standard_normal(M), poly=StandardSimplex(M))
 
 
 # -- criterion 1: qualitative slow/fast contrast on the large lasso instance --

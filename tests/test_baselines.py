@@ -292,19 +292,21 @@ def test_config_rejects_bad_record_every_and_window(field, value):
 
 @pytest.mark.parametrize("field, value", [("max_iter", 2.5), ("window", 2.5),
                                           ("record_every", 2.5),
-                                          ("rng_seed", 0.5)])
+                                          ("rng_seed", 0.5), ("rng_seed", -1)])
 def test_config_rejects_non_integer_counts(field, value):
-    # max_iter=2.5 and window=2.5 raised TypeError inside the run, and
-    # record_every=2.5 recorded every 5th iteration
+    # max_iter=2.5 and window=2.5 raised TypeError inside the run,
+    # record_every=2.5 recorded every 5th iteration, and rng_seed=-1 failed
+    # only in 2cd's run, with numpy's ValueError
     with pytest.raises(ValueError, match=field):
         BaselineConfig(**{field: value})
     BaselineConfig(**{field: np.int64(3)})
 
 
-@pytest.mark.parametrize("field", ["window_tol", "time_budget"])
+@pytest.mark.parametrize("field", ["window_tol", "time_budget",
+                                   "fw_gap_tol"])
 def test_config_rejects_a_nan_stop_setting(field):
-    # a NaN window_tol or time_budget silently switched its stop rule off:
-    # FW ran all of max_iter
+    # a NaN window_tol, time_budget or fw_gap_tol silently switched its stop
+    # rule off: FW ran all of max_iter
     with pytest.raises(ValueError, match=field):
         BaselineConfig(**{field: np.nan})
 

@@ -64,10 +64,11 @@ def test_solver_cell_rejects_a_nan_tolerance(field):
 
 @pytest.mark.parametrize("field, value", [("max_outer", 2.5),
                                           ("max_iter", 2.5), ("window", 2.5),
-                                          ("rng_seed", 1.5)])
+                                          ("rng_seed", 1.5), ("rng_seed", -1)])
 def test_solver_cell_rejects_non_integer_counts(field, value):
     # a bench file's {"name": "polycd", "max_outer": 2.5} got past the cell
-    # and showed up only as a TypeError among the run's errors
+    # and showed up only as a TypeError among the run's errors, and
+    # {"name": "2cd", "rng_seed": -1} as numpy's ValueError
     with pytest.raises(ValueError, match=field):
         ExperimentConfig.from_dict({"preset": "lasso",
                                     "problem": {"n": 10, "d": 5, "r": 2},

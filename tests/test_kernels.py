@@ -14,6 +14,8 @@ def test_backend_registry_and_switching():
 def test_ls_cycle_single_pass_matches_manual_update():
     # one pass over a 2-vertex simplex with the exact line-search rule,
     # cross-checked against the hand-derived closed form
+    from polycd import LeastSquares, StandardSimplex
+
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 2))
     b = rng.standard_normal(6)
@@ -22,13 +24,10 @@ def test_ls_cycle_single_pass_matches_manual_update():
     z = A @ x
     sq_x = 1.0
     order = np.arange(2, dtype=np.int64)
-    coords = np.arange(2, dtype=np.int64)
-    scales = np.ones(2)
     fn = _kernels.kernel("ls_cycle")
-    plan = _kernels.ls_plan(A_cols, b, coords[order], scales[order])
-    sq_out = fn(A_cols, b, plan, z, x, np.empty(0), order, coords, scales,
-                False, False, 1.0, sq_x, 1e12, 1e-14,
-                np.sum(A_cols * A_cols, axis=1))
+    plan = LeastSquares(A, b, StandardSimplex(2))._order_plan(order)
+    sq_out = fn(A_cols, b, plan, z, x, np.empty(0), False, False, 1.0, sq_x,
+                1e12, 1e-14)
     # manual: step toward e_0 is degenerate; step toward e_1 has
     # alpha* = -<w, z-b>/<w, w> with w = A e_1 - A x
     x2 = np.array([1.0, 0.0])
@@ -50,23 +49,30 @@ def test_block_rows_reads_a_cyclic_block_as_a_view(poly):
     d = 40
     P = L1Ball(d, 2.0) if poly == "l1ball" else StandardSimplex(d)
     A_cols = np.random.default_rng(1).standard_normal((d, 9))
-    J = P.vertex_coords[np.arange(P.M)]
+
+    def only_block(order):
+        plan = _kernels.block_plan(order, P.vertex_coords, P.vertex_scales)
+        assert len(plan) == 1
+        rows, R, V, J, S = plan[0]
+        assert np.array_equal(V, order)
+        assert np.array_equal(J, P.vertex_coords[order])
+        assert np.array_equal(S, P.vertex_scales[order])
+        return A_cols[rows], R, J
+
     for p, length in [(0, 32), (32, 32), (3, 7), (P.M - 5, 5), (6, 1)]:
-        Jb = J[p:p + length]
-        Ab, R = _kernels.block_rows(A_cols, Jb)
+        Ab, R, Jb = only_block(np.arange(p, min(p + length, P.M)))
         assert np.shares_memory(Ab, A_cols)
         assert Ab.shape[0] == len(np.unique(Jb))
         assert np.array_equal(Ab[R], A_cols[Jb])
-    Jb = np.random.default_rng(2).permutation(J[:32])
-    Ab, R = _kernels.block_rows(A_cols, Jb)
+    Ab, R, Jb = only_block(np.random.default_rng(2).permutation(32))
     assert not np.shares_memory(Ab, A_cols)
     assert np.array_equal(R, np.arange(32)) and np.array_equal(Ab, A_cols[Jb])
 
 
 def test_ls_plan_holds_a_block_diagonal_gram():
     # the plan's Grams hold at most ceil(M / LS_BLOCK) LS_BLOCK^2 floats,
-    # not d^2, and its b-terms one float per position; it is built in the
-    # first run_cycle for an order and kept for the next
+    # not d^2, and it holds one visit per position, in order; it is built
+    # in the first run_cycle for an order and kept for the next
     from polycd import L1Ball, LeastSquares, StandardSimplex
 
     rng = np.random.default_rng(4)
@@ -86,9 +92,9 @@ def test_ls_plan_holds_a_block_diagonal_gram():
                       1e-14, 1e-12, 200)
         assert obj._plan[1] is plan
         bound = -(-poly.M // B) * B * B
-        grams = sum(G.size for *_, G, _ in plan)
+        grams = sum(G.size for _, G, _ in plan)
         assert grams <= bound
-        assert sum(SB.size for *_, SB in plan) == poly.M
+        assert [v[3] for *_, visits in plan for v in visits] == order.tolist()
         if order[1] == 1 and poly.kind == "l1ball":
             # a cyclic l1-ball block reads 16 or 17 columns, so the whole
             # plan takes under a third of the bound

@@ -17,17 +17,12 @@ from polycd.objectives import REFRESH_EVERY
 from polycd.problems import LogisticSpec, gen_logistic
 from polycd.verify import reference_solve
 
+from quadratics import random_quadratic
+
 
 def motivating_objective():
     ball = L1Ball(2, 1.0)
     return LeastSquares(np.eye(2), np.array([2.0, 2.0]), ball), ball
-
-
-def random_quadratic(M, seed, mu=0.0):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((M + 2, M))
-    Q = B.T @ B / M + mu * np.eye(M)
-    return Quadratic(Q, rng.standard_normal(M), poly=StandardSimplex(M))
 
 
 def test_motivating_problem_converges():
@@ -131,7 +126,7 @@ def test_visit_order_rejects_entries_that_are_not_integers(order):
 
 @pytest.mark.parametrize("rule", [LINE_SEARCH, GRAD_1D])
 def test_permuted_order_on_the_lasso_kernel_path(monkeypatch, rule):
-    # a permuted visit order makes ls_cycle gather its blocks (block_rows);
+    # a permuted visit order makes ls_cycle gather its blocks (block_plan);
     # the kernel path must still follow the per-step path
     rng = np.random.default_rng(11)
     A = rng.standard_normal((50, 30))
@@ -139,14 +134,14 @@ def test_permuted_order_on_the_lasso_kernel_path(monkeypatch, rule):
     ball = L1Ball(30, 1.5)
     order = rng.permutation(ball.M)
     views = []
-    block_rows = _kernels.block_rows
+    block_plan = _kernels.block_plan
 
-    def spy(A_cols, J):
-        Ab, R = block_rows(A_cols, J)
-        views.append(np.shares_memory(Ab, A_cols))
-        return Ab, R
+    def spy(*args):
+        plan = block_plan(*args)
+        views.extend(isinstance(rows, slice) for rows, *_ in plan)
+        return plan
 
-    monkeypatch.setattr(_kernels, "block_rows", spy)
+    monkeypatch.setattr(_kernels, "block_plan", spy)
     kern, step = _kernel_and_per_step(
         lambda: LeastSquares(A, b, ball), polycdwa_solve,
         SolveConfig(step_rule=rule, max_outer=10, rel_improve_tol=0.0,
@@ -658,11 +653,13 @@ def test_cancelled_closed_form_matches_the_per_step_path(seed):
 @pytest.mark.parametrize("solve", [polycd_solve, polycdwa_solve])
 def test_lasso_plan_follows_the_visit_order(solve):
     # one objective run with order A, then B, then A again keeps the
-    # trajectories of fresh objectives bitwise: the block plan of ls_cycle
-    # belongs to the order it was built for
+    # trajectories of fresh objectives bitwise, for the lasso and the
+    # logistic loss: the block plan of their kernels belongs to the order
+    # it was built for
     rng = np.random.default_rng(7)
     A = rng.standard_normal((60, 30))
     b = rng.standard_normal(60)
+    labels = np.where(b > 0.0, 1.0, -1.0)
     ball = L1Ball(30, 1.5)
     orders = (None, rng.permutation(ball.M), None)
 
@@ -672,12 +669,14 @@ def test_lasso_plan_follows_the_visit_order(solve):
         lam = out[1].lam if solve is polycdwa_solve else np.zeros(0)
         return _f_trace(out), out[0], lam
 
-    shared = LeastSquares(A, b, ball)
-    for order in orders:
-        got = run(shared, order)
-        want = run(LeastSquares(A, b, ball), order)
-        for name, u, v in zip(("f-trace", "x", "lam"), got, want):
-            assert np.array_equal(u, v), name
+    for make in (lambda: LeastSquares(A, b, ball),
+                 lambda: Logistic(A, labels, ball)):
+        shared = make()
+        for order in orders:
+            got = run(shared, order)
+            want = run(make(), order)
+            for name, u, v in zip(("f-trace", "x", "lam"), got, want):
+                assert np.array_equal(u, v), name
 
 
 @pytest.mark.parametrize("away", [False, True])

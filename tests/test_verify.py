@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polycd import (KdeHuber, L1Ball, LeastSquares, Quadratic, SolveConfig,
+from polycd import (KdeHuber, L1Ball, LeastSquares, SolveConfig,
                     StandardSimplex, polycd_solve, polycdwa_solve)
 from polycd.polytope import project_simplex
 from polycd.problems import KdeSpec, gen_kde
@@ -13,12 +13,7 @@ from polycd.verify import (check_reduction_identity, check_sequence_lemma,
                            reduction_sequences_from_steps, reference_solve,
                            reference_solve_kde, simplex_decompose)
 
-
-def random_quadratic(M, seed, mu=0.0):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((M + 2, M))
-    Q = B.T @ B / M + mu * np.eye(M)
-    return Quadratic(Q, rng.standard_normal(M), poly=StandardSimplex(M))
+from quadratics import random_quadratic
 
 
 # -- reference solve ---------------------------------------------------------

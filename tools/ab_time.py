@@ -6,7 +6,8 @@ Each revision is anything `git archive` accepts (a commit, a branch, or the
 commit `git stash create` prints for uncommitted changes).  Its src/polycd
 is archived into a temporary directory and loaded as its own package, pa
 for REV_A and pb for REV_B, so both trees run in the same process on the
-same data.  The data, and the ls-pass start weights, come from pa.
+same data.  The data, and the start weights of the pass cases, come from
+pa.
 
 A case is a solve on the instances of one benchmark workload:
 
@@ -24,6 +25,8 @@ A case is a solve on the instances of one benchmark workload:
                     instances, from the weights that a 4-pass lasso-away
                     solve by pa leaves (lam0): the ls_cycle kernel's
                     passes, timed through the public solver
+    logistic-pass   the same on the bench-logistic instances: the
+                    logistic_cycle kernel's line-search passes
 
 A round times one solve of each tree on every seed, alternately, and flips
 which tree goes first every round; each objective is built, untimed, just
@@ -74,13 +77,24 @@ def _lasso_obj(pkg, d):
     return pkg.LeastSquares(d[0], d[1], pkg.L1Ball(d[0].shape[1], d[2]))
 
 
-def _lasso_mid(pkg, seed):
-    """The lasso-away instance and the weights a 4-pass solve leaves."""
-    d = _lasso(pkg, seed)
-    obj = _lasso_obj(pkg, d)
-    _, state, _ = pkg.polycdwa_solve(obj, obj.poly, pkg.SolveConfig(
-        max_outer=4, rel_improve_tol=0.0))
-    return (*d, state.lam.copy())
+def _logistic_obj(pkg, d):
+    return pkg.Logistic(d[0], d[1], pkg.L1Ball(d[0].shape[1], d[2]))
+
+
+def _mid(gen, make):
+    """The data of a pass case: gen's instance and the weights a 4-pass
+    polycdwa solve on it leaves."""
+    def data(pkg, seed):
+        d = gen(pkg, seed)
+        obj = make(pkg, d)
+        _, state, _ = pkg.polycdwa_solve(obj, obj.poly, pkg.SolveConfig(
+            max_outer=4, rel_improve_tol=0.0))
+        return (*d, state.lam.copy())
+    return data
+
+
+def _passes(d):
+    return {"max_outer": 4, "rel_improve_tol": 0.0, "lam0": d[3]}
 
 
 # name: (seeds, data(pkg, seed), objective(pkg, data), SolveConfig kwargs
@@ -93,13 +107,11 @@ CASES = {
         range(2), _kde, lambda pkg, X: pkg.KdeHuber(X, 1.0, 0.4),
         lambda d: {"max_outer": 7, "rel_improve_tol": 0.0}, 12),
     "bench-logistic": (
-        range(2), _logistic,
-        lambda pkg, d: pkg.Logistic(d[0], d[1], pkg.L1Ball(d[0].shape[1],
-                                                           d[2])),
+        range(2), _logistic, _logistic_obj,
         lambda d: {"max_outer": 100, "rel_improve_tol": 1e-8}, 12),
-    "ls-pass": (
-        range(8), _lasso_mid, _lasso_obj,
-        lambda d: {"max_outer": 4, "rel_improve_tol": 0.0, "lam0": d[3]}, 12),
+    "ls-pass": (range(8), _mid(_lasso, _lasso_obj), _lasso_obj, _passes, 12),
+    "logistic-pass": (
+        range(2), _mid(_logistic, _logistic_obj), _logistic_obj, _passes, 24),
 }
 
 
