@@ -4,10 +4,17 @@ so that a segment query toward any vertex costs O(n + d).
 Every objective keeps its iterate ``x`` plus objective-specific caches (the
 product A x for the composite losses, the kernel products for the density
 objective) that are updated incrementally by ``apply_step`` and rebuilt from
-scratch by one rule on both cyclic paths, which keeps floating-point drift
-bounded: at the first pass end (a multiple of M steps) at least
-``REFRESH_EVERY`` steps after the last rebuild.  A density kernel pass
-rebuilds them from its kernel columns (``_kernels.kde_cycle``).
+scratch by one rule that both cyclic paths and the baselines share.  A
+rebuild falls only at a pass end (a multiple of M steps), once the passes
+since the last one reach an interval: first the fewest passes that hold
+``REFRESH_EVERY`` steps, then doubled at each rebuild up to
+``REBUILD_CAP`` passes, and restarted by ``reset``.  Each rebuild measures
+how far the carried product (A x, K w or Q x) drifted from the fresh one,
+relative to the largest |entry| of the family's data times the largest
+||v_i||_1 of the polytope; it raises ``CacheConsistencyError`` past
+``DRIFT_TOL`` and halves the interval instead of doubling it past
+``DRIFT_WARN``.  A density kernel pass rebuilds the caches from its kernel
+columns (``_kernels.kde_cycle``) and checks them against ``DRIFT_TOL``.
 ``eval_at``/``grad_at`` are stateless recomputations used by the oracles, so
 they share no code path with the incremental caches.
 
@@ -24,24 +31,31 @@ import numpy as np
 from . import _kernels
 from .polytope import StandardSimplex
 
-# the fewest steps between two rebuilds of an objective's caches
+# the first interval between two rebuilds of an objective's caches is the
+# fewest whole passes that hold REFRESH_EVERY steps; each rebuild doubles
+# the interval, up to REBUILD_CAP passes
 REFRESH_EVERY = 1000
+REBUILD_CAP = 64
 
 # rows of the kernel matrix that KdeHuber.matvec builds at a time
 KDE_MATVEC_BLOCK = 128
 
-# how far, relative to the terms they are built from, what kde_cycle
-# carries may drift from its rebuild: the cache u = K w at the start of a
-# pass from the K w that the pass sums from its own kernel columns, and
-# the squared distances P carried from move to move (with q and ||w||^2)
-# by the end of the pass from their rebuild from q and the u that the
-# pass carries per block and writes back with w (_kernels.kde_drift)
-KDE_DRIFT_TOL = 1e-10
+# how far what an objective carries may drift from its rebuild, relative to
+# the scale of the terms it is built from: at a rebuild, the carried A x,
+# K w or Q x from the fresh one; in kde_cycle, the cache u = K w at the
+# start of a pass from the K w that the pass sums from its own kernel
+# columns, and the squared distances P carried from move to move (with q
+# and ||w||^2) by the end of the pass from their rebuild from q and the u
+# that the pass carries per block and writes back with w
+# (_kernels.kde_drift).  A rebuild that finds more than DRIFT_WARN halves
+# the interval to the next one.
+DRIFT_TOL = 1e-10
+DRIFT_WARN = DRIFT_TOL / 100
 
 
 class CacheConsistencyError(RuntimeError):
     """A quantity carried from step to step has drifted from its rebuild
-    from the caches."""
+    past DRIFT_TOL."""
 
 
 @dataclass
@@ -116,13 +130,28 @@ def _power_sigma_sq(matvec, rmatvec, dim, iters=100, seed=0):
 
 
 def _require_finite(name, arr):
-    """ValueError unless every entry of the contiguous array arr is finite;
-    checked block by block, so no full-size temporary is made."""
+    """The largest |entry| of the contiguous array arr (0.0 if it is
+    empty); ValueError unless every entry is finite.  One scan, block by
+    block, so no full-size temporary is made."""
     flat = arr.reshape(-1)
     block = 1 << 16
+    top = 0.0
     for lo in range(0, flat.size, block):
-        if not np.isfinite(flat[lo:lo + block]).all():
+        part = flat[lo:lo + block]
+        low, high = float(part.min()), float(part.max())
+        # a NaN fails both comparisons
+        if not (-np.inf < low and high < np.inf):
             raise ValueError(f"{name} has non-finite entries")
+        top = max(top, high, -low)
+    return top
+
+
+def _l1_radius(poly):
+    """The largest ||v_i||_1 over the polytope's vertices, which bounds
+    ||x||_1 at every point of it."""
+    if poly.structured:
+        return float(np.abs(poly.vertex_scales).max())
+    return float(np.abs(poly.vertex_matrix()).sum(axis=1).max())
 
 
 def smoothness_override(L, name="L"):
@@ -141,14 +170,25 @@ def smoothness_override(L, name="L"):
 class BoundObjective:
     """Shared iterate/cache bookkeeping for all objective families.
 
-    A zero step only counts toward the refresh; any other step calls the
+    A zero step only counts toward the rebuild; any other step calls the
     family's _move, or for a pair move its _pair_move, which moves the
     caches before x_i, x_j and ||x||^2 (sq_x) are written here.  _steps
-    counts the steps since the last rebuild, which _bump makes at the first
-    pass end (a multiple of M) from REFRESH_EVERY steps on."""
+    counts the steps since the last rebuild, and _bump rebuilds at the pass
+    end (a multiple of M) where they reach _interval passes.  reset sets
+    _interval to the fewest passes that hold REFRESH_EVERY steps, and each
+    rebuild (_rebuild) doubles it up to REBUILD_CAP, or halves it where the
+    drift it measures, in drift, exceeds DRIFT_WARN.  A family names its
+    carried product vector in _PRODUCT and gives _init_state the largest
+    |entry| of the data that builds it, from the construction's finiteness
+    scan."""
 
-    def _init_state(self, poly, x0):
+    _PRODUCT = "z"
+
+    def _init_state(self, poly, x0, data_max):
         self.poly = poly
+        # the drift scale: |(A x)_i| <= max|A| ||x||_1 <= max|A| max||v||_1
+        self._drift_scale = data_max * _l1_radius(poly)
+        self.drift = 0.0  # measured by the last rebuild
         self._steps = 0
         self._rebuilt_at = None  # the bytes of the x of reset's last rebuild
         self.reset(x0)
@@ -172,6 +212,7 @@ class BoundObjective:
                 and self._rebuilt_at == x.tobytes() == self.x.tobytes())
         self.x = x
         self._steps = 0
+        self._interval = -(-REFRESH_EVERY // self.poly.M)
         if not keep:
             self.refresh_cache()
             self._rebuilt_at = x.tobytes()
@@ -181,9 +222,27 @@ class BoundObjective:
 
     def _bump(self, k=1):
         self._steps += k
-        if self._steps >= REFRESH_EVERY and self._steps % self.poly.M == 0:
-            self.refresh_cache()
-            self._steps = 0
+        M = self.poly.M
+        if self._steps >= self._interval * M and self._steps % M == 0:
+            self._rebuild()
+
+    def _rebuild(self):
+        # refresh_cache, checking the carried product it replaces against
+        # the fresh one; the next interval doubles, or halves on a warning
+        carried = getattr(self, self._PRODUCT)
+        self.refresh_cache()
+        gap = float(np.max(np.abs(carried - getattr(self, self._PRODUCT)),
+                           initial=0.0))
+        scale = self._drift_scale
+        self.drift = gap / scale if scale > 0.0 else gap
+        if not gap <= DRIFT_TOL * scale:
+            raise CacheConsistencyError(
+                f"the carried {self._PRODUCT} drifted {self.drift:.2e} from "
+                f"its rebuild, past {DRIFT_TOL:.0e}")
+        self._steps = 0
+        self._interval = (max(self._interval // 2, 1)
+                          if gap > DRIFT_WARN * scale
+                          else min(2 * self._interval, REBUILD_CAP))
 
     def apply_step(self, i, alpha):
         """Move x by the step alpha toward vertex i."""
@@ -244,7 +303,7 @@ class _CompositeObjective(BoundObjective):
         A = np.ascontiguousarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("A must be 2-dimensional")
-        _require_finite("A", A)
+        a_max = _require_finite("A", A)
         if A.shape[1] != poly.d:
             raise ValueError(
                 f"objective/polytope dimension mismatch: A has {A.shape[1]} "
@@ -259,7 +318,7 @@ class _CompositeObjective(BoundObjective):
             self._pv_cols = np.ascontiguousarray((A @ poly.vertex_matrix().T).T)
         self._L_cached = smoothness_override(L)
         self._plan = None  # (key of an order, its plan), for the kernel
-        self._init_state(poly, x0)
+        self._init_state(poly, x0, a_max)
 
     def refresh_cache(self):
         self.z = self.A @ self.x
@@ -532,6 +591,8 @@ class KdeHuber(BoundObjective):
     vector u = K w, the scalar q = w'Kw and ||w||^2.
     """
 
+    _PRODUCT = "u"
+
     def __init__(self, points, bandwidth, huber_mu, poly=None, x0=None, L=None):
         X = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
         _require_finite("points", X)
@@ -549,7 +610,7 @@ class KdeHuber(BoundObjective):
         self._L_cached = smoothness_override(L)
         self._cols = {}
         self._work = _kernels.kde_work(self.n)  # the per-step searches' rows
-        self._init_state(poly, x0)
+        self._init_state(poly, x0, self.kappa0)  # K's largest entry
 
     def kernel_column(self, j):
         return self._columns(np.array([j]))[0]
@@ -698,10 +759,11 @@ class KdeHuber(BoundObjective):
             self.X, self.xsq, self.u, self.x, lam, order, grad_rule, away, L,
             self.kappa0, self.inv2s2, self.mu_h, self.q, self.sq_x,
             gamma_cap, drop_tol, ls_tol, ls_max_iter)
-        if not drift <= KDE_DRIFT_TOL:
+        self.drift = drift
+        if not drift <= DRIFT_TOL:
             raise CacheConsistencyError(
                 f"the caches kde_cycle carries drifted {drift:.2e} from "
-                f"their rebuild, past {KDE_DRIFT_TOL:.0e}")
+                f"their rebuild, past {DRIFT_TOL:.0e}")
         # the pass rebuilt the caches, to other bits than refresh_cache's
         self._steps = 0
         self._rebuilt_at = None
@@ -714,9 +776,11 @@ class Quadratic(BoundObjective):
     the extreme eigenvalues of Q, computed exactly.
     """
 
+    _PRODUCT = "g"
+
     def __init__(self, Q, qlin=None, c0=0.0, poly=None, x0=None):
         Q = np.ascontiguousarray(Q, dtype=np.float64)
-        _require_finite("Q", Q)
+        q_max = _require_finite("Q", Q)
         Q = 0.5 * (Q + Q.T)
         self.Q = Q
         self.d = Q.shape[0]
@@ -732,7 +796,8 @@ class Quadratic(BoundObjective):
         self._L_cached = max(float(np.abs(evals).max()), 1e-12)
         self.mu = float(evals.min())
         self._QV = poly.vertex_matrix() @ Q  # row i = (Q v_i)'
-        self._init_state(poly, x0)
+        # max|Q| bounds the entries of its symmetric part too
+        self._init_state(poly, x0, q_max)
 
     def refresh_cache(self):
         self.g = self.Q @ self.x

@@ -40,7 +40,7 @@ def test_ls_cycle_single_pass_matches_manual_update():
 
 
 @pytest.mark.parametrize("poly", ["l1ball", "simplex"])
-def test_block_rows_reads_a_cyclic_block_as_a_view(poly):
+def test_block_plan_reads_a_cyclic_block_as_a_view(poly):
     # every cyclic block of visit positions, also one that starts between
     # the two vertices +-r e_j, reads its distinct columns once as a view;
     # a shuffled block is gathered
@@ -69,7 +69,7 @@ def test_block_rows_reads_a_cyclic_block_as_a_view(poly):
     assert np.array_equal(R, np.arange(32)) and np.array_equal(Ab, A_cols[Jb])
 
 
-def test_ls_plan_holds_a_block_diagonal_gram():
+def test_lasso_order_plan_holds_a_block_diagonal_gram():
     # the plan's Grams hold at most ceil(M / LS_BLOCK) LS_BLOCK^2 floats,
     # not d^2, and it holds one visit per position, in order; it is built
     # in the first run_cycle for an order and kept for the next

@@ -906,17 +906,16 @@ def test_logistic_margins_cache_follows_every_change_of_z(monkeypatch):
     assert obj.pair_line_search(i, j, -1.0, 1.0) != 0.25
     obj.apply_pair_step(i, j, 0.25)
     _check_logistic_cache(obj, "pair search, then another step")
-    # the next step ends a pass and refreshes the caches, after taking the
-    # search's rows; zero steps, which only count, bring it to a pass end
-    while (obj._steps + 1) % obj.poly.M:
+    # the next step ends the pass at which the schedule's first interval
+    # runs out, and so rebuilds the caches, after taking the search's rows;
+    # zero steps, which only count, bring it to that pass end
+    while obj._steps + 1 < obj._interval * obj.poly.M:
         obj.apply_step(0, 0.0)
-    monkeypatch.setattr(objectives, "REFRESH_EVERY", obj._steps + 1)
     alpha = obj.line_search(2, 0.0, 1.0)
     assert alpha != 0.0
     obj.apply_step(2, alpha)
     assert obj._steps == 0
     _check_logistic_cache(obj, "refresh")
-    monkeypatch.undo()
     obj.full_gradient()
     obj.run_cycle(_kernels.kernel(obj.kernel_name()),
                   np.arange(obj.poly.M), np.empty(0), False, False, 1e12,

@@ -13,7 +13,8 @@ from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, ExplicitVertices,
 from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
-from polycd.objectives import REFRESH_EVERY
+from polycd.objectives import (DRIFT_TOL, DRIFT_WARN, REBUILD_CAP,
+                               REFRESH_EVERY, CacheConsistencyError)
 from polycd.problems import LogisticSpec, gen_logistic
 from polycd.verify import reference_solve
 
@@ -455,7 +456,8 @@ def test_kernel_path_matches_generic_path():
                 if isinstance(obj, Logistic):
                     assert np.array_equal(u, v), (case, name)
     # past REFRESH_EVERY steps too: both paths rebuild the caches at the
-    # same pass ends (M = 400, so after passes 3, 6, 9, ...)
+    # same pass ends (M = 400, so the intervals are 3, 6, 12, ... passes
+    # and the rebuilds fall after passes 3, 9 and 21)
     A, labels, _, C = gen_logistic(LogisticSpec(n=200, d=200, r=20, seed=0))
     big = L1Ball(200, C)
     assert 40 * big.M > REFRESH_EVERY
@@ -478,15 +480,17 @@ def test_kernel_path_matches_generic_path():
 def test_per_step_path_rebuilds_the_caches_at_pass_ends(monkeypatch, solve,
                                                         rule):
     # M = 14 does not divide REFRESH_EVERY, so a cadence of REFRESH_EVERY
-    # steps would rebuild mid-pass; the rebuilds fall at the first pass end
-    # past it instead, after 72 and 144 passes.  Each visit counts, the
-    # degenerate one to the start vertex 0 included.  The labels are
-    # separable and the radius large, so f falls in every pass.
+    # steps would rebuild mid-pass; the first rebuild falls at the first
+    # pass end past it instead, after 72 passes, and the next one
+    # REBUILD_CAP = 64 passes later, after 136, where doubling the first
+    # interval is capped.  Each visit counts, the degenerate one to the
+    # start vertex 0 included.  The labels are separable and the radius
+    # large, so f falls in every pass.
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 7))
     labels = np.sign(A @ rng.standard_normal(7))
     ball = L1Ball(7, 50.0)
-    assert REFRESH_EVERY % ball.M
+    assert REFRESH_EVERY % ball.M and REBUILD_CAP == 64
     obj = Logistic(A, labels, ball)
     visits, rebuilds = [], []
 
@@ -499,7 +503,91 @@ def test_per_step_path_rebuilds_the_caches_at_pass_ends(monkeypatch, solve,
                                          rel_improve_tol=0.0),
                   inner_callback=lambda t, i, a: visits.append(i))[-1]
     assert len(trace) == 151 and len(visits) == 150 * ball.M
-    assert rebuilds == [72 * ball.M, 144 * ball.M]
+    assert rebuilds == [72 * ball.M, 136 * ball.M]
+
+
+def _rebuild_instance(family):
+    # an l1-ball instance with M = 100 vertices, so the schedule's first
+    # interval is 10 passes; its drift scale is max|A| times the radius
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((40, 50))
+    ball = L1Ball(50, 3.0)
+    if family == "lasso":
+        obj = LeastSquares(A, rng.standard_normal(40), ball)
+    else:
+        obj = Logistic(A, np.where(rng.random(40) < 0.5, 1.0, -1.0), ball)
+    return obj, float(np.abs(A).max()) * 3.0
+
+
+@pytest.mark.parametrize("family, path", [
+    ("lasso", "kernel"), ("lasso", "per-step"), ("logistic", "kernel"),
+    ("logistic", "per-step"), ("lasso", "fw")])
+def test_a_corrupted_cache_raises_within_one_rebuild_interval(monkeypatch,
+                                                              family, path):
+    # z moves off A x by 1e-3 of the drift scale at the end of pass 1; the
+    # next rebuild, at most one interval later, finds it
+    obj, scale = _rebuild_instance(family)
+    M = obj.poly.M
+    assert -(-REFRESH_EVERY // M) == 10
+    steps, due = [0], []
+
+    def counted(n, call):
+        # steps holds the count of the step that raised, if one does
+        steps[0] += n
+        call()
+        if steps[0] == M:
+            due.append(steps[0] + obj._interval * M - obj._steps)
+            obj.z[0] += 1e-3 * scale
+    if path == "kernel":
+        def run_cycle(*args, orig=obj.run_cycle):
+            counted(M, lambda: orig(*args))
+        monkeypatch.setattr(obj, "run_cycle", run_cycle)
+    else:
+        def apply_step(i, alpha, orig=obj.apply_step):
+            counted(1, lambda: orig(i, alpha))
+        monkeypatch.setattr(obj, "apply_step", apply_step)
+    with pytest.raises(CacheConsistencyError, match="drifted"):
+        if path == "fw":
+            fw_solve(obj, obj.poly, BaselineConfig(
+                max_iter=40 * M, window=None, fw_gap_tol=-np.inf))
+        else:
+            # a callback selects the per-step path
+            polycdwa_solve(obj, obj.poly,
+                           SolveConfig(max_outer=40, rel_improve_tol=0.0),
+                           inner_callback=None if path == "kernel"
+                           else lambda t, i, a: None)
+    # the step that raised ends the pass of the next rebuild
+    assert due and steps[0] == due[0] <= M + 10 * M, (steps, due)
+
+
+def test_rebuild_interval_doubles_to_the_cap_and_halves_on_a_warning():
+    # zero steps only count, so z moves only where the test writes it: by
+    # the given multiple of the drift scale just before a rebuild's step
+    obj, scale = _rebuild_instance("lasso")
+    M = obj.poly.M
+
+    def rebuild_after_writing(shift):
+        start = obj._interval
+        while obj._steps + 1 < start * M:
+            obj.apply_step(0, 0.0)
+        obj.z[3] += shift * scale
+        obj.apply_step(0, 0.0)
+        assert obj._steps == 0
+        return start
+
+    intervals = [rebuild_after_writing(0.0) for _ in range(5)]
+    assert intervals == [10, 20, 40, 64, 64] and obj.drift == 0.0
+    # above DRIFT_WARN the next interval halves; below it, it doubles
+    assert rebuild_after_writing(10 * DRIFT_WARN) == 64
+    assert 9 * DRIFT_WARN < obj.drift < 11 * DRIFT_WARN
+    assert rebuild_after_writing(0.1 * DRIFT_WARN) == 32
+    assert rebuild_after_writing(0.0) == 64
+    # reset restarts the schedule
+    obj.reset(obj.x)
+    assert rebuild_after_writing(0.0) == 10
+    # past DRIFT_TOL the rebuild raises
+    with pytest.raises(CacheConsistencyError):
+        rebuild_after_writing(2 * DRIFT_TOL)
 
 
 def test_composite_objectives_over_listed_vertices_match_the_l1_ball():
@@ -651,7 +739,7 @@ def test_cancelled_closed_form_matches_the_per_step_path(seed):
 
 
 @pytest.mark.parametrize("solve", [polycd_solve, polycdwa_solve])
-def test_lasso_plan_follows_the_visit_order(solve):
+def test_composite_plan_follows_the_visit_order(solve):
     # one objective run with order A, then B, then A again keeps the
     # trajectories of fresh objectives bitwise, for the lasso and the
     # logistic loss: the block plan of their kernels belongs to the order
