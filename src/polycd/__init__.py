@@ -5,7 +5,6 @@ from ._kernels import active_backend, HAVE_NUMBA
 from .polytope import (
     ExplicitVertices,
     L1Ball,
-    PolytopeConstants,
     PolytopeError,
     StandardSimplex,
     UnsupportedSizeError,
@@ -26,12 +25,9 @@ from .solvers import (
     GRAD_1D,
     LINE_SEARCH,
     AwayState,
-    BoundReport,
     ConsistencyError,
     SolveConfig,
     TraceRecord,
-    check_linear_bound,
-    check_sublinear_bound,
     polycd_solve,
     polycdwa_solve,
     start_weights,
@@ -41,13 +37,11 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AwayState", "BoundReport", "ConsistencyError", "ExplicitVertices",
-    "GRAD_1D", "HAVE_NUMBA", "KdeHuber", "L1Ball", "LINE_SEARCH",
-    "LeastSquares", "Logistic", "PolytopeConstants", "PolytopeError",
-    "Quadratic", "SegmentQuery", "SolveConfig", "StandardSimplex",
-    "TraceRecord", "UnsupportedSizeError", "VertexPolytope",
-    "active_backend", "bisect_line_min", "check_linear_bound",
-    "check_sublinear_bound", "grad_step_alpha", "polycd_solve",
-    "polycdwa_solve", "project_l1_ball", "project_simplex", "start_weights",
-    "weight_refresh",
+    "AwayState", "ConsistencyError", "ExplicitVertices", "GRAD_1D",
+    "HAVE_NUMBA", "KdeHuber", "L1Ball", "LINE_SEARCH", "LeastSquares",
+    "Logistic", "PolytopeError", "Quadratic", "SegmentQuery", "SolveConfig",
+    "StandardSimplex", "TraceRecord", "UnsupportedSizeError",
+    "VertexPolytope", "active_backend", "bisect_line_min", "grad_step_alpha",
+    "polycd_solve", "polycdwa_solve", "project_l1_ball", "project_simplex",
+    "start_weights", "weight_refresh",
 ]

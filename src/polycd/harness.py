@@ -13,6 +13,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +49,8 @@ _PROBLEM_KEYS = {
     "kde": _fields(KdeSpec) - {"seed"},
     "custom-simplex-quadratic": {"d", "mu"},
 }
+# the problem-section keys that hold sizes
+_SIZE_KEYS = ("n", "d", "r", "m")
 
 
 def compute_gap(f_hat, f_star):
@@ -111,6 +114,8 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         _reject_unknown(self.problem, _PROBLEM_KEYS[self.preset],
                         f"problem ({self.preset})")
+        require_ints(SimpleNamespace(**self.problem),
+                     *(k for k in _SIZE_KEYS if k in self.problem))
         self.solvers = [s if isinstance(s, SolverCell) else SolverCell.from_dict(s)
                         for s in self.solvers]
         if (self.preset == "custom-simplex-quadratic"

@@ -6,8 +6,8 @@ list.  The two structured kinds keep vertices in signed one-hot form
 materialized as a dense vector on the hot path.
 """
 
-from dataclasses import dataclass
 import itertools
+import operator
 
 import numpy as np
 
@@ -20,13 +20,16 @@ class UnsupportedSizeError(PolytopeError):
     pass
 
 
-@dataclass
-class PolytopeConstants:
-    """Geometric constants used by the convergence-bound checks."""
-
-    D: float
-    D_exact: bool
-    psi: float | None = None
+def _dimension(d, what):
+    """d as an int; PolytopeError, naming d, unless d is an integer >= 1."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise PolytopeError(
+            f"{what} dimension d must be an integer, not {d!r}") from None
+    if d < 1:
+        raise PolytopeError(f"{what} dimension d must be >= 1")
+    return d
 
 
 def project_simplex(y):
@@ -139,32 +142,29 @@ class VertexPolytope:
 
     # -- geometric constants -------------------------------------------------
 
-    def diameter(self, pair_cap=4096):
+    DIAMETER_PAIR_CAP = 4096
+
+    def diameter(self):
         """max_{i,j} ||v_i - v_j||.
 
         Exact (pairwise enumeration, or the structured closed form which
-        pairwise enumeration attains) for M <= pair_cap; beyond the cap a
-        certified upper bound 2 * max_i ||v_i - centroid|| is returned and
-        ``diameter_exact`` is set False.  The convergence bounds only ever
-        need an upper bound.
+        pairwise enumeration attains) for M <= DIAMETER_PAIR_CAP; beyond
+        the cap a certified upper bound 2 * max_i ||v_i - centroid|| is
+        returned and ``diameter_exact`` is set False.  The convergence
+        bounds only ever need an upper bound.
         """
         if getattr(self, "_diam", None) is None:
-            self._diam, self.diameter_exact = self._compute_diameter(pair_cap)
+            self._diam, self.diameter_exact = self._compute_diameter()
         return self._diam
 
-    def _compute_diameter(self, pair_cap):
+    def _compute_diameter(self):
         V = self.vertex_matrix()
-        if self.M <= pair_cap:
+        if self.M <= self.DIAMETER_PAIR_CAP:
             sq = np.sum(V * V, axis=1)
             d2 = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
             return float(np.sqrt(max(d2.max(), 0.0))), True
         c = V.mean(axis=0)
         return float(2.0 * np.sqrt(np.max(np.sum((V - c) ** 2, axis=1)))), False
-
-    def constants(self, with_psi=False):
-        D = self.diameter()
-        psi = self.facial_distance() if with_psi else None
-        return PolytopeConstants(D=D, D_exact=self.diameter_exact, psi=psi)
 
     # -- facial distance -----------------------------------------------------
 
@@ -234,10 +234,8 @@ class StandardSimplex(VertexPolytope):
     structured = True
 
     def __init__(self, d):
-        if d < 1:
-            raise PolytopeError("simplex dimension must be >= 1")
-        self.d = int(d)
-        self.M = int(d)
+        d = _dimension(d, "simplex")
+        self.d = self.M = d
         self.vertex_coords = np.arange(d, dtype=np.int64)
         self.vertex_scales = np.ones(d)
         self._diam = None
@@ -260,7 +258,7 @@ class StandardSimplex(VertexPolytope):
     def project(self, y):
         return project_simplex(y)
 
-    def _compute_diameter(self, pair_cap):
+    def _compute_diameter(self):
         return (float(np.sqrt(2.0)) if self.d >= 2 else 0.0), True
 
     def _proper_faces(self):
@@ -281,13 +279,12 @@ class L1Ball(VertexPolytope):
     structured = True
 
     def __init__(self, d, radius):
-        if d < 1:
-            raise PolytopeError("l1 ball dimension must be >= 1")
+        d = _dimension(d, "l1 ball")
         if not (np.isfinite(radius) and radius > 0):
             raise PolytopeError("l1 ball radius must be positive and finite")
-        self.d = int(d)
+        self.d = d
         self.radius = float(radius)
-        self.M = 2 * int(d)
+        self.M = 2 * d
         self.vertex_coords = np.repeat(np.arange(d, dtype=np.int64), 2)
         self.vertex_scales = np.tile(np.array([radius, -radius]), d)
         self._diam = None
@@ -312,7 +309,7 @@ class L1Ball(VertexPolytope):
     def project(self, y):
         return project_l1_ball(y, self.radius)
 
-    def _compute_diameter(self, pair_cap):
+    def _compute_diameter(self):
         return float(2.0 * self.radius), True
 
     def _proper_faces(self):

@@ -248,60 +248,3 @@ def polycdwa_solve(obj, poly=None, cfg=None, inner_callback=None):
     """
     cfg = cfg if cfg is not None else SolveConfig()
     return _drive(obj, poly, cfg, away=True, inner_callback=inner_callback)
-
-
-# ---------------------------------------------------------------------------
-# empirical rate-bound checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoundReport:
-    ok: bool
-    ts: np.ndarray
-    gaps: np.ndarray
-    bounds: np.ndarray
-    first_violation: int | None = None
-
-    @property
-    def margins(self):
-        return self.bounds - self.gaps
-
-
-def _bound_report(recs, f_star, bound):
-    """The BoundReport of the records recs against bound(ts), with a
-    relative slack of 1e-9 and an absolute one of 1e-12 max(1, |f_star|)."""
-    ts = np.array([r.t for r in recs])
-    gaps = np.array([r.f_value - f_star for r in recs])
-    bounds = bound(ts)
-    viol = gaps > bounds * (1.0 + 1e-9) + 1e-12 * max(1.0, abs(f_star))
-    first = int(ts[viol][0]) if viol.any() else None
-    return BoundReport(ok=not viol.any(), ts=ts, gaps=gaps, bounds=bounds,
-                       first_violation=first)
-
-
-def check_sublinear_bound(trace, f_star, M, L, D, rule):
-    """Check gap(t) <= max(gap(1), K M L D^2) / t for t >= 1, with K = 4
-    under exact line search and K = 16 under the 1D gradient rule."""
-    K = 4.0 if rule == LINE_SEARCH else 16.0
-    recs = [r for r in trace if r.t >= 1]
-    if not recs:
-        raise ValueError("trace has no records with t >= 1")
-    gap1 = trace[1].f_value - f_star if trace[0].t == 0 else recs[0].f_value - f_star
-    const = max(gap1, K * M * L * D * D)
-    return _bound_report(recs, f_star, lambda ts: const / ts)
-
-
-def check_linear_bound(trace, f_star, M, L, D, mu, psi, rule):
-    """Check gap(t) <= (G/(1+G))^t gap(0) with G = 1 + 9 M L D^2/(mu psi^2)
-    under exact line search, and the G' = 2 + 16 M L D^2/(mu psi^2) analogue
-    under the 1D gradient rule."""
-    if not (mu > 0 and psi > 0):
-        raise ValueError("needs mu > 0 and psi > 0")
-    base = M * L * D * D / (mu * psi * psi)
-    G = 1.0 + 9.0 * base if rule == LINE_SEARCH else 2.0 + 16.0 * base
-    rho = G / (1.0 + G)
-    if trace[0].t != 0:
-        raise ValueError("trace must start at t = 0")
-    gap0 = trace[0].f_value - f_star
-    return _bound_report(trace, f_star, lambda ts: gap0 * rho ** ts)

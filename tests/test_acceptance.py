@@ -10,19 +10,19 @@ import numpy as np
 import pytest
 
 from polycd import (GRAD_1D, LINE_SEARCH, KdeHuber, L1Ball, LeastSquares,
-                    Logistic, SolveConfig, StandardSimplex,
-                    check_linear_bound, check_sublinear_bound, grad_step_alpha,
+                    Logistic, SolveConfig, StandardSimplex, grad_step_alpha,
                     polycd_solve, polycdwa_solve, start_weights)
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
 from polycd.harness import compute_gap
 from polycd.problems import KdeSpec, LassoSpec, gen_kde, gen_lasso
-from polycd.verify import (check_reduction_identity, check_sequence_lemma,
-                           finite_diff_gradient, golden_section_min,
-                           grid_line_min, reduction_sequences_from_steps,
-                           reference_solve, reference_solve_kde,
-                           simplex_decompose)
+from polycd.verify import reference_solve_kde
 
+from oracles import (check_linear_bound, check_reduction_identity,
+                     check_sequence_lemma, check_sublinear_bound,
+                     finite_diff_gradient, golden_section_min, grid_line_min,
+                     reduction_sequences_from_steps, reference_solve,
+                     simplex_decompose)
 from quadratics import random_quadratic
 
 

@@ -7,7 +7,8 @@ from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
                     StandardSimplex)
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, pair_stream, twocd_solve)
-from polycd.verify import reference_solve
+
+from oracles import reference_solve
 
 
 def strongly_convex_quadratic(M, seed, mu=0.5):

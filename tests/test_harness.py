@@ -90,6 +90,21 @@ def test_config_rejects_a_non_integer_repetition_count_or_seed(field, value):
                                     field: value, **kw})
 
 
+@pytest.mark.parametrize("preset, problem, key", [
+    ("custom-simplex-quadratic", {"d": 2.5}, "d"),
+    ("lasso", {"n": 10, "d": 20.5, "r": 2}, "d"),
+    ("lasso", {"n": 10.0, "d": 5, "r": 2}, "n"),
+    ("logistic", {"n": 10, "d": 5, "r": 2.5}, "r"),
+    ("kde", {"n": 200, "m": 3.5}, "m"),
+])
+def test_config_rejects_a_non_integer_problem_size(preset, problem, key):
+    # the quadratic preset ran {"d": 2.5} on d = 2 while summary.json
+    # recorded 2.5, and {"d": 20.5} crashed a lasso bench run in numpy
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        ExperimentConfig.from_dict({"preset": preset, "problem": problem,
+                                    "solvers": [{"name": "polycd"}]})
+
+
 def test_quadratic_preset_rejects_a_smoothness_override():
     # Quadratic computes L exactly, and the override used to be dropped
     with pytest.raises(ValueError, match="smoothness"):

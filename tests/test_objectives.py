@@ -9,7 +9,9 @@ from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
                     StandardSimplex, _kernels, bisect_line_min,
                     grad_step_alpha, objectives)
 from polycd.problems import KdeSpec, gen_kde
-from polycd.verify import DenseKdeHuber, finite_diff_gradient, golden_section_min
+from polycd.verify import DenseKdeHuber
+
+from oracles import finite_diff_gradient, golden_section_min
 
 
 def motivating_setup():

@@ -72,6 +72,15 @@ def test_l1ball_rejects_nonpositive_or_nonfinite_radius(radius):
         L1Ball(3, radius)
 
 
+@pytest.mark.parametrize("d", [2.5, np.float64(3.0), 0])
+@pytest.mark.parametrize("make", [StandardSimplex, lambda d: L1Ball(d, 1.0)],
+                         ids=["simplex", "l1ball"])
+def test_polytopes_reject_a_dimension_that_is_not_a_positive_integer(make, d):
+    # a float d used to fail inside numpy with a TypeError
+    with pytest.raises(PolytopeError, match="dimension d"):
+        make(d)
+
+
 def test_explicit_vertices_passthrough():
     p = ExplicitVertices([(1.0, 1.0), (0.0, 2.0)])
     assert np.array_equal(p.vertex(0), [1.0, 1.0])
@@ -122,9 +131,11 @@ def test_diameter_cap_gives_certified_upper_bound():
     rng = np.random.default_rng(1)
     V = rng.standard_normal((40, 3))
     p_exact = ExplicitVertices(V)
-    exact = p_exact.diameter(pair_cap=4096)
+    exact = p_exact.diameter()
+    assert p_exact.diameter_exact
     p_bound = ExplicitVertices(V)
-    bound = p_bound.diameter(pair_cap=10)
+    p_bound.DIAMETER_PAIR_CAP = 10
+    bound = p_bound.diameter()
     assert not p_bound.diameter_exact
     assert bound >= exact - 1e-12
 
@@ -228,13 +239,11 @@ def test_combination_and_scores_consistent():
         assert np.allclose(poly.vertex_scores(g), V @ g, atol=1e-12)
 
 
-def test_constants_bundle():
+def test_simplex_and_l1ball_geometric_constants():
     s = StandardSimplex(3)
-    c = s.constants(with_psi=True)
-    assert c.D == pytest.approx(np.sqrt(2.0)) and c.D_exact
-    assert c.psi == pytest.approx(np.sqrt(1.5), rel=1e-8)
-    c2 = L1Ball(4, 2.0).constants()
-    assert c2.psi is None and c2.D == 4.0
+    assert s.diameter() == pytest.approx(np.sqrt(2.0)) and s.diameter_exact
+    assert s.facial_distance() == pytest.approx(np.sqrt(1.5), rel=1e-8)
+    assert L1Ball(4, 2.0).diameter() == 4.0
 
 
 def test_explicit_vertices_project_and_contains_match_l1_ball():

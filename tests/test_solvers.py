@@ -7,8 +7,7 @@ import pytest
 from polycd import (GRAD_1D, LINE_SEARCH, ConsistencyError, ExplicitVertices,
                     KdeHuber, L1Ball, LeastSquares, Logistic, PolytopeError, Quadratic,
                     SolveConfig,
-                    StandardSimplex, AwayState,
-                    check_linear_bound, check_sublinear_bound, polycd_solve,
+                    StandardSimplex, AwayState, polycd_solve,
                     polycdwa_solve, start_weights, weight_refresh)
 from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
@@ -16,8 +15,8 @@ from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
 from polycd.objectives import (DRIFT_TOL, DRIFT_WARN, REBUILD_CAP,
                                REFRESH_EVERY, CacheConsistencyError)
 from polycd.problems import LogisticSpec, gen_logistic
-from polycd.verify import reference_solve
 
+from oracles import check_linear_bound, check_sublinear_bound, reference_solve
 from quadratics import random_quadratic
 
 

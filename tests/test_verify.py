@@ -3,16 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
-from polycd import (KdeHuber, L1Ball, LeastSquares, SolveConfig,
-                    StandardSimplex, polycd_solve, polycdwa_solve)
+from polycd import (LINE_SEARCH, KdeHuber, L1Ball, LeastSquares, SolveConfig,
+                    StandardSimplex, TraceRecord, polycd_solve, polycdwa_solve)
 from polycd.polytope import project_simplex
 from polycd.problems import KdeSpec, gen_kde
-from polycd.verify import (check_reduction_identity, check_sequence_lemma,
-                           finite_diff_gradient, golden_section_min,
-                           grid_line_min, grid_search_min,
-                           reduction_sequences_from_steps, reference_solve,
-                           reference_solve_kde, simplex_decompose)
+from polycd.verify import reference_solve_kde
 
+from oracles import (check_linear_bound, check_reduction_identity,
+                     check_sequence_lemma, check_sublinear_bound,
+                     finite_diff_gradient, golden_section_min, grid_line_min,
+                     grid_search_min, reduction_sequences_from_steps,
+                     reference_solve, simplex_decompose)
 from quadratics import random_quadratic
 
 
@@ -170,6 +171,43 @@ def test_reduction_identity_z_at_an_iterate():
     gs, xs = reduction_sequences_from_steps(quad, quad.poly, 4, rng)
     err = check_reduction_identity(gs, xs, xs[-1])
     assert np.isfinite(err) and err <= 1e-11
+
+
+# -- rate-bound checks -----------------------------------------------------------
+
+# each checker on M = 3 and L = 1 under the line search, with the bound it
+# must apply at step t: max(gap(1), 4 M L D^2) / t = 24 / t with D = sqrt(2)
+# and gap(1) = 24, and rho^t gap(0) = (28/29)^t with gap(0) = 1 and
+# G = 1 + 9 M L D^2 / (mu psi^2) = 28 at D = mu = psi = 1
+RATE_CHECKS = {
+    "sublinear": (lambda tr, f: check_sublinear_bound(tr, f, 3, 1.0,
+                                                      np.sqrt(2.0),
+                                                      LINE_SEARCH),
+                  lambda t: 24.0 / max(t, 1)),
+    "linear": (lambda tr, f: check_linear_bound(tr, f, 3, 1.0, 1.0, 1.0, 1.0,
+                                                LINE_SEARCH),
+               lambda t: (28.0 / 29.0) ** t),
+}
+
+
+@pytest.mark.parametrize("kind", list(RATE_CHECKS))
+@pytest.mark.parametrize("scale, shift, first", [
+    (1.0 + 1e-9, 0.5e-12, None),  # inside both slacks, at steps 2 to 8
+    (1.0 + 1e-9, 2e-12, 3),       # past the absolute slack at steps 3 and 5
+    (1.0 + 2e-9, 0.0, 3),         # past the relative slack at steps 3 and 5
+])
+def test_rate_bound_checks_flag_the_first_step_above_the_bound(
+        kind, scale, shift, first):
+    check, bound = RATE_CHECKS[kind]
+    f_star = 0.5
+    # gap(1) stays on the bound: above it, it would set the sublinear constant
+    raised = range(2, 9) if first is None else (3, 5)
+    trace = [TraceRecord(t, f_star + (bound(t) * scale + shift if t in raised
+                                      else bound(t)), 0.0, 0, 0)
+             for t in range(9)]
+    rep = check(trace, f_star)
+    assert rep.ok is (first is None)
+    assert rep.first_violation == first
 
 
 # -- density reference ---------------------------------------------------------
