@@ -10,6 +10,7 @@ best objective value any solver found on that instance.  One CSV trace per
 import dataclasses
 import json
 import numbers
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,8 @@ _PROBLEM_KEYS = {
 }
 # the problem-section keys that hold sizes
 _SIZE_KEYS = ("n", "d", "r", "m")
+# a solver label names files and fills a CSV field
+_LABEL = re.compile(r'[^,"/\\\x00-\x1f\x7f-\x9f]+')
 
 
 def compute_gap(f_hat, f_star):
@@ -88,6 +91,9 @@ class SolverCell:
         smoothness_override(self.smoothness, "smoothness")
         if self.label is None:
             self.label = self.name
+        if not (isinstance(self.label, str) and _LABEL.fullmatch(self.label)):
+            raise ValueError("label must be nonempty, without a comma, a double "
+                             f"quote, / \\ or a control character: {self.label!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -257,16 +263,15 @@ def run_solver_cell(cell, bundle):
 # experiment driver
 # ---------------------------------------------------------------------------
 
-_TRACE_HEADER = "solver,rep,t,seconds,f_value,gap,nnz"
+_TRACE_HEADER = "solver,rep,t,seconds,f_value,gap,nnz\n"
+_PLOT_HEADER = "solver,t,seconds,gap\n"
 
 
-def _write_trace(path, label, rep, trace, f_star):
-    lines = [_TRACE_HEADER]
+def _formatted(trace, f_star):
+    """Each record with its seconds, f_value and gap in the files' format."""
     for r in trace:
-        gap = compute_gap(r.f_value, f_star)
-        lines.append(f"{label},{rep},{r.t},{r.elapsed:.17g},"
-                     f"{r.f_value:.17g},{gap:.17g},{r.nnz}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        yield (r, f"{r.elapsed:.17g}", f"{r.f_value:.17g}",
+               f"{compute_gap(r.f_value, f_star):.17g}")
 
 
 def emit_plot_data(traces, f_star, path):
@@ -275,13 +280,25 @@ def emit_plot_data(traces, f_star, path):
     traces: mapping solver label -> trace list sharing the f_star reference.
     Columns: solver, t, seconds, gap.
     """
-    lines = ["solver,t,seconds,gap"]
-    for label, trace in traces.items():
-        for r in trace:
-            lines.append(f"{label},{r.t},{r.elapsed:.17g},"
-                         f"{compute_gap(r.f_value, f_star):.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as plot:
+        plot.write(_PLOT_HEADER)
+        for label, trace in traces.items():
+            for r, seconds, _, gap in _formatted(trace, f_star):
+                plot.write(f"{label},{r.t},{seconds},{gap}\n")
     return path
+
+
+def _write_rep(out, rep, traces, f_star):
+    """One repetition's trace and plot files, each record formatted once."""
+    with open(out / f"plot_rep{rep}.csv", "w") as plot:
+        plot.write(_PLOT_HEADER)
+        for label, trace in traces.items():
+            with open(out / f"trace_{label}_rep{rep}.csv", "w") as fh:
+                fh.write(_TRACE_HEADER)
+                for r, seconds, f_value, gap in _formatted(trace, f_star):
+                    fh.write(f"{label},{rep},{r.t},{seconds},{f_value},"
+                             f"{gap},{r.nnz}\n")
+                    plot.write(f"{label},{r.t},{seconds},{gap}\n")
 
 
 def run_experiment(cfg, quiet=False):
@@ -297,25 +314,20 @@ def run_experiment(cfg, quiet=False):
 
     for rep, seed in enumerate(seeds):
         bundle = _Bundle(cfg.preset, cfg.problem, seed)
-        rep_results = {}
+        traces = {}
         for cell in cfg.solvers:
             try:
-                x, trace = run_solver_cell(cell, bundle)
-                rep_results[cell.label] = (x, trace)
+                traces[cell.label] = run_solver_cell(cell, bundle)[1]
             except Exception as exc:  # noqa: BLE001 - record and continue
                 msg = f"{cell.label} failed on rep {rep}: {exc!r}"
                 errors.append({"solver": cell.label, "rep": rep, "error": repr(exc)})
                 warnings.warn(msg)
-        if not rep_results:
+        if not traces:
             continue
-        f_star = min(min(r.f_value for r in trace)
-                     for _, trace in rep_results.values())
+        f_star = min(min(r.f_value for r in trace) for trace in traces.values())
         f_stars.append(f_star)
-        emit_plot_data({label: trace for label, (x, trace) in rep_results.items()},
-                       f_star, out / f"plot_rep{rep}.csv")
-        for label, (x, trace) in rep_results.items():
-            _write_trace(out / f"trace_{label}_rep{rep}.csv",
-                         label, rep, trace, f_star)
+        _write_rep(out, rep, traces, f_star)
+        for label, trace in traces.items():
             f_best = min(r.f_value for r in trace)
             per_solver[label].append({
                 "runtime": trace[-1].elapsed,

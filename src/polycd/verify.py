@@ -18,7 +18,6 @@ from .objectives import KdeHuber, kde_scales
 class RefSolution:
     x: np.ndarray
     f: float
-    residual: float  # final projected-gradient residual (relative)
     fw_gap: float    # linearization certificate: upper bound on f(x) - f*
     iterations: int
     converged: bool
@@ -191,6 +190,5 @@ def reference_solve_kde(points, bandwidth, huber_mu, afw_iters=800,
             break
         worst = np.argsort(g)[:grow]
         support = sorted(set(np.flatnonzero(w > 1e-14)) | set(int(v) for v in worst))
-    return RefSolution(x=w, f=f, residual=np.nan,
-                       fw_gap=cert, iterations=total_iters,
+    return RefSolution(x=w, f=f, fw_gap=cert, iterations=total_iters,
                        converged=cert <= cert_tol * max(abs(f), 1.0))

@@ -98,8 +98,7 @@ def reference_solve(obj, poly=None, tol=1e-12, max_iter=1_000_000):
         if f_grid < f - 1e-6 * max(1.0, abs(f)):
             raise AssertionError(
                 f"grid search found a better point: {f_grid} < {f}")
-    return RefSolution(x=x, f=f, residual=float(res),
-                       fw_gap=certify_fw_gap(obj, poly, x),
+    return RefSolution(x=x, f=f, fw_gap=certify_fw_gap(obj, poly, x),
                        iterations=k, converged=res <= tol)
 
 

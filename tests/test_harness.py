@@ -105,6 +105,18 @@ def test_config_rejects_a_non_integer_problem_size(preset, problem, key):
                                     "solvers": [{"name": "polycd"}]})
 
 
+@pytest.mark.parametrize("label", ["", "x/y", "a,b", 'a"b', "a\\b", "a\tb",
+                                   "a\nb", "a\x7fb", 3])
+def test_solver_cell_rejects_an_unsafe_label(label):
+    # a label names files and fills a CSV field: "x/y" raised
+    # FileNotFoundError only after every solver had run, losing the run,
+    # and "a,b" wrote 8-field rows under the 7-column header
+    with pytest.raises(ValueError, match="^label must be"):
+        ExperimentConfig.from_dict({"preset": "lasso",
+                                    "problem": {"n": 10, "d": 5, "r": 2},
+                                    "solvers": [{"name": "fw", "label": label}]})
+
+
 def test_quadratic_preset_rejects_a_smoothness_override():
     # Quadratic computes L exactly, and the override used to be dropped
     with pytest.raises(ValueError, match="smoothness"):
@@ -218,6 +230,41 @@ def test_emit_plot_data(tmp_path):
     # descent traces yield nonincreasing gap per solver
     gaps_a = [float(l.split(",")[3]) for l in lines[1:] if l.startswith("a,")]
     assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps_a, gaps_a[1:]))
+    # 17 significant digits, not the shortest repr
+    assert lines[1:5] == ["a,0,0,10", "a,1,0.10000000000000001,9",
+                          "a,2,0.20000000000000001,8",
+                          "a,3,0.30000000000000004,7"]
+    assert lines[12:15] == ["b,0,0,10", "b,1,0.20000000000000001,9.5",
+                            "b,2,0.40000000000000002,9"]
+    # the gap divides by |f_star| once it exceeds 1, and by 1 below
+    for f_star, gaps in ((-20.0, ["1.5", "1.45", "1.3999999999999999"]),
+                         (0.5, ["9.5", "8.5", "7.5"])):
+        emit_plot_data({"a": tr_a[:3]}, f_star=f_star, path=path)
+        assert path.read_text() == (
+            "solver,t,seconds,gap\n"
+            f"a,0,0,{gaps[0]}\n"
+            f"a,1,0.10000000000000001,{gaps[1]}\n"
+            f"a,2,0.20000000000000001,{gaps[2]}\n")
+
+
+def test_plot_file_is_the_trace_files_projection(tmp_path):
+    # each plot row is label,t,seconds,gap of the matching trace row, in
+    # cell order, the same strings written to both files
+    cfg = small_cfg(tmp_path, [{"name": "polycdwa", "max_outer": 20},
+                               {"name": "fista", "max_iter": 200,
+                                "label": "fista 200"},
+                               {"name": "2cd", "max_iter": 300}])
+    run_experiment(cfg, quiet=True)
+    out = tmp_path / "out"
+    expected = ["solver,t,seconds,gap"]
+    for cell in cfg.solvers:
+        text = (out / f"trace_{cell.label}_rep0.csv").read_text()
+        for row in text.splitlines()[1:]:
+            label, _, t, seconds, _, gap, _ = row.split(",")
+            assert label == cell.label
+            expected.append(f"{label},{t},{seconds},{gap}")
+    assert len(expected) > 3
+    assert (out / "plot_rep0.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_twocd_lifting_preserves_objective(tmp_path):

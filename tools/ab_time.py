@@ -27,12 +27,20 @@ A case is a solve on the instances of one benchmark workload:
                     passes, timed through the public solver
     logistic-pass   the same on the bench-logistic instances: the
                     logistic_cycle kernel's line-search passes
+    bench-experiment
+                    the whole harness.run_experiment of perfbench's
+                    bench-logistic workload (the logistic preset at n = d =
+                    200, r = 20, its six solver cells, one repetition)
+                    into a temporary directory, seeds 0-1; the time
+                    compared is the setup, wall minus each trace's last
+                    seconds, and each tree generates its own instance
 
 A round times one solve of each tree on every seed, alternately, and flips
 which tree goes first every round; each objective is built, untimed, just
 before its solve.  The report gives the median and the interquartile range
 of the per-pair ratios B/A, the number of pairs B won, and how far apart
-the two trees' f-traces are ("bitwise" where they are equal).  The record,
+the two trees' f-traces are ("bitwise" where they are equal; for
+bench-experiment, the f_value columns of all trace files).  The record,
 with both revisions, the per-pair times and ratios and the provenance, is
 written as JSON to .ab_time/<case>-<A>-<B>.json in the checkout.
 """
@@ -114,6 +122,15 @@ CASES = {
         range(2), _mid(_logistic, _logistic_obj), _logistic_obj, _passes, 24),
 }
 
+EXPERIMENT = "bench-experiment"
+# perfbench's BENCH_SOLVERS and LogisticL1.params
+EXPERIMENT_CELLS = (
+    {"name": "polycdwa", "step_rule": "line_search"},
+    {"name": "polycd", "step_rule": "grad"},
+    {"name": "fw"}, {"name": "afw"}, {"name": "fista"}, {"name": "2cd"})
+EXPERIMENT_PROBLEM = {"n": 200, "d": 200, "r": 20}
+EXPERIMENT_SEEDS, EXPERIMENT_ROUNDS = range(2), 6
+
 
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
@@ -137,6 +154,7 @@ def load_tree(rev, name, into):
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     importlib.import_module(f"{name}.problems")
+    importlib.import_module(f"{name}.harness")
     return pkg
 
 
@@ -149,6 +167,27 @@ def timed_solve(pkg, make, data, cfg_kw):
     _, _, trace = pkg.polycdwa_solve(obj, obj.poly, cfg)
     dt = time.perf_counter() - t0
     return dt, np.array([r.f_value for r in trace])
+
+
+def timed_experiment(pkg, seed):
+    """(setup seconds, f_value columns) of one run_experiment of the
+    bench-logistic preset; setup is the wall time less each trace's last
+    seconds."""
+    with tempfile.TemporaryDirectory() as out:
+        cfg = pkg.harness.ExperimentConfig(
+            preset="logistic", problem=dict(EXPERIMENT_PROBLEM),
+            solvers=[dict(c) for c in EXPERIMENT_CELLS], repetitions=1,
+            seeds=[seed], out_dir=out)
+        gc.collect()
+        t0 = time.perf_counter()
+        pkg.harness.run_experiment(cfg, quiet=True)
+        wall = time.perf_counter() - t0
+        clocks, f = 0.0, []
+        for path in sorted(Path(out).glob("trace_*.csv")):
+            rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+            clocks += float(rows[-1][3])
+            f += [float(r[4]) for r in rows]
+    return wall - clocks, np.array(f)
 
 
 def trace_difference(fa, fb):
@@ -180,11 +219,17 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev_a")
     ap.add_argument("rev_b")
-    ap.add_argument("--case", required=True, choices=sorted(CASES))
+    ap.add_argument("--case", required=True,
+                    choices=sorted([*CASES, EXPERIMENT]))
     ap.add_argument("--rounds", type=int, default=None,
                     help="rounds over the case's seeds (default per case)")
     args = ap.parse_args(argv)
-    seeds, gen, make, cfg_kw, rounds = CASES[args.case]
+    if args.case == EXPERIMENT:
+        seeds, rounds = EXPERIMENT_SEEDS, EXPERIMENT_ROUNDS
+        solve = {"run_experiment": "logistic", **EXPERIMENT_PROBLEM,
+                 "cells": list(EXPERIMENT_CELLS), "timed": "setup_s"}
+    else:
+        seeds, gen, make, cfg_kw, rounds = CASES[args.case]
     rounds = args.rounds if args.rounds is not None else rounds
     if rounds < 1:
         ap.error("--rounds must be >= 1")
@@ -195,14 +240,23 @@ def main(argv=None):
         pa = load_tree(commits[0], "pa", tmp)
         pb = load_tree(commits[1], "pb", tmp)
         trees = {"A": pa, "B": pb}
-        data = {s: gen(pa, s) for s in seeds}
+        if args.case == EXPERIMENT:
+            run = timed_experiment
+        else:
+            data = {s: gen(pa, s) for s in seeds}
+            solve = {"solver": "polycdwa_solve", **{
+                k: "per seed" if isinstance(v, np.ndarray) else v
+                for k, v in cfg_kw(data[seeds[0]]).items()}}
+
+            def run(pkg, s):
+                return timed_solve(pkg, make, data[s], cfg_kw)
         pairs, diffs = [], {}
         for rnd in range(rounds):
             sides = ("A", "B") if rnd % 2 == 0 else ("B", "A")
             for s in seeds:
                 got = {}
                 for side in sides:
-                    got[side] = timed_solve(trees[side], make, data[s], cfg_kw)
+                    got[side] = run(trees[side], s)
                 pairs.append({"round": rnd, "seed": s, "first": sides[0],
                               "t_a": got["A"][0], "t_b": got["B"][0],
                               "ratio": got["B"][0] / got["A"][0]})
@@ -216,9 +270,7 @@ def main(argv=None):
     record = {
         "case": args.case, "rev_a": args.rev_a, "rev_b": args.rev_b,
         "commit_a": commits[0], "commit_b": commits[1],
-        "solve": {"solver": "polycdwa_solve", **{
-            k: "per seed" if isinstance(v, np.ndarray) else v
-            for k, v in cfg_kw(data[seeds[0]]).items()}},
+        "solve": solve,
         "seeds": list(seeds), "rounds": rounds,
         "median_ratio": med, "iqr": [q1, q3], "b_won": won,
         "pairs_total": len(pairs),
@@ -232,7 +284,8 @@ def main(argv=None):
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{args.case}: B/A median {med:.3f}, IQR {q1:.3f}-{q3:.3f}, "
-          f"B faster in {won}/{len(pairs)} pairs; median solve "
+          f"B faster in {won}/{len(pairs)} pairs; median "
+          f"{'setup' if args.case == EXPERIMENT else 'solve'} "
           f"A {record['median_t_a']:.4f} s, B {record['median_t_b']:.4f} s")
     print("f-trace A vs B: " + ", ".join(
         f"seed {s} {d}" for s, d in diffs.items()))
