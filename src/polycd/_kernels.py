@@ -301,13 +301,19 @@ def huber_ratio(t, mu_h):
     return mu_h / np.maximum(t, mu_h)
 
 
-def kde_columns(X, xsq, J, kappa0, inv2s2):
+def kde_columns(X, xsq, J, kappa0, inv2s2, out=None):
     """Rows J of the Gaussian kernel matrix K of the points X, whose row
     square norms are xsq, as a (len(J), n) block; K is symmetric, so row j
     is column j.  One gemm, then the squared distances
     (|x_j|^2 - 2 x_j.x_i) + |x_i|^2, floored at 0, and the kernel, all in
-    place."""
-    B = np.dot(X[J], X.T)
+    place.  X may be a suffix X[lo:] of the points (with xsq[lo:]): the
+    block is then K[lo + J, lo:], the part of those rows on and right of
+    column lo.  out, a flat float64 buffer of at least len(J) n entries,
+    receives the block in its leading entries, so one buffer serves every
+    block of a loop; by default the block is a new array."""
+    if out is not None:
+        out = out[:len(J) * len(X)].reshape(len(J), len(X))
+    B = np.dot(X[J], X.T, out=out)
     B *= -2.0
     B += xsq[J].reshape(-1, 1)
     B += xsq

@@ -582,20 +582,33 @@ def kde_scales(bandwidth, huber_mu, dim):
     return kappa0, inv2s2
 
 
+def kde_points(points):
+    """The sample points as a contiguous float64 (n, dim) array; ValueError
+    naming points unless they are 2-D and finite.  A 1-D array of n samples
+    is rejected, not read as one point in dimension n."""
+    X = np.ascontiguousarray(points, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"points must be a 2-D (n, dim) array, got "
+                         f"{X.ndim}-D shape {X.shape}")
+    _require_finite("points", X)
+    return X
+
+
 class KdeHuber(BoundObjective):
     """Robust kernel-weight objective over the simplex of sample weights.
 
     f(w) = sum_i huber(sqrt(w'Kw - 2 e_i'Kw + K_ii)) for the Gaussian kernel
-    matrix K of the sample points.  K is never materialized: columns are
-    recomputed on demand and dense products run in row blocks.  Caches the
-    vector u = K w, the scalar q = w'Kw and ||w||^2.
+    matrix K of the sample points, which are rejected unless they form a
+    2-D (n, dim) array (kde_points).  K is never materialized: columns are
+    recomputed on demand, and a dense product builds each block of rows of
+    K once, only on and right of its diagonal (matvec).  Caches the vector
+    u = K w, the scalar q = w'Kw and ||w||^2.
     """
 
     _PRODUCT = "u"
 
     def __init__(self, points, bandwidth, huber_mu, poly=None, x0=None, L=None):
-        X = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-        _require_finite("points", X)
+        X = kde_points(points)
         self.X = X
         self.n, self.dim_pts = X.shape
         self.bandwidth = float(bandwidth)
@@ -613,11 +626,8 @@ class KdeHuber(BoundObjective):
         self._init_state(poly, x0, self.kappa0)  # K's largest entry
 
     def kernel_column(self, j):
-        return self._columns(np.array([j]))[0]
-
-    def _columns(self, J):
-        return _kernels.kde_columns(self.X, self.xsq, J, self.kappa0,
-                                    self.inv2s2)
+        return _kernels.kde_columns(self.X, self.xsq, np.array([j]),
+                                    self.kappa0, self.inv2s2)[0]
 
     def _column(self, j):
         # the last two columns built, by index and read-only: a line search
@@ -632,13 +642,24 @@ class KdeHuber(BoundObjective):
         return kcol
 
     def matvec(self, v):
-        """K @ v in row blocks (rows of K are its columns), never holding
-        more than KDE_MATVEC_BLOCK rows of K."""
+        """K @ v by the symmetry of K: for each block of KDE_MATVEC_BLOCK
+        rows [lo, hi), one kde_columns call on the suffix X[lo:] builds
+        only K[lo:hi, lo:], which gives out[lo:hi] its part K[lo:hi, lo:]
+        v[lo:] and, transposed, out[hi:] its part K[hi:, lo:hi] v[lo:hi].
+        So sum (hi - lo)(n - lo), about n (n + KDE_MATVEC_BLOCK) / 2, of
+        the n^2 entries are built, all into one buffer of
+        KDE_MATVEC_BLOCK n floats."""
         v = np.asarray(v, dtype=np.float64)
-        out = np.empty(self.n)
-        for lo in range(0, self.n, KDE_MATVEC_BLOCK):
-            hi = min(lo + KDE_MATVEC_BLOCK, self.n)
-            out[lo:hi] = self._columns(np.arange(lo, hi)) @ v
+        n = self.n
+        out = np.zeros(n)
+        buf = np.empty(min(KDE_MATVEC_BLOCK, n) * n)
+        for lo in range(0, n, KDE_MATVEC_BLOCK):
+            hi = min(lo + KDE_MATVEC_BLOCK, n)
+            Kb = _kernels.kde_columns(self.X[lo:], self.xsq[lo:],
+                                      np.arange(hi - lo), self.kappa0,
+                                      self.inv2s2, buf)
+            out[lo:hi] += Kb @ v[lo:]
+            out[hi:] += v[lo:hi] @ Kb[:, hi - lo:]
         return out
 
     def refresh_cache(self):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineConfig, afw_solve
-from .objectives import KdeHuber, kde_scales
+from .objectives import KdeHuber, kde_points, kde_scales
 
 
 @dataclass
@@ -40,7 +40,7 @@ class DenseKdeHuber(KdeHuber):
     dense matvec makes long reference runs affordable)."""
 
     def __init__(self, points, bandwidth, huber_mu, poly=None, x0=None, L=None):
-        X = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+        X = kde_points(points)
         xsq = np.sum(X * X, axis=1)
         dim = X.shape[1]
         kappa0, _ = kde_scales(float(bandwidth), float(huber_mu), dim)

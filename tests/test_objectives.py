@@ -82,6 +82,18 @@ def test_nonfinite_data_is_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("cls", [KdeHuber, DenseKdeHuber])
+@pytest.mark.parametrize("points", [
+    np.linspace(-2.0, 2.0, 50), np.float64(1.5), np.ones((4, 3, 2)),
+], ids=["1d", "0d", "3d"])
+def test_kde_points_that_are_not_2d_are_rejected(cls, points):
+    # 50 samples in a 1-D array were read as one point in dimension 50 (a
+    # one-weight problem with f = 3.9e-35), and a 3-D array failed to
+    # unpack its shape
+    with pytest.raises(ValueError, match="points must be a 2-D"):
+        cls(points, 1.0, 0.4)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("make", [
     lambda **kw: LeastSquares(np.ones((6, 6)), np.ones(6), L1Ball(6, 1.0),
@@ -824,6 +836,34 @@ def test_kde_matvec_matches_dense_product():
         # relative to the product without cancellation, |K| |v|
         scale = np.max(dense._K @ np.abs(v))
         assert np.max(np.abs(obj.matvec(v) - dense._K @ v)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_kde_matvec_builds_each_block_once(monkeypatch, n):
+    # K is symmetric: the block of rows [lo, hi) is built only on and right
+    # of column lo, and serves rows lo:hi and, transposed, rows hi:
+    rng = np.random.default_rng(28)
+    pts = rng.standard_normal((n, 2)) * 2.0
+    pts[n // 2] = pts[-1]
+    obj = KdeHuber(pts, 0.8, 0.4)
+    dense = DenseKdeHuber(pts, 0.8, 0.4)
+    built = []
+    kde_columns = _kernels.kde_columns
+
+    def counted(*args, **kw):
+        B = kde_columns(*args, **kw)
+        built.append(B.size)
+        return B
+    monkeypatch.setattr(_kernels, "kde_columns", counted)
+    block = objectives.KDE_MATVEC_BLOCK
+    want = sum((min(lo + block, n) - lo) * (n - lo)
+               for lo in range(0, n, block))
+    for v in (rng.random(n), rng.standard_normal(n), np.eye(n)[n - 1]):
+        built.clear()
+        got = obj.matvec(v)
+        assert sum(built) == want
+        scale = np.max(dense._K @ np.abs(v))
+        assert np.max(np.abs(got - dense._K @ v)) <= 1e-14 * scale
 
 
 def test_kde_tsq_nonnegative_invariant():

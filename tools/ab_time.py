@@ -34,13 +34,18 @@ A case is a solve on the instances of one benchmark workload:
                     into a temporary directory, seeds 0-1; the time
                     compared is the setup, wall minus each trace's last
                     seconds, and each tree generates its own instance
+    kde-build       the construction KdeHuber(X, 1, 0.4) alone on the
+                    kde-away instances, seeds 0-1: its cache u = K w0 is
+                    one dense kernel product, and the two trees' u are
+                    compared in place of an f-trace
 
 A round times one solve of each tree on every seed, alternately, and flips
 which tree goes first every round; each objective is built, untimed, just
 before its solve.  The report gives the median and the interquartile range
 of the per-pair ratios B/A, the number of pairs B won, and how far apart
 the two trees' f-traces are ("bitwise" where they are equal; for
-bench-experiment, the f_value columns of all trace files).  The record,
+bench-experiment, the f_value columns of all trace files; for kde-build,
+the built u, by the largest elementwise relative difference).  The record,
 with both revisions, the per-pair times and ratios and the provenance, is
 written as JSON to .ab_time/<case>-<A>-<B>.json in the checkout.
 """
@@ -131,6 +136,9 @@ EXPERIMENT_CELLS = (
 EXPERIMENT_PROBLEM = {"n": 200, "d": 200, "r": 20}
 EXPERIMENT_SEEDS, EXPERIMENT_ROUNDS = range(2), 6
 
+BUILD = "kde-build"
+BUILD_ROUNDS = 20
+
 
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
@@ -190,14 +198,23 @@ def timed_experiment(pkg, seed):
     return wall - clocks, np.array(f)
 
 
-def trace_difference(fa, fb):
-    """"bitwise", or the largest |f_A - f_B| / max(|f_A|, 1) over the
+def timed_build(pkg, X):
+    """(seconds, u) of one KdeHuber construction on the points X; u = K w0
+    is positive, so the two trees' u compare by relative difference."""
+    gc.collect()
+    t0 = time.perf_counter()
+    obj = pkg.KdeHuber(X, 1.0, 0.4)
+    return time.perf_counter() - t0, obj.u
+
+
+def trace_difference(fa, fb, floor=1.0):
+    """"bitwise", or the largest |f_A - f_B| / max(|f_A|, floor) over the
     records both traces have, with the lengths where they differ."""
     if fa.shape == fb.shape and fa.tobytes() == fb.tobytes():
         return "bitwise"
     k = min(len(fa), len(fb))
     rel = float(np.max(np.abs(fa[:k] - fb[:k]) / np.maximum(np.abs(fa[:k]),
-                                                           1.0)))
+                                                           floor)))
     if len(fa) != len(fb):
         return f"{rel:.3e} (records {len(fa)} vs {len(fb)})"
     return f"{rel:.3e}"
@@ -220,7 +237,7 @@ def main(argv=None):
     ap.add_argument("rev_a")
     ap.add_argument("rev_b")
     ap.add_argument("--case", required=True,
-                    choices=sorted([*CASES, EXPERIMENT]))
+                    choices=sorted([*CASES, EXPERIMENT, BUILD]))
     ap.add_argument("--rounds", type=int, default=None,
                     help="rounds over the case's seeds (default per case)")
     args = ap.parse_args(argv)
@@ -228,6 +245,10 @@ def main(argv=None):
         seeds, rounds = EXPERIMENT_SEEDS, EXPERIMENT_ROUNDS
         solve = {"run_experiment": "logistic", **EXPERIMENT_PROBLEM,
                  "cells": list(EXPERIMENT_CELLS), "timed": "setup_s"}
+    elif args.case == BUILD:
+        seeds, rounds = CASES["kde-away"][0], BUILD_ROUNDS
+        solve = {"construct": "KdeHuber", "bandwidth": 1.0, "huber_mu": 0.4,
+                 "compared": "u"}
     else:
         seeds, gen, make, cfg_kw, rounds = CASES[args.case]
     rounds = args.rounds if args.rounds is not None else rounds
@@ -242,6 +263,11 @@ def main(argv=None):
         trees = {"A": pa, "B": pb}
         if args.case == EXPERIMENT:
             run = timed_experiment
+        elif args.case == BUILD:
+            data = {s: _kde(pa, s) for s in seeds}
+
+            def run(pkg, s):
+                return timed_build(pkg, data[s])
         else:
             data = {s: gen(pa, s) for s in seeds}
             solve = {"solver": "polycdwa_solve", **{
@@ -261,7 +287,9 @@ def main(argv=None):
                               "t_a": got["A"][0], "t_b": got["B"][0],
                               "ratio": got["B"][0] / got["A"][0]})
                 if rnd == 0:
-                    diffs[s] = trace_difference(got["A"][1], got["B"][1])
+                    diffs[s] = trace_difference(
+                        got["A"][1], got["B"][1],
+                        0.0 if args.case == BUILD else 1.0)
 
     ratios = [p["ratio"] for p in pairs]
     # every case has at least two seeds, so at least two pairs
@@ -283,11 +311,11 @@ def main(argv=None):
            / f"{args.case}-{commits[0][:7]}-{commits[1][:7]}.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n")
+    timed = {EXPERIMENT: "setup", BUILD: "build"}.get(args.case, "solve")
     print(f"{args.case}: B/A median {med:.3f}, IQR {q1:.3f}-{q3:.3f}, "
-          f"B faster in {won}/{len(pairs)} pairs; median "
-          f"{'setup' if args.case == EXPERIMENT else 'solve'} "
+          f"B faster in {won}/{len(pairs)} pairs; median {timed} "
           f"A {record['median_t_a']:.4f} s, B {record['median_t_b']:.4f} s")
-    print("f-trace A vs B: " + ", ".join(
+    print(f"{'u' if args.case == BUILD else 'f-trace'} A vs B: " + ", ".join(
         f"seed {s} {d}" for s, d in diffs.items()))
     print(f"record: {out}")
     return 0
