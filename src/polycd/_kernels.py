@@ -64,7 +64,7 @@ _DEGENERATE_REL = 1e-13
 # snap-to-drop tolerance around alpha = -gamma_i
 DROP_TOL = 1e-14
 
-# the default cap on the away-step length gamma_i (step_interval)
+# the cap on the away-step length gamma_i (step_interval)
 GAMMA_CAP = 1e12
 
 # the line searches' stopping width and evaluation budget (line_min)

@@ -110,7 +110,7 @@ def _start(obj, poly, cfg):
     return poly, cfg, obj.start_weights()
 
 
-def _fw_loop(obj, poly, cfg, away, gamma_cap=_kernels.GAMMA_CAP):
+def _fw_loop(obj, poly, cfg, away):
     """The loop of fw_solve and, with away steps, afw_solve.  The two
     differ only in the choice of direction, the weight update and the
     weight refresh, which plain Frank-Wolfe skips."""
@@ -135,7 +135,7 @@ def _fw_loop(obj, poly, cfg, away, gamma_cap=_kernels.GAMMA_CAP):
             if not (fw_slope <= aw_slope or lam[v_aw] >= 1.0):
                 v, hi = v_aw, 0.0
                 lo, capped = _kernels.step_interval(True, lam, 1.0, v,
-                                                    gamma_cap)
+                                                    _kernels.GAMMA_CAP)
         alpha = obj.line_search(v, lo, hi)
         if away:
             alpha, lsc = _kernels.away_update(lam, 1.0, v, alpha, lo, capped,
@@ -157,18 +157,16 @@ def fw_solve(obj, poly=None, cfg=None):
     return _fw_loop(obj, poly, cfg, False)
 
 
-def afw_solve(obj, poly=None, cfg=None, gamma_cap=_kernels.GAMMA_CAP):
+def afw_solve(obj, poly=None, cfg=None):
     """Away-step Frank-Wolfe with exact line search and weight maintenance.
 
     Per iteration the steeper of the toward-vertex and away-from-vertex
     directions is taken; away steps reuse the segment machinery with steps
-    in [-gamma, 0], gamma capped at gamma_cap, and share the cyclic
-    solver's drop snap and weight update (a capped step is never a drop).
+    in [-gamma, 0], gamma capped at _kernels.GAMMA_CAP, and share the
+    cyclic solver's drop snap and weight update (a capped step is never a
+    drop).
     """
-    # not <=: a NaN cap is rejected too
-    if not gamma_cap > 0:
-        raise ValueError("gamma_cap must be positive")
-    return _fw_loop(obj, poly, cfg, True, gamma_cap)
+    return _fw_loop(obj, poly, cfg, True)
 
 
 def fista_solve(obj, poly=None, cfg=None):

@@ -10,6 +10,7 @@ best objective value any solver found on that instance.  One CSV trace per
 import dataclasses
 import json
 import numbers
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,16 @@ from .solvers import (LINE_SEARCH, SolveConfig, _nnz, polycd_solve,
                       polycdwa_solve, require_ints)
 
 PRESETS = ("lasso", "logistic", "kde", "custom-simplex-quadratic")
-SOLVER_NAMES = ("polycd", "polycdwa", "fw", "afw", "fista", "2cd")
+
+# the keys of a solver section that its solver reads
+_CYCLIC = ("step_rule", "max_outer", "rel_improve_tol")
+_WINDOWED = ("max_iter", "window", "window_tol")
+_CELL_KEYS = {
+    name: {"name", "smoothness", "label", *keys}
+    for name, keys in (("polycd", _CYCLIC), ("polycdwa", _CYCLIC),
+                       ("fw", _WINDOWED), ("afw", _WINDOWED),
+                       ("fista", _WINDOWED), ("2cd", ("max_iter", "rng_seed")))}
+SOLVER_NAMES = tuple(_CELL_KEYS)
 
 # the l1-ball presets: spec class, generator, objective class
 L1_PRESETS = {
@@ -88,7 +98,8 @@ class SolverCell:
         for name in ("rel_improve_tol", "window_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        smoothness_override(self.smoothness, "smoothness")
+            setattr(self, name, float(getattr(self, name)))
+        self.smoothness = smoothness_override(self.smoothness, "smoothness")
         if self.label is None:
             self.label = self.name
         if not (isinstance(self.label, str) and _LABEL.fullmatch(self.label)):
@@ -98,7 +109,17 @@ class SolverCell:
     @classmethod
     def from_dict(cls, d):
         _reject_unknown(d, _fields(cls), "solver")
-        return cls(**d)
+        cell = cls(**d)
+        unread = set(d) - _CELL_KEYS[cell.name]
+        if unread:
+            raise ValueError(f"solver {cell.name!r} does not read the keys "
+                             f"{sorted(unread)}")
+        return cell
+
+    def to_dict(self):
+        """The keys that the cell's solver reads, which from_dict takes."""
+        return {k: v for k, v in dataclasses.asdict(self).items()
+                if k in _CELL_KEYS[self.name]}
 
 
 @dataclass
@@ -120,8 +141,13 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         _reject_unknown(self.problem, _PROBLEM_KEYS[self.preset],
                         f"problem ({self.preset})")
-        require_ints(SimpleNamespace(**self.problem),
-                     *(k for k in _SIZE_KEYS if k in self.problem))
+        problem = SimpleNamespace(**self.problem)
+        require_ints(problem, *(k for k in _SIZE_KEYS if k in self.problem))
+        # the other problem keys are reals, stored as floats, which
+        # summary.json can hold
+        self.problem = {
+            k: float(v) if k not in _SIZE_KEYS and isinstance(v, numbers.Real)
+            else v for k, v in vars(problem).items()}
         self.solvers = [s if isinstance(s, SolverCell) else SolverCell.from_dict(s)
                         for s in self.solvers]
         if (self.preset == "custom-simplex-quadratic"
@@ -139,6 +165,7 @@ class ExperimentConfig:
                 if not (isinstance(seed, numbers.Integral) and seed >= 0):
                     raise ValueError(f"seeds must be nonnegative integers, "
                                      f"not {seed!r}")
+            self.seeds = [operator.index(seed) for seed in self.seeds]
 
     @classmethod
     def from_dict(cls, d):
@@ -152,6 +179,7 @@ class ExperimentConfig:
 
     def to_dict(self):
         d = dataclasses.asdict(self)
+        d["solvers"] = [cell.to_dict() for cell in self.solvers]
         return d
 
 
@@ -360,7 +388,7 @@ def run_experiment(cfg, quiet=False):
             "mean_nnz": float(np.mean([c["nnz"] for c in cells])),
             "repetitions": len(cells),
         }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    # dumped before the file opens: a failed dump leaves no partial file
+    (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary
 

@@ -81,8 +81,7 @@ def grad_step_alpha(b, c, L, lo, hi):
     return _kernels.grad_step(b, c, L, lo, hi)
 
 
-def bisect_line_min(fn, lo, hi, tol=_kernels.LS_TOL,
-                    max_iter=_kernels.LS_MAX_ITER, third=None):
+def bisect_line_min(fn, lo, hi, third=None):
     """Minimize a convex 1D function phi on [lo, hi]; fn(alpha) returns
     (phi'(alpha), phi''(alpha)), and third, if given, is phi'''(0).
 
@@ -92,9 +91,9 @@ def bisect_line_min(fn, lo, hi, tol=_kernels.LS_TOL,
     evaluates fn first at the current point alpha = 0 (clipped to
     [lo, hi]), and the sign of phi' there picks the side of it that it
     searches; a zero or NaN phi'(0) returns 0, which does not move.  It
-    stops when the bracket is at most tol wide or a Newton step at most
-    tol / 4 long, after at most max_iter evaluations besides the one at
-    the start and one end test.  Flat stretches of phi' resolve to the
+    stops when the bracket is at most LS_TOL wide or a Newton step at most
+    LS_TOL / 4 long, after at most LS_MAX_ITER evaluations besides the one
+    at the start and one end test.  Flat stretches of phi' resolve to the
     smallest minimizer on the side searched.  The end of that side is
     tested last, where ``_kernels.end_test_due`` says, and only if the
     search has not moved the bracket off it by then.  Given third, a
@@ -109,8 +108,9 @@ def bisect_line_min(fn, lo, hi, tol=_kernels.LS_TOL,
         raise ValueError(f"empty step interval [{lo}, {hi}]")
     x0 = min(max(0.0, lo), hi)
     d, h = fn(x0)
-    return _kernels.line_min(lambda a, curv: fn(a), lo, hi, x0, d, h, tol,
-                             max_iter, third if x0 == 0.0 else None)
+    return _kernels.line_min(lambda a, curv: fn(a), lo, hi, x0, d, h,
+                             _kernels.LS_TOL, _kernels.LS_MAX_ITER,
+                             third if x0 == 0.0 else None)
 
 
 def _power_sigma_sq(matvec, rmatvec, dim, iters=100, seed=0):
@@ -353,11 +353,10 @@ class _CompositeObjective(BoundObjective):
         return SegmentQuery(b=self._dir_deriv(s * col - self.z),
                             c=max(self._seg_c(i)[0], 0.0))
 
-    def line_search(self, i, lo, hi, tol=_kernels.LS_TOL,
-                    max_iter=_kernels.LS_MAX_ITER):
+    def line_search(self, i, lo, hi):
         """argmin over [lo, hi] of f along the segment toward vertex i."""
         col, s = self._col_scale(i)
-        return self._argmin(s * col - self.z, lo, hi, tol, max_iter, i)
+        return self._argmin(s * col - self.z, lo, hi, i)
 
     def _move(self, i, alpha):
         col, s = self._col_scale(i)
@@ -399,8 +398,7 @@ class _CompositeObjective(BoundObjective):
         return self.A_cols[i] - self.A_cols[j]
 
     def pair_line_search(self, i, j, lo, hi):
-        return self._argmin(self._pair_dir(i, j), lo, hi, _kernels.LS_TOL,
-                            _kernels.LS_MAX_ITER, (i, j))
+        return self._argmin(self._pair_dir(i, j), lo, hi, (i, j))
 
     def _pair_move(self, i, j, theta):
         self.z += theta * self._pair_dir(i, j)
@@ -436,7 +434,7 @@ class LeastSquares(_CompositeObjective):
     def _dir_deriv(self, w):
         return 2.0 * (float(w @ self.z) - float(w @ self.bvec))
 
-    def _argmin(self, w, lo, hi, tol, max_iter, key):
+    def _argmin(self, w, lo, hi, key):
         # closed form: phi(alpha) = f(z + alpha w) has phi'(0) =
         # _dir_deriv(w) and phi'' = 2 w.w
         return grad_step_alpha(self._dir_deriv(w), float(w @ w), 2.0, lo, hi)
@@ -503,7 +501,7 @@ class Logistic(_CompositeObjective):
     def _dir_deriv(self, w):
         return float(self._resid_grad() @ w)
 
-    def _argmin(self, w, lo, hi, tol, max_iter, key):
+    def _argmin(self, w, lo, hi, key):
         # bisect_line_min on (phi', phi'') of phi(a) = f(z + a w)
         ym, sig = self._margins()
         yw = self.labels * w
@@ -516,7 +514,7 @@ class Logistic(_CompositeObjective):
                 m, sa, sga = _kernels.logistic_at(ym, yw, a, True)
             self._last = key, a, m, sa
             return _kernels.logistic_seg(sa, yw, yw2, True, sga)
-        return bisect_line_min(fn, lo, hi, tol=tol, max_iter=max_iter)
+        return bisect_line_min(fn, lo, hi)
 
     def _adopt(self, key, step, exact):
         # after z moved by step along the move key, as z + fl(step w) where
@@ -719,8 +717,7 @@ class KdeHuber(BoundObjective):
         return SegmentQuery(b=self._start(*self._vertex_start(i))[0],
                             c=max(self._seg_c(i)[0], 0.0))
 
-    def _line_min(self, ka, kb, b, C, lo, hi, tol=_kernels.LS_TOL,
-                  max_iter=_kernels.LS_MAX_ITER):
+    def _line_min(self, ka, kb, b, C, lo, hi):
         # bisect_line_min along the move _start describes, with phi'''(0),
         # in the objective's row sets: it allocates no n-length array
         S0, S1, S2 = self._work
@@ -731,17 +728,14 @@ class KdeHuber(BoundObjective):
             if a == 0.0:
                 return d, h
             return _kernels.kde_seg(a, S0, S1, C, self.mu_h, True)
-        return bisect_line_min(fn, lo, hi, tol=tol, max_iter=max_iter,
-                               third=third)
+        return bisect_line_min(fn, lo, hi, third=third)
 
-    def line_search(self, i, lo, hi, tol=_kernels.LS_TOL,
-                    max_iter=_kernels.LS_MAX_ITER):
+    def line_search(self, i, lo, hi):
         if hi < lo:
             raise ValueError(f"empty step interval [{lo}, {hi}]")
         if self._seg_c(i)[0] <= 0.0:
             return lo
-        return self._line_min(*self._vertex_start(i), lo, hi, tol=tol,
-                              max_iter=max_iter)
+        return self._line_min(*self._vertex_start(i), lo, hi)
 
     def _move(self, i, alpha):
         kcol = self._column(i)
@@ -845,8 +839,7 @@ class Quadratic(BoundObjective):
         b = float((self.g + self.qlin) @ dv)
         return SegmentQuery(b=b, c=float(dv @ dv))
 
-    def line_search(self, i, lo, hi, tol=_kernels.LS_TOL,
-                    max_iter=_kernels.LS_MAX_ITER):
+    def line_search(self, i, lo, hi):
         # exact: the gradient rule with the segment's curvature and L = 1
         dv = self.poly.vertex(i) - self.x
         b = float((self.g + self.qlin) @ dv)

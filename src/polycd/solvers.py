@@ -35,13 +35,14 @@ class ConsistencyError(RuntimeError):
 
 
 def require_ints(cfg, *names):
-    """ValueError, naming the field, unless each of the fields names of cfg
-    that is not None holds an integer (Python or numpy)."""
+    """Store each of the fields names of cfg that is not None as the Python
+    int that operator.index gives; ValueError, naming the field, unless it
+    holds an integer (Python or numpy)."""
     for name in names:
         value = getattr(cfg, name)
         if value is not None:
             try:
-                operator.index(value)
+                setattr(cfg, name, operator.index(value))
             except TypeError:
                 raise ValueError(
                     f"{name} must be an integer, not {value!r}") from None
@@ -54,30 +55,26 @@ class SolveConfig:
     # stop when (f(x^t) - f(x^{t+1})) / max(|f(x^t)|, 1) falls below this
     rel_improve_tol: float = 1e-8
     visit_order: np.ndarray | None = None  # permutation of range(M); None = cyclic
-    # the start: x0 (plain solver only), else the weights start_weights
-    # picks from lam0 and the objective's default
-    x0: np.ndarray | None = None
+    # the start weights; None = the objective's obj.start_weights()
     lam0: np.ndarray | None = None
-    gamma_cap: float = _kernels.GAMMA_CAP
-    drop_tol: float = _kernels.DROP_TOL  # snap-to-drop tolerance around -gamma
-    ls_tol: float = _kernels.LS_TOL
-    ls_max_iter: int = _kernels.LS_MAX_ITER
+
+    # the step constants, not settings: perfbench's tracing._direct_passes
+    # reads them here to call run_cycle, which tests/test_perfbench_names.py
+    # pins
+    gamma_cap = _kernels.GAMMA_CAP
+    drop_tol = _kernels.DROP_TOL
+    ls_tol = _kernels.LS_TOL
+    ls_max_iter = _kernels.LS_MAX_ITER
 
     def __post_init__(self):
         if self.step_rule not in _RULES:
             raise ValueError(f"step_rule must be one of {_RULES}")
-        require_ints(self, "max_outer", "ls_max_iter")
+        require_ints(self, "max_outer")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.ls_max_iter < 0:
-            raise ValueError("ls_max_iter must be >= 0")
         # not <: a NaN tolerance is rejected too
-        for name in ("rel_improve_tol", "drop_tol", "ls_tol"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        # not <=: a NaN cap is rejected too
-        if not self.gamma_cap > 0:
-            raise ValueError("gamma_cap must be positive")
+        if not self.rel_improve_tol >= 0:
+            raise ValueError("rel_improve_tol must be nonnegative")
 
 
 @dataclass
@@ -153,7 +150,7 @@ def _inner_step(obj, i, lo, cfg):
     if cfg.step_rule == GRAD_1D:
         q = obj.segment_query(i)
         return grad_step_alpha(q.b, q.c, obj.L, lo, 1.0)
-    return obj.line_search(i, lo, 1.0, tol=cfg.ls_tol, max_iter=cfg.ls_max_iter)
+    return obj.line_search(i, lo, 1.0)
 
 
 def _drive(obj, poly, cfg, away, inner_callback=None):
@@ -163,20 +160,10 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
     M = poly.M
     order = _resolve_order(M, cfg.visit_order)
 
-    if away or cfg.x0 is None:
-        lam = start_weights(obj, cfg)
-        x0 = poly.combination(lam)
-    else:
-        x0 = cfg.x0
-        # the tolerance scales with the point, as its rounding error does
-        if not (np.shape(x0) == (poly.d,) and np.isfinite(x0).all()
-                and poly.contains(x0, tol=1e-9 * (1.0 + np.linalg.norm(x0)))):
-            raise ValueError("x0 must be a finite point of the polytope")
-    obj.reset(x0)
-    if away:
-        state = AwayState(lam=lam)
-    else:
-        state, lam = None, np.empty(0)
+    # the plain solver's kernels never read the weights
+    lam = start_weights(obj, cfg)
+    obj.reset(poly.combination(lam))
+    state = AwayState(lam=lam) if away else None
 
     # the per-step path serves objectives without a cycle kernel and runs
     # that report each step to inner_callback
@@ -192,7 +179,8 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
     for t in range(1, cfg.max_outer + 1):
         if fn is not None:
             obj.run_cycle(fn, order, lam, grad_rule, away,
-                          cfg.gamma_cap, cfg.drop_tol, cfg.ls_tol, cfg.ls_max_iter)
+                          _kernels.GAMMA_CAP, _kernels.DROP_TOL,
+                          _kernels.LS_TOL, _kernels.LS_MAX_ITER)
         else:
             # a degenerate visit counts as a zero step, as in a kernel
             # pass, and the weights carry their rescale as one scalar, lsc,
@@ -201,12 +189,12 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
             for i in order:
                 alpha = 0.0
                 if not obj.segment_is_degenerate(i):
-                    lo, capped = _kernels.step_interval(away, lam, lsc, i,
-                                                        cfg.gamma_cap)
+                    lo, capped = _kernels.step_interval(
+                        away, lam, lsc, i, _kernels.GAMMA_CAP)
                     alpha = _inner_step(obj, i, lo, cfg)
                     if away:
                         alpha, lsc = _kernels.away_update(
-                            lam, lsc, i, alpha, lo, capped, cfg.drop_tol)
+                            lam, lsc, i, alpha, lo, capped, _kernels.DROP_TOL)
                 obj.apply_step(i, alpha)
                 if inner_callback is not None:
                     inner_callback(t, int(i), float(alpha))

@@ -5,6 +5,7 @@ import pytest
 
 from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
                     StandardSimplex)
+from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, pair_stream, twocd_solve)
 
@@ -96,31 +97,20 @@ def test_afw_feasible_and_monotone():
     assert all(f[k + 1] <= f[k] + 1e-12 * max(1, abs(f[k])) for k in range(len(f) - 1))
 
 
-def test_afw_capped_away_step_is_not_a_drop():
-    # with gamma_cap = 0.05 the cap binds on away steps: such a step leaves
+def test_afw_capped_away_step_is_not_a_drop(monkeypatch):
+    # with a cap of 0.05 the cap binds on away steps: such a step leaves
     # lam_i (1 + cap) - cap > 0, and writing it as a drop (lam_i = 0) would
     # break the weights' reconstruction of x, which weight_refresh rejects
+    monkeypatch.setattr(_kernels, "GAMMA_CAP", 0.05)
     rng = np.random.default_rng(3)
     B = rng.standard_normal((6, 4))
     q = rng.standard_normal(4)
     obj = Quadratic(B.T @ B, 3 * q, poly=StandardSimplex(4))
-    x, trace = afw_solve(obj, None, BaselineConfig(max_iter=200, window=None),
-                         gamma_cap=0.05)
+    x, trace = afw_solve(obj, None, BaselineConfig(max_iter=200, window=None))
     assert obj.poly.contains(x, tol=1e-10)
     f = [r.f_value for r in trace]
     assert all(f[k + 1] <= f[k] + 1e-12 * max(1, abs(f[k]))
                for k in range(len(f) - 1))
-
-
-@pytest.mark.parametrize("cap", [-1.0, 0.0, np.nan])
-def test_afw_rejects_nonpositive_gamma_cap(cap):
-    # -1 failed at the first away step with an empty step interval, and a
-    # NaN cap ran as no cap at all
-    start = np.full(3, 1.0 / 3.0)
-    obj = LeastSquares(np.eye(3), np.zeros(3), StandardSimplex(3), x0=start)
-    with pytest.raises(ValueError, match="gamma_cap"):
-        afw_solve(obj, None, BaselineConfig(max_iter=10), gamma_cap=cap)
-    assert np.array_equal(obj.x, start)  # rejected before the start reset
 
 
 def test_fista_reaches_reference_on_small_lasso():

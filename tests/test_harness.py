@@ -142,6 +142,41 @@ def test_config_json_round_trip(tmp_path):
     assert cfg2.solvers[0].max_outer == 40
 
 
+@pytest.mark.parametrize("setting", [
+    {"seeds": [np.int64(0)]},
+    {"problem": {"n": np.int64(30), "d": 10, "r": 2, "snr": 1.0}},
+    {"problem": {"n": 30, "d": 10, "r": 2, "snr": np.float32(1.0)}},
+    {"solvers": [{"name": "polycd", "max_outer": np.int64(3)}]},
+    {"solvers": [{"name": "polycd", "rel_improve_tol": np.float32(1e-8)}]},
+    {"solvers": [{"name": "fista", "smoothness": np.float32(1e4)}]},
+], ids=["seeds", "problem-n", "problem-snr", "max_outer", "rel_improve_tol",
+        "smoothness"])
+def test_numpy_scalars_in_a_config_give_a_valid_summary(tmp_path, setting):
+    # each ran every solver, then json.dump raised TypeError and left
+    # invalid JSON in summary.json
+    kw = {"problem": {"n": 30, "d": 10, "r": 2, "snr": 1.0},
+          "solvers": [{"name": "polycd", "max_outer": 3}], **setting}
+    cfg = small_cfg(tmp_path, kw["solvers"], problem=kw["problem"],
+                    seeds=kw.get("seeds"))
+    summary = run_experiment(cfg, quiet=True)
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert written == json.loads(json.dumps(summary))
+
+
+@pytest.mark.parametrize("cell", [
+    {"name": "polycd", "max_iter": 10}, {"name": "fw", "max_outer": 3},
+    {"name": "fw", "step_rule": "grad"}, {"name": "polycdwa", "rng_seed": 4},
+    {"name": "2cd", "window": 7}], ids=["polycd-max_iter", "fw-max_outer",
+                                        "fw-step_rule", "polycdwa-rng_seed",
+                                        "2cd-window"])
+def test_solver_cell_rejects_a_key_its_solver_does_not_read(cell):
+    # run_solver_cell dropped each of these silently
+    (key,) = set(cell) - {"name"}
+    with pytest.raises(ValueError,
+                       match=f"'{cell['name']}' does not read .*'{key}'"):
+        SolverCell.from_dict(cell)
+
+
 def test_run_experiment_single_solver_gap_zero(tmp_path):
     cfg = small_cfg(tmp_path, [{"name": "polycdwa", "max_outer": 60}])
     summary = run_experiment(cfg, quiet=True)

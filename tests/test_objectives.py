@@ -454,7 +454,9 @@ def test_newton_line_min_evaluation_budget():
                       10.0 / (1.0 + 100.0 * (a - 0.7) ** 2)))
     for fn, max_iter in itertools.product(fns, (0, 1, 5, 30)):
         counted, calls = _counted(fn)
-        a = bisect_line_min(counted, -5.0, 1.0, tol=1e-15, max_iter=max_iter)
+        d, h = counted(0.0)
+        a = _kernels.line_min(lambda a, curv: counted(a), -5.0, 1.0, 0.0, d,
+                              h, 1e-15, max_iter)
         assert len(calls) <= max_iter + 2
         assert -5.0 <= a <= 1.0
 

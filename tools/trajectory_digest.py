@@ -16,8 +16,9 @@ window_tol=1e-6, record_every=3.  A digest covers (t, f, inner_steps, nnz)
 of every record and the final x.  Each line ends with the case's f at
 record 0 (f0) and its final f (repr), so a changed digest shows how far
 the trajectory moved.  AFW also runs with the default config and a cap on
-the away step that binds (gamma_cap=0.05 on lasso and logistic, 1e-3 on
-KDE), so its capped steps are digested too.
+the away step that binds (_kernels.GAMMA_CAP set to 0.05 on lasso and
+logistic and to 1e-3 on KDE for the call), so its capped steps are digested
+too.
 
 Two crafted lasso families run polycd and polycdwa with the line search
 on both paths.  In the full-step cases (n=30, d=12, seeds 0-5, 3 passes)
@@ -77,6 +78,7 @@ import numpy as np
 from polycd import (GRAD_1D, LINE_SEARCH, ExplicitVertices, KdeHuber, L1Ball,
                     LeastSquares, Logistic, SolveConfig, StandardSimplex,
                     polycd_solve, polycdwa_solve)
+from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
 from polycd.problems import (KdeSpec, LassoSpec, LogisticSpec, gen_kde,
@@ -171,10 +173,9 @@ def listed_cases(insts):
         cyclic_case(f"{name}-ev", make_listed(), solve, rule, PASSES, False)
 
 
-def baseline_case(name, label, cname, obj, solve, cfg, **kw):
-    """Run one baseline solve, with further keyword arguments kw, and print
-    its digest line."""
-    x, trace = solve(obj, obj.poly, cfg, **kw)
+def baseline_case(name, label, cname, obj, solve, cfg):
+    """Run one baseline solve and print its digest line."""
+    x, trace = solve(obj, obj.poly, cfg)
     rows = np.array([(r.t, r.f_value, r.inner_steps, r.nnz)
                      for r in trace], dtype=np.float64)
     h = hashlib.sha256(rows.tobytes())
@@ -193,9 +194,14 @@ def baseline_cases(insts):
 def capped_afw_cases(insts):
     """AFW with a binding cap CAPPED_AFW on each instance, so that capped
     away steps, which are never drops, are digested."""
+    cap = _kernels.GAMMA_CAP
     for name, make, _, _ in insts:
-        baseline_case(name, "afw-capped", "default", make(), afw_solve,
-                      BaselineConfig(), gamma_cap=CAPPED_AFW[name])
+        _kernels.GAMMA_CAP = CAPPED_AFW[name]
+        try:
+            baseline_case(name, "afw-capped", "default", make(), afw_solve,
+                          BaselineConfig())
+        finally:
+            _kernels.GAMMA_CAP = cap
 
 
 def crafted_cases():
