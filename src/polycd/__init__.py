@@ -17,7 +17,6 @@ from .objectives import (
     LeastSquares,
     Logistic,
     Quadratic,
-    SegmentQuery,
     bisect_line_min,
     grad_step_alpha,
 )
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AwayState", "ConsistencyError", "ExplicitVertices", "GRAD_1D",
     "HAVE_NUMBA", "KdeHuber", "L1Ball", "LINE_SEARCH", "LeastSquares",
-    "Logistic", "PolytopeError", "Quadratic", "SegmentQuery", "SolveConfig",
+    "Logistic", "PolytopeError", "Quadratic", "SolveConfig",
     "StandardSimplex", "TraceRecord", "UnsupportedSizeError",
     "VertexPolytope", "active_backend", "bisect_line_min", "grad_step_alpha",
     "polycd_solve", "polycdwa_solve", "project_l1_ball", "project_simplex",

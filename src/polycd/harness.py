@@ -24,8 +24,9 @@ from .baselines import BaselineConfig, afw_solve, fista_solve, fw_solve, twocd_s
 from .objectives import (KdeHuber, LeastSquares, Logistic, Quadratic,
                          smoothness_override)
 from .polytope import L1Ball, StandardSimplex
-from .problems import (RNG_NAME, KdeSpec, LassoSpec, LogisticSpec, gen_kde,
-                       gen_lasso, gen_logistic)
+from .problems import (RNG_NAME, KdeSpec, LassoSpec, LogisticSpec,
+                       QuadraticSpec, gen_kde, gen_lasso, gen_logistic,
+                       gen_quadratic)
 from .solvers import (LINE_SEARCH, SolveConfig, _nnz, polycd_solve,
                       polycdwa_solve, require_ints)
 
@@ -52,14 +53,14 @@ def _fields(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
 
+# the spec class of each preset's problem section
+_SPECS = {**{p: spec for p, (spec, _, _) in L1_PRESETS.items()},
+          "kde": KdeSpec, "custom-simplex-quadratic": QuadraticSpec}
 # problem-section keys per preset: the spec fields but the seed, which each
 # repetition sets, and for the l1 presets "c", which overrides the radius
-_PROBLEM_KEYS = {
-    **{p: (_fields(spec) - {"seed"}) | {"c"}
-       for p, (spec, _, _) in L1_PRESETS.items()},
-    "kde": _fields(KdeSpec) - {"seed"},
-    "custom-simplex-quadratic": {"d", "mu"},
-}
+_PROBLEM_KEYS = {p: (_fields(spec) - {"seed"}) | ({"c"} if p in L1_PRESETS
+                                                  else set())
+                 for p, spec in _SPECS.items()}
 # the problem-section keys that hold sizes
 _SIZE_KEYS = ("n", "d", "r", "m")
 # a solver label names files and fills a CSV field
@@ -148,6 +149,9 @@ class ExperimentConfig:
         self.problem = {
             k: float(v) if k not in _SIZE_KEYS and isinstance(v, numbers.Real)
             else v for k, v in vars(problem).items()}
+        # an instance the section cannot build fails here, before any file
+        # is written
+        problem_spec(self.preset, self.problem, 0)
         self.solvers = [s if isinstance(s, SolverCell) else SolverCell.from_dict(s)
                         for s in self.solvers]
         if (self.preset == "custom-simplex-quadratic"
@@ -183,6 +187,27 @@ class ExperimentConfig:
         return d
 
 
+def problem_spec(preset, problem, seed):
+    """(spec, c): the preset's spec that the problem section builds at the
+    seed, and the section's l1 radius override c (None where unset).
+    ValueError, naming the key, for a key that the preset does not take,
+    one that its spec needs and the section lacks, a c that is not finite
+    and positive, or a value that the spec rejects."""
+    what = f"problem ({preset})"
+    _reject_unknown(problem, _PROBLEM_KEYS[preset], what)
+    spec_cls = _SPECS[preset]
+    missing = sorted(f.name for f in dataclasses.fields(spec_cls)
+                     if f.default is dataclasses.MISSING
+                     and f.name not in problem)
+    if missing:
+        raise ValueError(f"{what} needs the keys {missing}")
+    prob = dict(problem)
+    c = prob.pop("c", None)
+    if c is not None and not 0 < c < np.inf:
+        raise ValueError(f"c must be finite and positive, got {c!r}")
+    return spec_cls(seed=seed, **prob), c
+
+
 def _reject_unknown(d, allowed, what):
     if not isinstance(d, dict):
         raise ValueError(f"{what} section must be a JSON object")
@@ -202,14 +227,12 @@ class _Bundle:
     def __init__(self, preset, prob, seed):
         self.preset = preset
         self.seed = seed
-        prob = dict(prob)
+        spec, c = problem_spec(preset, prob, seed)
         if preset in L1_PRESETS:
-            spec_cls, gen, objective = L1_PRESETS[preset]
-            c_override = prob.pop("c", None)
-            spec = spec_cls(seed=seed, **prob)
+            _, gen, objective = L1_PRESETS[preset]
             A, y, _, C = gen(spec)
-            if c_override is not None:
-                C = float(c_override)
+            if c is not None:
+                C = float(c)
             # the factories close over locals, never self: a bundle in a
             # reference cycle would keep its arrays until a full gc pass
             poly = self.poly = L1Ball(spec.d, C)
@@ -220,27 +243,19 @@ class _Bundle:
             self.radius = C
             self.dim = spec.d
         elif preset == "kde":
-            spec = KdeSpec(seed=seed, **prob)
             X, _ = gen_kde(spec)
             poly = self.poly = self.lifted_poly = StandardSimplex(spec.n)
             self._make = lambda L=None: KdeHuber(X, spec.sigma_kernel,
                                                  spec.mu_huber, poly, L=L)
             self._make_lifted = self._make
             self.dim = spec.n
-        elif preset == "custom-simplex-quadratic":
-            d = int(prob["d"])
-            mu = float(prob.get("mu", 0.0))
-            rng = np.random.default_rng(seed)
-            B = rng.standard_normal((2 * d, d))
-            Q = B.T @ B / d + mu * np.eye(d)
-            qlin = rng.standard_normal(d)
-            poly = self.poly = self.lifted_poly = StandardSimplex(d)
+        else:
+            Q, qlin = gen_quadratic(spec)
+            poly = self.poly = self.lifted_poly = StandardSimplex(spec.d)
             # L is exact here; ExperimentConfig rejects an override
             self._make = lambda L=None: Quadratic(Q, qlin, poly=poly)
             self._make_lifted = self._make
-            self.dim = d
-        else:  # pragma: no cover - guarded by config validation
-            raise ValueError(preset)
+            self.dim = spec.d
         self.twocd_budget = 100 * self.dim
 
     def objective(self, lifted=False, L=None):

@@ -1,5 +1,5 @@
 """Smooth convex objectives bound to a polytope iterate, with cached state
-so that a segment query toward any vertex costs O(n + d).
+so that a step toward any vertex costs O(n + d).
 
 Every objective keeps its iterate ``x`` plus objective-specific caches (the
 product A x for the composite losses, the kernel products for the density
@@ -18,13 +18,14 @@ columns (``_kernels.kde_cycle``) and checks them against ``DRIFT_TOL``.
 ``eval_at``/``grad_at`` are stateless recomputations used by the oracles, so
 they share no code path with the incremental caches.
 
-Each step quantity and update has one source: ``BoundObjective`` applies
-every step over a family's cache moves, the composite losses share one body
-over a few family hooks, and every density step, per step or in a kernel
-pass and under either step rule, starts from ``_kernels.kde_seg0``.
+Each step quantity and update has one source: ``slope`` gives
+<grad f(x), v_i - x> and ``_seg_c`` ||v_i - x||^2, ``BoundObjective``
+applies every step over a family's cache moves (a dense vertex's by
+``_dense_move``), the composite losses share one body over a few family
+hooks, and every density step, per step or in a kernel pass and under
+either step rule, starts from ``_kernels.kde_seg0``.  ``reset`` places an
+objective, which starts at its ``start_weights()``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +57,6 @@ DRIFT_WARN = DRIFT_TOL / 100
 class CacheConsistencyError(RuntimeError):
     """A quantity carried from step to step has drifted from its rebuild
     past DRIFT_TOL."""
-
-
-@dataclass
-class SegmentQuery:
-    """Directional data for a step toward one vertex: b = <grad f(x), v - x>
-    and c = ||v - x||^2."""
-
-    b: float
-    c: float
 
 
 def grad_step_alpha(b, c, L, lo, hi):
@@ -180,18 +172,18 @@ class BoundObjective:
     drift it measures, in drift, exceeds DRIFT_WARN.  A family names its
     carried product vector in _PRODUCT and gives _init_state the largest
     |entry| of the data that builds it, from the construction's finiteness
-    scan."""
+    scan, and gives the slope <grad f(x), v_i - x> as slope(i)."""
 
     _PRODUCT = "z"
 
-    def _init_state(self, poly, x0, data_max):
+    def _init_state(self, poly, data_max):
         self.poly = poly
         # the drift scale: |(A x)_i| <= max|A| ||x||_1 <= max|A| max||v||_1
         self._drift_scale = data_max * _l1_radius(poly)
         self.drift = 0.0  # measured by the last rebuild
         self._steps = 0
         self._rebuilt_at = None  # the bytes of the x of reset's last rebuild
-        self.reset(x0)
+        self.reset()
 
     def start_weights(self):
         """The vertex weights of the default start of every solver and of
@@ -274,6 +266,24 @@ class BoundObjective:
         dv = v - self.x
         return float(dv @ dv), self.sq_x + float(v @ v)
 
+    def grad_rule_step(self, i, lo):
+        """The 1-D gradient rule's step toward vertex i on [lo, 1]."""
+        return grad_step_alpha(self.slope(i), max(self._seg_c(i)[0], 0.0),
+                               self.L, lo, 1.0)
+
+    def _dense_move(self, i, alpha, products):
+        """Move x toward vertex i and the carried product toward its image
+        products[i]; a full step copies both."""
+        v = self.poly.vertex(i)
+        if alpha == 1.0:
+            self.x = v
+            setattr(self, self._PRODUCT, products[i].copy())
+        else:
+            self.x += alpha * (v - self.x)
+            product = getattr(self, self._PRODUCT)
+            product += alpha * (products[i] - product)
+        self.sq_x = float(self.x @ self.x)
+
     def segment_is_degenerate(self, i):
         # v_i coincides with x up to float cancellation; the solvers skip
         # such steps (any step size leaves x unchanged)
@@ -299,7 +309,7 @@ class _CompositeObjective(BoundObjective):
     coordinate vertices (KERNEL) and the terms that kernel reads per block
     of its plan (_block_terms)."""
 
-    def __init__(self, A, poly, x0=None, L=None):
+    def __init__(self, A, poly, L=None):
         A = np.ascontiguousarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("A must be 2-dimensional")
@@ -318,7 +328,7 @@ class _CompositeObjective(BoundObjective):
             self._pv_cols = np.ascontiguousarray((A @ poly.vertex_matrix().T).T)
         self._L_cached = smoothness_override(L)
         self._plan = None  # (key of an order, its plan), for the kernel
-        self._init_state(poly, x0, a_max)
+        self._init_state(poly, a_max)
 
     def refresh_cache(self):
         self.z = self.A @ self.x
@@ -348,10 +358,9 @@ class _CompositeObjective(BoundObjective):
         s = self.poly.vertex_scales[i]
         return self.sq_x - 2.0 * s * self.x[j] + s * s, self.sq_x + s * s
 
-    def segment_query(self, i):
+    def slope(self, i):
         col, s = self._col_scale(i)
-        return SegmentQuery(b=self._dir_deriv(s * col - self.z),
-                            c=max(self._seg_c(i)[0], 0.0))
+        return self._dir_deriv(s * col - self.z)
 
     def line_search(self, i, lo, hi):
         """argmin over [lo, hi] of f along the segment toward vertex i."""
@@ -359,21 +368,14 @@ class _CompositeObjective(BoundObjective):
         return self._argmin(s * col - self.z, lo, hi, i)
 
     def _move(self, i, alpha):
+        if self._pv_cols is not None:
+            self._dense_move(i, alpha, self._pv_cols)
+            return
         col, s = self._col_scale(i)
         zv = s * col
-        if self._pv_cols is None:
-            self.sq_x = _kernels.vertex_move(
-                self.x, self.poly.vertex_coords[i], s, alpha, self.sq_x,
-                self.z, zv, zv - self.z)
-        else:
-            v = self.poly.vertex(i)
-            if alpha == 1.0:
-                self.z = zv
-                self.x = v
-            else:
-                self.z += alpha * (zv - self.z)
-                self.x += alpha * (v - self.x)
-            self.sq_x = float(self.x @ self.x)
+        self.sq_x = _kernels.vertex_move(
+            self.x, self.poly.vertex_coords[i], s, alpha, self.sq_x,
+            self.z, zv, zv - self.z)
 
     def _resid_grad(self):
         # the gradient of g at the cached z
@@ -417,10 +419,10 @@ class LeastSquares(_CompositeObjective):
     G2 = 2.0
     KERNEL = "ls_cycle"
 
-    def __init__(self, A, b, poly, x0=None, L=None):
+    def __init__(self, A, b, poly, L=None):
         self.bvec = np.ascontiguousarray(b, dtype=np.float64)
         _require_finite("b", self.bvec)
-        super().__init__(A, poly, x0, L)
+        super().__init__(A, poly, L)
         if self.bvec.shape != (self.n,):
             raise ValueError("b must have one entry per row of A")
 
@@ -470,11 +472,11 @@ class Logistic(_CompositeObjective):
     G2 = 0.25
     KERNEL = "logistic_cycle"
 
-    def __init__(self, A, labels, poly, x0=None, L=None):
+    def __init__(self, A, labels, poly, L=None):
         self.labels = np.ascontiguousarray(labels, dtype=np.float64)
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +/-1")
-        super().__init__(A, poly, x0, L)
+        super().__init__(A, poly, L)
         if self.labels.shape != (self.n,):
             raise ValueError("labels must have one entry per row of A")
 
@@ -605,7 +607,7 @@ class KdeHuber(BoundObjective):
 
     _PRODUCT = "u"
 
-    def __init__(self, points, bandwidth, huber_mu, poly=None, x0=None, L=None):
+    def __init__(self, points, bandwidth, huber_mu, poly=None, L=None):
         X = kde_points(points)
         self.X = X
         self.n, self.dim_pts = X.shape
@@ -621,7 +623,7 @@ class KdeHuber(BoundObjective):
         self._L_cached = smoothness_override(L)
         self._cols = {}
         self._work = _kernels.kde_work(self.n)  # the per-step searches' rows
-        self._init_state(poly, x0, self.kappa0)  # K's largest entry
+        self._init_state(poly, self.kappa0)  # K's largest entry
 
     def kernel_column(self, j):
         return _kernels.kde_columns(self.X, self.xsq, np.array([j]),
@@ -713,9 +715,8 @@ class KdeHuber(BoundObjective):
         Kim & Scott (JMLR 2012) start their KIRWLS iteration there."""
         return np.full(self.n, 1.0 / self.n)
 
-    def segment_query(self, i):
-        return SegmentQuery(b=self._start(*self._vertex_start(i))[0],
-                            c=max(self._seg_c(i)[0], 0.0))
+    def slope(self, i):
+        return self._start(*self._vertex_start(i))[0]
 
     def _line_min(self, ka, kb, b, C, lo, hi):
         # bisect_line_min along the move _start describes, with phi'''(0),
@@ -793,7 +794,7 @@ class Quadratic(BoundObjective):
 
     _PRODUCT = "g"
 
-    def __init__(self, Q, qlin=None, c0=0.0, poly=None, x0=None):
+    def __init__(self, Q, qlin=None, c0=0.0, poly=None):
         Q = np.ascontiguousarray(Q, dtype=np.float64)
         q_max = _require_finite("Q", Q)
         Q = 0.5 * (Q + Q.T)
@@ -812,7 +813,7 @@ class Quadratic(BoundObjective):
         self.mu = float(evals.min())
         self._QV = poly.vertex_matrix() @ Q  # row i = (Q v_i)'
         # max|Q| bounds the entries of its symmetric part too
-        self._init_state(poly, x0, q_max)
+        self._init_state(poly, q_max)
 
     def refresh_cache(self):
         self.g = self.Q @ self.x
@@ -834,27 +835,17 @@ class Quadratic(BoundObjective):
     def estimate_smoothness(self):
         return self.L
 
-    def segment_query(self, i):
-        dv = self.poly.vertex(i) - self.x
-        b = float((self.g + self.qlin) @ dv)
-        return SegmentQuery(b=b, c=float(dv @ dv))
+    def slope(self, i):
+        return float((self.g + self.qlin) @ (self.poly.vertex(i) - self.x))
 
     def line_search(self, i, lo, hi):
         # exact: the gradient rule with the segment's curvature and L = 1
         dv = self.poly.vertex(i) - self.x
-        b = float((self.g + self.qlin) @ dv)
         curv = float((self._QV[i] - self.g) @ dv)
-        return grad_step_alpha(b, curv, 1.0, lo, hi)
+        return grad_step_alpha(self.slope(i), curv, 1.0, lo, hi)
 
     def _move(self, i, alpha):
-        if alpha == 1.0:
-            self.x = self.poly.vertex(i)
-            self.g = self._QV[i].copy()
-        else:
-            v = self.poly.vertex(i)
-            self.x += alpha * (v - self.x)
-            self.g += alpha * (self._QV[i] - self.g)
-        self.sq_x = float(self.x @ self.x)
+        self._dense_move(i, alpha, self._QV)
 
     def pair_line_search(self, i, j, lo, hi):
         b = float(self.g[i] - self.g[j] + self.qlin[i] - self.qlin[j])

@@ -1,4 +1,5 @@
-"""Synthetic problem generators for the three benchmark families.
+"""Synthetic problem generators for the three benchmark families and the
+simplex quadratic.
 
 All generation is driven by numpy's default PCG64 generator seeded from the
 spec's seed field, so identical specs reproduce identical data bytes across
@@ -55,6 +56,25 @@ class KdeSpec:
     def __post_init__(self):
         if self.n < 100:
             raise ValueError("need n >= 100 so at least one outlier is drawn")
+        if self.m < 1:
+            raise ValueError("need m >= 1 mixture components")
+        # not <: a NaN rate is rejected too
+        if not 0 <= self.outlier_rate < 1:
+            raise ValueError("outlier_rate must lie in [0, 1)")
+
+
+@dataclass
+class QuadraticSpec:
+    """The custom-simplex-quadratic instance: 0.5 x'Qx + q'x on the simplex
+    of R^d (gen_quadratic)."""
+
+    d: int
+    mu: float = 0.0  # strong-convexity shift
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("need d >= 1")
 
 
 def _design(rng, n, d, rho):
@@ -129,6 +149,16 @@ def gen_kde(spec):
         "n_outliers": n0,
     }
     return X, truth
+
+
+def gen_quadratic(spec):
+    """Returns (Q, q) with Q = B'B / d + mu I for a standard normal 2d x d
+    matrix B and a standard normal q."""
+    rng = np.random.default_rng(spec.seed)
+    d = spec.d
+    B = rng.standard_normal((2 * d, d))
+    Q = B.T @ B / d + spec.mu * np.eye(d)
+    return Q, rng.standard_normal(d)
 
 
 def dump_tsv(path, arr):

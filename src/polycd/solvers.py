@@ -11,7 +11,8 @@ vertex i.
 Structured problems (the composite and kernel-density objectives over the
 simplex / l1 ball) run whole outer passes inside the cycle kernels of
 ``_kernels``.  Everything else, and every run given an inner_callback,
-runs through the per-step objective API, which produces the same
+runs through the per-step objective API (``obj.grad_rule_step`` or
+``obj.line_search``, then ``obj.apply_step``), which gives the same
 trajectories.
 """
 
@@ -22,7 +23,6 @@ import time
 import numpy as np
 
 from . import _kernels
-from .objectives import grad_step_alpha
 
 LINE_SEARCH = "line_search"
 GRAD_1D = "grad"
@@ -145,14 +145,6 @@ def start_weights(obj, cfg):
     return lam
 
 
-def _inner_step(obj, i, lo, cfg):
-    """Choose the step toward vertex i on [lo, 1] and return it (not applied)."""
-    if cfg.step_rule == GRAD_1D:
-        q = obj.segment_query(i)
-        return grad_step_alpha(q.b, q.c, obj.L, lo, 1.0)
-    return obj.line_search(i, lo, 1.0)
-
-
 def _drive(obj, poly, cfg, away, inner_callback=None):
     poly = poly if poly is not None else obj.poly
     if poly is not obj.poly:
@@ -191,7 +183,8 @@ def _drive(obj, poly, cfg, away, inner_callback=None):
                 if not obj.segment_is_degenerate(i):
                     lo, capped = _kernels.step_interval(
                         away, lam, lsc, i, _kernels.GAMMA_CAP)
-                    alpha = _inner_step(obj, i, lo, cfg)
+                    alpha = (obj.grad_rule_step(i, lo) if grad_rule
+                             else obj.line_search(i, lo, 1.0))
                     if away:
                         alpha, lsc = _kernels.away_update(
                             lam, lsc, i, alpha, lo, capped, _kernels.DROP_TOL)

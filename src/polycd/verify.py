@@ -39,14 +39,14 @@ class DenseKdeHuber(KdeHuber):
     comparing the two exercises genuinely different code paths (and the
     dense matvec makes long reference runs affordable)."""
 
-    def __init__(self, points, bandwidth, huber_mu, poly=None, x0=None, L=None):
+    def __init__(self, points, bandwidth, huber_mu, poly=None, L=None):
         X = kde_points(points)
         xsq = np.sum(X * X, axis=1)
         dim = X.shape[1]
         kappa0, _ = kde_scales(float(bandwidth), float(huber_mu), dim)
         sq = np.maximum(xsq[:, None] - 2.0 * (X @ X.T) + xsq[None, :], 0.0)
         self._K = kappa0 * np.exp(-sq / (2.0 * bandwidth ** 2))
-        super().__init__(points, bandwidth, huber_mu, poly=poly, x0=x0, L=L)
+        super().__init__(points, bandwidth, huber_mu, poly=poly, L=L)
 
     def start_weights(self):
         """Vertex 0: reference_solve_kde's AFW localizes the active set by

@@ -139,8 +139,8 @@ def test_fista_iterates_feasible():
 def test_twocd_hand_example():
     # ||u||^2 on the 2-simplex from (1, 0): swapping along e_0 - e_1 over
     # theta in [-1, 0] has its optimum at -1/2
-    obj = LeastSquares(np.eye(2), np.zeros(2), StandardSimplex(2),
-                       x0=np.array([1.0, 0.0]))
+    obj = LeastSquares(np.eye(2), np.zeros(2), StandardSimplex(2))
+    obj.reset(np.array([1.0, 0.0]))
     theta = obj.pair_line_search(0, 1, -1.0, 0.0)
     assert theta == pytest.approx(-0.5, rel=1e-12)
     obj.apply_pair_step(0, 1, theta)
@@ -148,8 +148,8 @@ def test_twocd_hand_example():
 
 
 def test_twocd_empty_interval_noop():
-    obj = LeastSquares(np.eye(3), np.ones(3), StandardSimplex(3),
-                       x0=np.array([1.0, 0.0, 0.0]))
+    obj = LeastSquares(np.eye(3), np.ones(3), StandardSimplex(3))
+    obj.reset(np.array([1.0, 0.0, 0.0]))
     # pair (1, 2): both coordinates zero, theta interval is the point {0}
     theta = obj.pair_line_search(1, 2, -0.0, 0.0)
     assert theta == 0.0

@@ -113,3 +113,74 @@ def test_default_flags_problem_section(monkeypatch, preset, problem):
                         lambda cfg: seen.append(cfg.problem) or {"solvers": {}})
     assert main(["solve", "--preset", preset]) == 0
     assert seen == [problem]
+
+
+@pytest.mark.parametrize("solver, flags, key", [
+    ("fw", ["--max-outer", "3"], "max_outer"),
+    ("fista", ["--step-rule", "grad", "--tol", "0.5"],
+     "rel_improve_tol', 'step_rule"),
+    ("afw", ["--tol", "0.5"], "rel_improve_tol"),
+    ("polycdwa", ["--max-iter", "5"], "max_iter"),
+], ids=["fw-max-outer", "fista-step-rule-tol", "afw-tol",
+        "polycdwa-max-iter"])
+def test_solve_rejects_a_solver_flag_the_solver_does_not_read(
+        tmp_path, solver, flags, key):
+    # each flag was dropped: fw ran at its own budget, and summary.json
+    # echoed none of them
+    out = tmp_path / "res"
+    with pytest.raises(ValueError, match=f"does not read the keys \\['{key}'\\]"):
+        main(["solve", "--preset", "lasso", "--n", "40", "--d", "20",
+              "--r", "3", "--solver", solver, *flags, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cell", [
+    ([], {"name": "polycdwa", "step_rule": "line_search", "max_outer": 100,
+          "rel_improve_tol": 1e-8}),
+    (["--solver", "polycd", "--step-rule", "grad", "--max-outer", "7",
+      "--tol", "0.5"],
+     {"name": "polycd", "step_rule": "grad", "max_outer": 7,
+      "rel_improve_tol": 0.5}),
+    (["--solver", "fw", "--max-iter", "9"],
+     {"name": "fw", "max_iter": 9, "window": 50, "window_tol": 1e-8}),
+])
+def test_solve_passes_on_the_solver_flags_set(monkeypatch, argv, cell):
+    # an unset flag takes SolverCell's default
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg: seen.append(cfg.solvers) or {"solvers": {}})
+    assert main(["solve", *argv]) == 0
+    assert [c.to_dict() for c in seen[0]] == [
+        {"smoothness": None, "label": cell["name"], **cell}]
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["solve", "--preset", "kde", "--n", "120", "--snr", "7", "--r", "9",
+      "--rho", "0.5"], r"unknown problem \(kde\) keys: \['r', 'rho', 'snr'\]"),
+    (["gen", "--preset", "lasso", "--m", "4"],
+     r"unknown problem \(lasso\) keys: \['m'\]"),
+    (["solve", "--preset", "custom-simplex-quadratic", "--c", "2"],
+     r"unknown problem \(custom-simplex-quadratic\) keys: \['c'\]"),
+    (["gen", "--preset", "kde", "--n", "120", "--m", "0"], r"\bm >= 1"),
+    (["gen", "--preset", "lasso", "--n", "30", "--d", "12", "--r", "3",
+      "--c", "-1"], r"^c must be finite and positive"),
+], ids=["solve-kde-lasso-flags", "gen-lasso-m", "solve-quadratic-c",
+        "gen-kde-m0", "gen-negative-c"])
+def test_problem_flags_the_preset_cannot_take_are_rejected(tmp_path, argv,
+                                                          match):
+    # the first three were dropped (kde ran on {"n": 120}, gen wrote a
+    # lasso dataset); m = 0 failed inside gen_kde and c = -1 was written
+    # to meta.json, after the output directory was made
+    out = tmp_path / "res"
+    with pytest.raises(ValueError, match=match):
+        main([*argv, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_gen_records_the_radius_override(tmp_path):
+    # meta.json held "c": 5.0 in its problem but "C": 3.0, ||x*||_1
+    out = tmp_path / "data"
+    assert main(["gen", "--preset", "lasso", "--n", "30", "--d", "12",
+                 "--r", "3", "--c", "5", "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["problem"]["c"] == 5.0 and meta["C"] == 5.0

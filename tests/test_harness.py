@@ -126,6 +126,38 @@ def test_quadratic_preset_rejects_a_smoothness_override():
                                                  "smoothness": 10.0}]})
 
 
+@pytest.mark.parametrize("preset, problem, key", [
+    ("lasso", {"n": 30, "d": 10}, r"needs the keys \['r'\]"),
+    ("custom-simplex-quadratic", {"mu": 0.5}, r"needs the keys \['d'\]"),
+    ("kde", {"d": 2}, r"needs the keys \['n'\]"),
+    ("lasso", {"n": 30, "d": 5, "r": 9}, r"\br <= d"),
+    ("logistic", {"n": 30, "d": 5, "r": 9}, r"\br <= d"),
+    ("lasso", {"n": 30, "d": 10, "r": 3, "snr": 0.0}, r"^snr must be"),
+    ("kde", {"n": 50}, r"\bn >= 100"),
+    ("lasso", {"n": 30, "d": 10, "r": 3, "c": -1.0}, r"^c must be"),
+    ("logistic", {"n": 30, "d": 10, "r": 3, "c": float("inf")},
+     r"^c must be"),
+    ("kde", {"n": 120, "outlier_rate": 2.0}, r"^outlier_rate must"),
+    ("kde", {"n": 120, "outlier_rate": float("nan")}, r"^outlier_rate must"),
+    ("kde", {"n": 120, "m": 0}, r"\bm >= 1"),
+    ("custom-simplex-quadratic", {"d": 0}, r"\bd >= 1"),
+], ids=["lasso-no-r", "quad-no-d", "kde-no-n", "lasso-r-over-d",
+        "logistic-r-over-d", "snr-0", "kde-n-50", "c-negative", "c-inf",
+        "outlier-rate-2", "outlier-rate-nan", "kde-m-0", "quad-d-0"])
+def test_config_rejects_a_problem_its_preset_cannot_build(tmp_path, preset,
+                                                         problem, key):
+    # each used to pass the config and fail inside run_experiment, with a
+    # TypeError, KeyError, PolytopeError or numpy error, after out_dir was
+    # made and before summary.json was written
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=key):
+        run_experiment(ExperimentConfig.from_dict(
+            {"preset": preset, "problem": problem,
+             "solvers": [{"name": "polycd"}], "out_dir": str(out)}),
+            quiet=True)
+    assert not out.exists()
+
+
 def test_solver_cell_budget_none_means_default():
     bundle = _Bundle("lasso", {"n": 30, "d": 6, "r": 2, "snr": 1.0}, 0)
     for max_iter, last in ((None, bundle.twocd_budget), (3, 3)):

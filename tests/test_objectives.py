@@ -5,20 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycd import (KdeHuber, L1Ball, LeastSquares, Logistic, Quadratic,
-                    StandardSimplex, _kernels, bisect_line_min,
-                    grad_step_alpha, objectives)
+from polycd import (ExplicitVertices, KdeHuber, L1Ball, LeastSquares,
+                    Logistic, Quadratic, StandardSimplex, _kernels,
+                    bisect_line_min, grad_step_alpha, objectives)
 from polycd.problems import KdeSpec, gen_kde
 from polycd.verify import DenseKdeHuber
 
 from oracles import finite_diff_gradient, golden_section_min
+from quadratics import random_quadratic
+
+
+def placed(obj, x0):
+    """obj, placed at x0 by reset."""
+    obj.reset(np.asarray(x0, dtype=np.float64))
+    return obj
 
 
 def motivating_setup():
     """f(x) = (x1-2)^2 + (x2-2)^2 over the unit l1 ball, iterate (0, 1)."""
     ball = L1Ball(2, 1.0)
-    obj = LeastSquares(np.eye(2), np.array([2.0, 2.0]), ball,
-                       x0=np.array([0.0, 1.0]))
+    obj = placed(LeastSquares(np.eye(2), np.array([2.0, 2.0]), ball),
+                 [0.0, 1.0])
     return ball, obj
 
 
@@ -38,8 +45,8 @@ def random_kde(n=30, seed=0):
 
 
 def test_eval_least_squares_identity():
-    obj = LeastSquares(np.eye(2), np.zeros(2), L1Ball(2, 1.0),
-                       x0=np.array([1.0, 0.0]))
+    obj = placed(LeastSquares(np.eye(2), np.zeros(2), L1Ball(2, 1.0)),
+                 [1.0, 0.0])
     assert obj.eval() == pytest.approx(1.0)
 
 
@@ -54,7 +61,7 @@ def test_eval_kde_single_point_is_zero():
     assert obj.eval() == pytest.approx(0.0, abs=1e-15)
 
 
-# -- segment_query ---------------------------------------------------------
+# -- segment queries: slope and ||v_i - x||^2 ------------------------------
 
 
 def _with_nonfinite(shape, index, value):
@@ -94,22 +101,48 @@ def test_kde_points_that_are_not_2d_are_rejected(cls, points):
         cls(points, 1.0, 0.4)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("make", [
-    lambda **kw: LeastSquares(np.ones((6, 6)), np.ones(6), L1Ball(6, 1.0),
-                              **kw),
-    lambda **kw: Logistic(np.ones((6, 6)), np.ones(6), L1Ball(6, 1.0), **kw),
-    lambda **kw: KdeHuber(np.arange(24.0).reshape(12, 2), 1.0, 0.4, **kw),
-    lambda **kw: Quadratic(np.eye(6), np.zeros(6), poly=StandardSimplex(6),
-                           **kw),
-], ids=["lasso", "logistic", "kde", "quad"])
-def test_nonfinite_start_point_is_rejected(make, bad):
-    # a NaN start gave f = nan (lasso), and an infinite one warned and gave
-    # f = nan (KDE), from the constructor and from reset alike
+# the five objective constructors, each with its smallest arguments
+CONSTRUCTORS = {
+    "lasso": lambda **kw: LeastSquares(np.ones((6, 6)), np.ones(6),
+                                       L1Ball(6, 1.0), **kw),
+    "logistic": lambda **kw: Logistic(np.ones((6, 6)), np.ones(6),
+                                      L1Ball(6, 1.0), **kw),
+    "kde": lambda **kw: KdeHuber(np.arange(24.0).reshape(12, 2), 1.0, 0.4,
+                                 **kw),
+    "dense-kde": lambda **kw: DenseKdeHuber(np.arange(24.0).reshape(12, 2),
+                                            1.0, 0.4, **kw),
+    "quad": lambda **kw: Quadratic(np.eye(6), np.zeros(6),
+                                   poly=StandardSimplex(6), **kw),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONSTRUCTORS))
+def test_constructors_take_no_start_point(family):
+    # reset is the one way to place an objective; a new one sits at its
+    # start_weights()
+    make = CONSTRUCTORS[family]
     obj = make()
+    assert np.array_equal(obj.x, obj.poly.combination(obj.start_weights()))
+    with pytest.raises(TypeError, match="x0"):
+        make(x0=obj.x.copy())
+
+
+def test_segment_query_is_gone():
+    import polycd
+    assert not hasattr(polycd, "SegmentQuery")
+    assert "SegmentQuery" not in polycd.__all__
+    assert not hasattr(objectives, "SegmentQuery")
+    for cls in (LeastSquares, Logistic, KdeHuber, Quadratic):
+        assert not hasattr(cls, "segment_query"), cls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("family", ["lasso", "logistic", "kde", "quad"])
+def test_nonfinite_start_point_is_rejected(family, bad):
+    # a NaN start gave f = nan (lasso), and an infinite one warned and gave
+    # f = nan (KDE)
+    obj = CONSTRUCTORS[family]()
     x0 = np.full(obj.poly.d, bad)
-    with pytest.raises(ValueError, match="x0 has non-finite entries"):
-        make(x0=x0)
     x = obj.x.copy()
     with pytest.raises(ValueError, match="x0 has non-finite entries"):
         obj.reset(x0)
@@ -138,17 +171,24 @@ def test_kde_parameters_are_rejected(bandwidth, huber_mu, dim, name):
 
 def test_segment_query_hand_gradient():
     ball, obj = motivating_setup()
-    q = obj.segment_query(0)  # vertex +e1
-    assert q.b == pytest.approx(-2.0, rel=1e-12)
-    assert q.c == pytest.approx(2.0, rel=1e-12)
+    assert obj.slope(0) == pytest.approx(-2.0, rel=1e-12)  # vertex +e1
+    assert obj._seg_c(0)[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_segment_query_at_own_vertex_is_degenerate():
-    obj = LeastSquares(np.eye(2), np.zeros(2), L1Ball(2, 1.0),
-                       x0=np.array([1.0, 0.0]))
-    q = obj.segment_query(0)
-    assert q.b == pytest.approx(0.0, abs=1e-14)
-    assert q.c == pytest.approx(0.0, abs=1e-14)
+    obj = placed(LeastSquares(np.eye(2), np.zeros(2), L1Ball(2, 1.0)),
+                 [1.0, 0.0])
+    assert obj.slope(0) == pytest.approx(0.0, abs=1e-14)
+    assert obj._seg_c(0)[0] == pytest.approx(0.0, abs=1e-14)
+    assert obj.segment_is_degenerate(0)
+
+
+def _listed_lasso(seed):
+    # a lasso over 9 listed points of R^5, which no kernel serves
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((25, 5))
+    return LeastSquares(A, rng.standard_normal(25),
+                        ExplicitVertices(rng.standard_normal((9, 5))))
 
 
 def test_segment_query_matches_full_gradient():
@@ -156,22 +196,40 @@ def test_segment_query_matches_full_gradient():
     ball = L1Ball(10, 1.5)
     A = rng.standard_normal((25, 10))
     objs = [LeastSquares(A, rng.standard_normal(25), ball),
-            random_logistic(seed=2), random_kde(seed=3)]
+            random_logistic(seed=2), random_kde(seed=3),
+            random_quadratic(7, seed=4), _listed_lasso(5)]
     for obj in objs:
         poly = obj.poly
         x0 = poly.project(rng.standard_normal(poly.d))
         obj.reset(x0)
         g = obj.full_gradient()
-        for i in range(0, poly.M, 3):
-            q = obj.segment_query(i)
+        for i in range(poly.M):
             want = float(g @ (poly.vertex(i) - obj.x))
-            assert q.b == pytest.approx(want, rel=1e-10, abs=1e-10)
+            assert obj.slope(i) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_grad_rule_step_is_the_gradient_rule_on_slope_and_seg_c():
+    # bit for bit grad_step_alpha(slope, ||v_i - x||^2, L, lo, 1) on all
+    # four families, on coordinate and on listed vertices
+    rng = np.random.default_rng(6)
+    objs = [LeastSquares(rng.standard_normal((25, 10)),
+                         rng.standard_normal(25), L1Ball(10, 1.5)),
+            random_logistic(seed=7), random_kde(seed=8),
+            random_quadratic(7, seed=9), _listed_lasso(10)]
+    for obj in objs:
+        poly = obj.poly
+        obj.reset(poly.combination(rng.dirichlet(np.ones(poly.M))))
+        for i in range(poly.M):
+            lo = -float(rng.random())
+            want = grad_step_alpha(obj.slope(i), obj._seg_c(i)[0], obj.L,
+                                   lo, 1.0)
+            assert obj.grad_rule_step(i, lo) == want, (type(obj), i)
 
 
 def test_kde_segment_query_slope_is_the_line_search_start(monkeypatch):
     # the gradient rule and the line search read phi'(0) from one source:
-    # segment_query(i).b is, bit for bit, the slope at 0 that the per-step
-    # search starts from, and it is <grad f(w), e_i - w>
+    # slope(i) is, bit for bit, the slope at 0 that the per-step search
+    # starts from, and it is <grad f(w), e_i - w>
     spec = KdeSpec(n=200, seed=5)
     X, _ = gen_kde(spec)
     obj = KdeHuber(X, spec.sigma_kernel, spec.mu_huber)
@@ -185,7 +243,7 @@ def test_kde_segment_query_slope_is_the_line_search_start(monkeypatch):
     monkeypatch.setattr(objectives, "bisect_line_min", spy)
     g = obj.full_gradient()
     for i in range(200):
-        b = obj.segment_query(i).b
+        b = obj.slope(i)
         obj.line_search(i, 0.0, 1.0)
         assert len(starts) == i + 1 and b == starts[-1]
         want = float(g[i] - g @ obj.x)
@@ -214,7 +272,7 @@ def test_kde_apply_step_quadratic_form():
     # two points: q after stepping halfway toward e2 expands to
     # 0.25 k0 + 0.5 k1 + 0.25 k0
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    obj = KdeHuber(pts, 1.0, 0.4, x0=np.array([1.0, 0.0]))
+    obj = placed(KdeHuber(pts, 1.0, 0.4), [1.0, 0.0])
     k0 = obj.kappa0
     k1 = obj.kernel_column(0)[1]
     obj.apply_step(1, 0.5)
@@ -241,13 +299,13 @@ def test_cache_consistency_after_many_steps():
 
 
 def _reset_families():
-    """(name, factory(**kwargs)) of a lasso and a KDE objective."""
+    """(name, factory) of a lasso and a KDE objective."""
     rng = np.random.default_rng(3)
     A = rng.standard_normal((30, 20))
     b = rng.standard_normal(30)
     X = rng.standard_normal((50, 2)) * 2.0
-    return (("lasso", lambda **kw: LeastSquares(A, b, L1Ball(20, 1.5), **kw)),
-            ("kde", lambda **kw: KdeHuber(X, 1.0, 0.4, **kw)))
+    return (("lasso", lambda: LeastSquares(A, b, L1Ball(20, 1.5))),
+            ("kde", lambda: KdeHuber(X, 1.0, 0.4)))
 
 
 def _cache_bytes(obj):
@@ -292,8 +350,8 @@ def test_reset_rebuilds_the_caches_unless_nothing_moved(monkeypatch, family):
     x0 = obj.x.copy()
     x1 = obj.poly.combination(
         np.random.default_rng(1).dirichlet(np.ones(obj.poly.M)))
-    fresh = {key: _cache_bytes(make(x0=x)) for key, x in (("x0", x0),
-                                                          ("x1", x1))}
+    fresh = {key: _cache_bytes(placed(make(), x)) for key, x in (("x0", x0),
+                                                                 ("x1", x1))}
     kname = obj.kernel_name()
     order = np.arange(obj.poly.M, dtype=np.int64)
 
@@ -337,8 +395,8 @@ def test_line_search_motivating_example():
 
 
 def test_line_search_no_descent_returns_lo():
-    obj = LeastSquares(np.eye(2), np.zeros(2), L1Ball(2, 1.0),
-                       x0=np.array([0.2, 0.0]))
+    obj = placed(LeastSquares(np.eye(2), np.zeros(2), L1Ball(2, 1.0)),
+                 [0.2, 0.0])
     # moving toward +e1 only increases ||x||^2
     assert obj.line_search(0, 0.0, 1.0) == 0.0
 
@@ -704,8 +762,7 @@ def test_grad_rule_one_step_inequality():
     L = obj.L
     obj.reset(poly.project(rng.standard_normal(poly.d)))
     for i in range(poly.M):
-        q = obj.segment_query(i)
-        alpha = grad_step_alpha(q.b, q.c, L, 0.0, 1.0)
+        alpha = obj.grad_rule_step(i, 0.0)
         g_old = obj.full_gradient()
         x_old = obj.x.copy()
         obj.apply_step(i, alpha)
@@ -719,12 +776,10 @@ def test_grad_rule_descent():
     rng = np.random.default_rng(16)
     for obj in (random_logistic(seed=17), random_kde(seed=18)):
         poly = obj.poly
-        L = obj.L
         obj.reset(poly.project(rng.standard_normal(poly.d)))
         f = obj.eval()
         for i in range(poly.M):
-            q = obj.segment_query(i)
-            obj.apply_step(i, grad_step_alpha(q.b, q.c, L, 0.0, 1.0))
+            obj.apply_step(i, obj.grad_rule_step(i, 0.0))
             f_new = obj.eval()
             assert f_new <= f + 1e-12 * max(1.0, abs(f))
             f = f_new
@@ -734,8 +789,8 @@ def test_grad_rule_descent():
 
 
 def test_full_gradient_identity_quadratic():
-    obj = LeastSquares(np.eye(3), np.zeros(3), StandardSimplex(3),
-                       x0=np.array([0.2, 0.3, 0.5]))
+    obj = placed(LeastSquares(np.eye(3), np.zeros(3), StandardSimplex(3)),
+                 [0.2, 0.3, 0.5])
     assert np.allclose(obj.full_gradient(), 2 * obj.x)
 
 
@@ -890,7 +945,7 @@ def _check_logistic_cache(obj, what, sig=_kernels.sigmoid_neg):
     for i in range(poly.M):
         w = (float(poly.vertex_scales[i]) * obj.A_cols[poly.vertex_coords[i]]
              - obj.z)
-        assert obj.segment_query(i).b == float(g @ w), (what, i)
+        assert obj.slope(i) == float(g @ w), (what, i)
 
 
 def test_logistic_margins_cache_follows_every_change_of_z(monkeypatch):
@@ -904,7 +959,7 @@ def test_logistic_margins_cache_follows_every_change_of_z(monkeypatch):
     A[:, 2] = labels * (2.0 + np.abs(rng.standard_normal(30)))
     x0 = np.random.default_rng(0).standard_normal(6)
     x0 *= 5.0 / np.abs(x0).sum()
-    obj = Logistic(A, labels, L1Ball(6, 20.0), x0=x0)
+    obj = placed(Logistic(A, labels, L1Ball(6, 20.0)), x0)
     ym, yv = labels * obj.z, labels * (20.0 * A[:, 2])
     assert not np.array_equal(
         A.T @ _kernels.sigmoid_neg(ym + 1.0 * (yv - ym)),
@@ -920,7 +975,7 @@ def test_logistic_margins_cache_follows_every_change_of_z(monkeypatch):
         act()
         calls.clear()
         obj.full_gradient()
-        obj.segment_query(0)
+        obj.slope(0)
         return not calls
 
     _check_logistic_cache(obj, "fresh")

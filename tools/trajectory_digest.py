@@ -41,6 +41,14 @@ A permuted-order lasso family runs polycd and polycdwa with both step
 rules on both paths, on the lasso instance with a fixed random visit
 order, so that ls_cycle reads its blocks as gathers.
 
+A quadratic family runs polycd and polycdwa with both step rules on both
+paths (no kernel serves Quadratic, so both take the per-step path), then
+FW and AFW with the default config.  Q = B'B / d and q are standard
+normal draws, as the custom-simplex-quadratic preset makes them, on
+StandardSimplex(8) (seed 4) and on a list of 12 standard normal points in
+R^6 (ExplicitVertices, seed 5), so that the dense-vertex move is digested,
+with a full step under the line search on the vertex list.
+
 The last cases are the benchmarks' shapes, on the kernel path with the
 line search and with the gradient rule: the kde-away solve (polycdwa on
 gen_kde(n=1000) seed 0, for 5 passes) and the lasso-away solve (polycdwa
@@ -76,8 +84,8 @@ import sys
 import numpy as np
 
 from polycd import (GRAD_1D, LINE_SEARCH, ExplicitVertices, KdeHuber, L1Ball,
-                    LeastSquares, Logistic, SolveConfig, StandardSimplex,
-                    polycd_solve, polycdwa_solve)
+                    LeastSquares, Logistic, Quadratic, SolveConfig,
+                    StandardSimplex, polycd_solve, polycdwa_solve)
 from polycd import _kernels
 from polycd.baselines import (BaselineConfig, afw_solve, fista_solve,
                               fw_solve, twocd_solve)
@@ -255,6 +263,30 @@ def permuted_lasso_cases(insts):
                     visit_order=order)
 
 
+def quadratic_cases():
+    """The quadratic family on the simplex and on a vertex list: the cyclic
+    solvers under both rules on both paths, then FW and AFW."""
+    for name, seed, d, make_poly in (
+            ("quad-sx", 4, 8, lambda rng: StandardSimplex(8)),
+            ("quad-ev", 5, 6,
+             lambda rng: ExplicitVertices(rng.standard_normal((12, 6))))):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((2 * d, d))
+        Q = B.T @ B / d
+        qlin = rng.standard_normal(d)
+        poly = make_poly(rng)
+
+        def make():
+            return Quadratic(Q, qlin, poly=poly)
+        for solve, rule, use_k in itertools.product(
+                (polycd_solve, polycdwa_solve), (LINE_SEARCH, GRAD_1D),
+                (True, False)):
+            cyclic_case(name, make(), solve, rule, PASSES, use_k)
+        for label, solve in BASELINES[:2]:
+            baseline_case(name, label, "default", make(), solve,
+                          BaselineConfig())
+
+
 def lasso_away_cases():
     """The lasso-away benchmark's solve at its size, under both step
     rules, so that ls_cycle's block plan and carried scores are digested
@@ -367,6 +399,7 @@ def main():
     crafted_cases()
     separable_logistic_cases()
     permuted_lasso_cases(insts)
+    quadratic_cases()
     kde_away_cases()
     lasso_away_cases()
 
